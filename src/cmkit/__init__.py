@@ -41,6 +41,7 @@ from .errors import (
     GroupMismatch,
     GroupTooLarge,
     InconsistentRamification,
+    InvalidCharacterTable,
     InvalidParameter,
     InvalidPermutation,
     NegativeGenus,

@@ -2,12 +2,20 @@
 
 The table is computed with the class-matrix method: the joint eigenvectors
 of the class-multiplication matrices are found over F_p for a prime
-p = 1 (mod e), where e is the group exponent, degrees are recovered from
-the orthogonality relation, and exact cyclotomic values are lifted with
-the discrete Fourier formula over power maps.  Multiplicities of roots of
-unity are small non-negative integers, so their mod-p representatives are
-exact and the lifted table is an exact object; the norm-one and degree-sum
-identities are re-checked after lifting.
+p = 1 (mod e), where e is the group exponent, and degrees are recovered
+from the orthogonality relation.  For each irreducible chi and class C of
+element order o, a discrete Fourier transform over the powers of a
+representative g, taken mod p with a fixed primitive e-th root z,
+
+    n_t = (1/o) sum_{s < o} chi(g^s) z^(-t s e/o),    t < o,
+
+gives the multiplicity n_t of zeta_o^t = exp(2 pi i t / o) as an
+eigenvalue of rho(g), where z stands for zeta_e.  The n_t are integers in
+[0, chi(1)], so their mod-p representatives are exact.  They are kept as
+`CharacterTable.spectra` (surface.chevalley_weil_multiplicities reads its
+counts from them), and chi(C) = sum_t n_t zeta_o^t is the exact cyclotomic
+value.  The norm-one and degree-sum identities are re-checked after
+lifting; every failed identity raises `InvalidCharacterTable`.
 """
 
 from __future__ import annotations
@@ -18,7 +26,13 @@ from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
 from .cyclotomic import Cyclotomic, _reduction_rows
-from .errors import GroupMismatch, GroupTooLarge, NonIntegralResult, SubgroupMismatch
+from .errors import (
+    GroupMismatch,
+    GroupTooLarge,
+    InvalidCharacterTable,
+    NonIntegralResult,
+    SubgroupMismatch,
+)
 from .group import FiniteGroup, Subgroup
 
 DEFAULT_CHARTABLE_BOUND = 2000
@@ -56,8 +70,15 @@ class Character:
 
 @dataclass(frozen=True, eq=False)
 class CharacterTable:
+    """Irreducible characters with their eigenvalue spectra.
+
+    `spectra[i][c][t]` is the multiplicity of exp(2 pi i t / o) as an
+    eigenvalue of rho_i at class c, where o is the element order of class c.
+    """
+
     group: FiniteGroup
     irreducibles: Tuple[Character, ...]
+    spectra: Tuple[Tuple[Tuple[int, ...], ...], ...]
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -96,12 +117,12 @@ def character_table(G: FiniteGroup, bound: int = DEFAULT_CHARTABLE_BOUND) -> Cha
         return G._chartable
     if G.order > bound:
         raise GroupTooLarge(f"character table bound {bound} exceeded (order {G.order})")
-    rows = _dixon_rows(G)
     e = G.exponent()
-    chars = [Character(G, tuple(row)) for row in rows]
-    chars.sort(key=lambda c: (c.values[0].integer_value(),
-                              tuple(v.dense(e) for v in c.values)))
-    table = CharacterTable(G, tuple(chars))
+    rows = [(Character(G, tuple(values)), spectrum) for values, spectrum in _dixon_rows(G)]
+    rows.sort(key=lambda row: (row[0].values[0].integer_value(),
+                               tuple(v.dense(e) for v in row[0].values)))
+    table = CharacterTable(G, tuple(chi for chi, _ in rows),
+                           tuple(spectrum for _, spectrum in rows))
     _verify_table(table)
     G._chartable = table
     return table
@@ -166,14 +187,14 @@ def trivial_character(G: FiniteGroup) -> Character:
 # Dixon's method over F_p
 
 
-def _dixon_rows(G: FiniteGroup) -> List[List[Cyclotomic]]:
+def _dixon_rows(G: FiniteGroup) -> List[Tuple[List[Cyclotomic], Tuple[Tuple[int, ...], ...]]]:
+    """(values, spectra) of each irreducible, in eigenvector order."""
     classes = G.conjugacy_classes()
     k = len(classes)
     n = G.order
     e = G.exponent()
     sizes = [cls.size for cls in classes]
-    reps = [cls.representative for cls in classes]
-    inv_class = [G.class_index(rep.inverse()) for rep in reps]
+    inv_class = [G.class_index(cls.representative.inverse()) for cls in classes]
 
     p = _find_prime(e, 2 * n + 1)
     z = _find_root_of_unity(e, p)
@@ -181,46 +202,56 @@ def _dixon_rows(G: FiniteGroup) -> List[List[Cyclotomic]]:
     matrices = _class_matrices(G, classes)
 
     vectors = _joint_eigenvectors(matrices, k, p)
-    assert len(vectors) == k
+    if len(vectors) != k:
+        raise InvalidCharacterTable(f"{len(vectors)} joint eigenvectors for {k} classes")
 
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
-    rows_out: List[List[Cyclotomic]] = []
-    power_classes = [_power_classes_of(G, rep, e) for rep in reps]
-    inv_e = pow(e, p - 2, p)
-    zpow = [pow(z, t, p) for t in range(e)]
+    # Per class: element order o, classes of rep^s for s < o, the powers
+    # z^(-(e/o) u) for u < o, indexed by t*s mod o in the transform, and 1/o.
+    lift_data = []
+    for cls in classes:
+        o = cls.order
+        zinv = pow(z, e - e // o, p)
+        lift_data.append((o, _power_classes_of(G, cls.representative, o),
+                          [pow(zinv, u, p) for u in range(o)], pow(o, p - 2, p)))
 
+    rows_out = []
     for v in vectors:
-        assert v[0] % p != 0
+        if v[0] % p == 0:
+            raise InvalidCharacterTable("joint eigenvector vanishes at the identity class")
         norm = pow(v[0], p - 2, p)
         omega = [(x * norm) % p for x in v]
         s = sum(omega[j] * omega[inv_class[j]] * inv_sizes[j] for j in range(k)) % p
         d2 = (n * pow(s, p - 2, p)) % p
         degree = next((d for d in range(1, isqrt(n) + 1) if (d * d) % p == d2), None)
-        assert degree is not None, "degree recovery failed"
+        if degree is None:
+            raise InvalidCharacterTable("degree recovery failed")
         vals = [(degree * omega[j] * inv_sizes[j]) % p for j in range(k)]
 
-        row: List[Cyclotomic] = []
-        for j in range(k):
-            pc = power_classes[j]
-            mults: Dict[int, int] = {}
-            total = 0
-            for k_exp in range(e):
-                m = sum(vals[pc[s_]] * zpow[(-k_exp * s_) % e] for s_ in range(e))
-                m = (m * inv_e) % p
-                if m:
-                    assert m <= degree, "lifted multiplicity out of range"
-                    mults[k_exp] = m
-                    total += m
-            assert total == degree, "eigenvalue multiplicities do not sum to the degree"
-            row.append(_from_root_multiplicities(e, mults))
-        rows_out.append(row)
+        values: List[Cyclotomic] = []
+        spectra = []
+        for o, pc, ztab, inv_o in lift_data:
+            seq = [vals[c] for c in pc]
+            spectrum = tuple(
+                (sum(x * ztab[(t * s_) % o] for s_, x in enumerate(seq)) * inv_o) % p
+                for t in range(o))
+            if max(spectrum) > degree:
+                raise InvalidCharacterTable("lifted multiplicity out of range")
+            if sum(spectrum) != degree:
+                raise InvalidCharacterTable(
+                    "eigenvalue multiplicities do not sum to the degree")
+            f = e // o
+            values.append(_from_root_multiplicities(
+                e, {t * f: m for t, m in enumerate(spectrum) if m}))
+            spectra.append(spectrum)
+        rows_out.append((values, tuple(spectra)))
     return rows_out
 
 
-def _power_classes_of(G: FiniteGroup, rep, e: int) -> List[int]:
+def _power_classes_of(G: FiniteGroup, rep, count: int) -> List[int]:
     out = []
     cur = G.identity
-    for _ in range(e):
+    for _ in range(count):
         out.append(G.class_index(cur))
         cur = cur * rep
     return out
@@ -488,9 +519,12 @@ class _RowBasis:
 def _verify_table(table: CharacterTable) -> None:
     G = table.group
     k = len(G.conjugacy_classes())
-    assert len(table.irreducibles) == k, "irreducible count != class count"
-    degrees = table.degrees()
-    assert sum(d * d for d in degrees) == G.order, "degree-sum identity failed"
+    if len(table.irreducibles) != k:
+        raise InvalidCharacterTable(
+            f"{len(table.irreducibles)} irreducibles for {k} classes")
+    if sum(d * d for d in table.degrees()) != G.order:
+        raise InvalidCharacterTable("degree-sum identity failed")
     one = Cyclotomic.one()
     for chi in table.irreducibles:
-        assert inner_product(chi, chi) == one, "character is not norm one"
+        if inner_product(chi, chi) != one:
+            raise InvalidCharacterTable(f"{chi!r} is not norm one")

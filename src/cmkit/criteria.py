@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chartable import (
@@ -460,20 +461,11 @@ def _solve_multiplicities(degrees: Sequence[int], dim_columns: Sequence[Sequence
     x = [mat[i][s] for i in range(s)]
     if any(v <= 0 for v in x):
         return None
-    scale = 1
-    for v in x:
-        scale = scale * v.denominator // _gcd(scale, v.denominator)
-    n = scale
-    mults = tuple(int(v * scale) for v in x)
+    n = lcm(*(v.denominator for v in x))
+    mults = tuple(int(v * n) for v in x)
     if n > order or any(mu > order for mu in mults):
         return None
     return n, mults
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def reverify_verdict(X: QuasiplatonicSurface, T: CharacterTable,

@@ -152,11 +152,6 @@ class Cyclotomic:
                     del out[k]
         return out
 
-    def lift(self, e2: int) -> "Cyclotomic":
-        if e2 % self.conductor != 0:
-            raise ValueError("can only lift to a multiple of the conductor")
-        return Cyclotomic(e2, self._lifted(e2))
-
     def dense(self, e2: int) -> Tuple[Fraction, ...]:
         """Coefficient tuple on the power basis of Q(zeta_e2); a sort key."""
         lifted = self._lifted(e2) if e2 != self.conductor else self.coeffs

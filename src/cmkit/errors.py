@@ -49,6 +49,10 @@ class InconsistentRamification(CmkitError):
     """Ramification indices over one base point of a Galois cover disagree."""
 
 
+class InvalidCharacterTable(CmkitError):
+    """A character table, or a count read from it, fails a required identity."""
+
+
 class NonIntegralMultiplicity(CmkitError):
     """Eigenvalue bookkeeping produced a non-integral multiplicity."""
 

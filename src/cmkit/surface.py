@@ -20,6 +20,7 @@ from .cyclotomic import Cyclotomic
 from .errors import (
     GroupMismatch,
     InconsistentRamification,
+    InvalidCharacterTable,
     NegativeGenus,
     NonIntegerGenus,
     NonIntegralMultiplicity,
@@ -248,9 +249,14 @@ def chevalley_weil_multiplicities(X: QuasiplatonicSurface,
     """Multiplicity of each irreducible in the space of holomorphic 1-forms.
 
     For each branch point with local generator g of order m, the eigenvalue
-    exp(2*pi*i*alpha/m) of rho(g) contributes (m - alpha)/m.  The opposite
-    orientation would produce the conjugate character; every verdict
-    computed downstream is invariant under that swap.
+    exp(2*pi*i*alpha/m) of rho(g) contributes (m - alpha)/m.  Its
+    multiplicity is read from `T.spectra`: g is conjugate to the
+    representative of its class, whose order is m, so entry alpha of that
+    class's spectrum counts exactly this eigenvalue.  The spectra come from
+    the discrete Fourier transform of Dixon's lift in `character_table`, in
+    the orientation zeta_m = exp(2*pi*i/m) of the cyclotomic values.  The
+    opposite orientation would produce the conjugate character; every
+    verdict computed downstream is invariant under that swap.
     """
     G = X.group
     if T.group is not G:
@@ -259,42 +265,25 @@ def chevalley_weil_multiplicities(X: QuasiplatonicSurface,
     if key in T._cache:
         return T._cache[key]
     trivial = T.trivial_index
-
-    power_data = []
-    for g in X.vector.entries:
-        m = g.order()
-        pcs = []
-        cur = G.identity
-        for _ in range(m):
-            pcs.append(G.class_index(cur))
-            cur = cur * g
-        power_data.append((m, pcs))
+    branch = [(g.order(), G.class_index(g)) for g in X.vector.entries]
 
     mults = []
-    for idx, chi in enumerate(T.irreducibles):
-        d = chi.degree
-        total = Fraction(-d) + (1 if idx == trivial else 0)
-        for m, pcs in power_data:
-            for alpha in range(1, m):
-                acc = Cyclotomic.zero()
-                for s in range(m):
-                    acc = acc + chi.values[pcs[s]] * Cyclotomic.zeta(m, (-alpha * s) % m)
-                acc = acc / m
-                try:
-                    count = acc.integer_value()
-                except ValueError:
-                    raise NonIntegralMultiplicity(
-                        f"eigenvalue multiplicity {acc.to_string()} not integral") from None
-                if count < 0:
-                    raise NonIntegralMultiplicity(f"negative eigenvalue count {count}")
-                if count:
-                    total += Fraction(count * (m - alpha), m)
+    for idx, (chi, spectra) in enumerate(zip(T.irreducibles, T.spectra)):
+        total = Fraction(-chi.degree) + (1 if idx == trivial else 0)
+        for m, c in branch:
+            spectrum = spectra[c]
+            total += Fraction(sum(spectrum[alpha] * (m - alpha) for alpha in range(1, m)), m)
         if total.denominator != 1 or total < 0:
             raise NonIntegralMultiplicity(f"multiplicity {total} for irreducible {idx}")
         mults.append(int(total))
 
-    assert mults[trivial] == 0
-    assert sum(n * chi.degree for n, chi in zip(mults, T.irreducibles)) == X.genus
+    if mults[trivial] != 0:
+        raise InvalidCharacterTable(
+            f"trivial character occurs {mults[trivial]} times in the 1-forms")
+    genus = sum(n * chi.degree for n, chi in zip(mults, T.irreducibles))
+    if genus != X.genus:
+        raise InvalidCharacterTable(
+            f"Chevalley-Weil dimension {genus} differs from the genus {X.genus}")
     result = tuple(mults)
     T._cache[key] = result
     return result
@@ -315,6 +304,8 @@ def analytic_character(X: QuasiplatonicSurface, T: CharacterTable) -> Character:
                 acc = acc + chi.values[j] * n
         values.append(acc)
     chi_a = Character(T.group, tuple(values))
-    assert chi_a.degree == X.genus
+    if chi_a.degree != X.genus:
+        raise InvalidCharacterTable(
+            f"analytic character has degree {chi_a.degree}, genus is {X.genus}")
     T._cache[key] = chi_a
     return chi_a

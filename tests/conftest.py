@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cmkit import (
+    Cyclotomic,
     FiniteGroup,
     Permutation,
     QuasiplatonicSurface,
@@ -78,6 +79,42 @@ def eichler_streit_value(vector):
     return sum((trace[s] ** 2 + trace[_compose(s, s)]) / 2 for s in group) / n
 
 
+def cyclotomic_cw_reference(X, T):
+    """Chevalley-Weil multiplicities from the table values alone.
+
+    The slow oracle for `chevalley_weil_multiplicities`: the multiplicity of
+    exp(2 pi i alpha / m) as an eigenvalue of rho(g) is recomputed in exact
+    cyclotomic arithmetic as (1/m) sum_s chi(g^s) zeta_m^(-alpha s), using
+    only `chi.values`; `T.spectra` is not read.
+    """
+    G = X.group
+    trivial = T.trivial_index
+    power_data = []
+    for g in X.vector.entries:
+        m = g.order()
+        pcs = []
+        cur = G.identity
+        for _ in range(m):
+            pcs.append(G.class_index(cur))
+            cur = cur * g
+        power_data.append((m, pcs))
+
+    mults = []
+    for idx, chi in enumerate(T.irreducibles):
+        total = Fraction(-chi.degree) + (1 if idx == trivial else 0)
+        for m, pcs in power_data:
+            for alpha in range(1, m):
+                acc = Cyclotomic.zero()
+                for s in range(m):
+                    acc = acc + chi.values[pcs[s]] * Cyclotomic.zeta(m, (-alpha * s) % m)
+                count = (acc / m).integer_value()
+                assert count >= 0
+                total += Fraction(count * (m - alpha), m)
+        assert total.denominator == 1 and total >= 0
+        mults.append(int(total))
+    return tuple(mults)
+
+
 @functools.lru_cache(maxsize=None)
 def symmetric_3():
     return FiniteGroup.from_generators(3, [Permutation([1, 0, 2]), Permutation([1, 2, 0])])
@@ -86,6 +123,32 @@ def symmetric_3():
 @functools.lru_cache(maxsize=None)
 def klein_4():
     return FiniteGroup.from_generators(4, [Permutation([1, 0, 2, 3]), Permutation([0, 1, 3, 2])])
+
+
+def _from_cycles(degree, *generators):
+    gens = [Permutation.from_cycles(degree, cycles) for cycles in generators]
+    return FiniteGroup.from_generators(degree, gens)
+
+
+@functools.lru_cache(maxsize=None)
+def symmetric_4():
+    return _from_cycles(4, [(0, 1, 2, 3)], [(0, 1)])
+
+
+@functools.lru_cache(maxsize=None)
+def alternating_5():
+    return _from_cycles(5, [(0, 1, 2, 3, 4)], [(0, 1, 2)])
+
+
+@functools.lru_cache(maxsize=None)
+def symmetric_5():
+    return _from_cycles(5, [(0, 1, 2, 3, 4)], [(0, 1)])
+
+
+@functools.lru_cache(maxsize=None)
+def psl_2_7():
+    """x -> x + 1 and x -> -1/x on the projective line over F_7 (7 is infinity)."""
+    return _from_cycles(8, [(0, 1, 2, 3, 4, 5, 6)], [(0, 7), (1, 6), (2, 3), (4, 5)])
 
 
 @pytest.fixture

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import cmkit
 
 from cmkit import (
     Character,
@@ -175,3 +181,26 @@ def test_degree_one_values_are_roots_of_unity():
 def test_table_is_cached():
     G = FiniteGroup.cyclic(3)
     assert character_table(G) is character_table(G)
+
+
+ONE_ROW_C3 = """
+from cmkit import Cyclotomic, FiniteGroup, InvalidCharacterTable
+from cmkit.chartable import CharacterTable, _verify_table, trivial_character
+G = FiniteGroup.cyclic(3)
+table = CharacterTable(G, (trivial_character(G),), (((0,), (1, 0, 0), (1, 0, 0)),))
+try:
+    _verify_table(table)
+except InvalidCharacterTable as ex:
+    print("rejected:", ex)
+else:
+    print("accepted")
+"""
+
+
+def test_verify_table_rejects_under_optimize():
+    """The table checks are raises, not asserts: `python -O` keeps them."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cmkit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", ONE_ROW_C3], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected: 1 irreducibles for 3 classes")

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from cmkit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 V4_FILE = {"degree": 4, "generators": [[1, 0, 2, 3], [0, 1, 3, 2]]}
 C6_FILE = {"degree": 6, "generators": [[1, 2, 3, 4, 5, 0]]}
@@ -183,6 +186,16 @@ def test_byte_identical_output(capsys):
     _, t1 = run(capsys, "table", "gm:8", "--format", "table")
     _, t2 = run(capsys, "table", "gm:8", "--format", "table")
     assert t1 == t2
+
+
+@pytest.mark.parametrize("command, source", [
+    ("table", "gm:8"), ("streit", "gm:12"), ("quotients", "gm:8"), ("analyze", "gm:10")])
+def test_golden_output(capsys, command, source):
+    """stdout is byte-identical to the committed output of the same request."""
+    code, out = run(capsys, command, source)
+    assert code == 0
+    golden = GOLDEN / f"{command}_{source.replace(':', '')}.json"
+    assert out.encode() == golden.read_bytes()
 
 
 def test_table_format_output(capsys):

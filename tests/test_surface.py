@@ -19,9 +19,19 @@ from cmkit import (
     galois_quotient_signature,
     genus_from_branch_data,
     genus_from_vector,
+    character_table,
     quotient_surface,
 )
-from conftest import gm_bundle, klein_4
+from cmkit.chartable import _from_root_multiplicities
+from conftest import (
+    alternating_5,
+    cyclotomic_cw_reference,
+    gm_bundle,
+    klein_4,
+    psl_2_7,
+    symmetric_4,
+    symmetric_5,
+)
 
 
 def hyperelliptic(half_periods):
@@ -155,6 +165,41 @@ def test_chevalley_weil_conjugation_invariance():
         h = rng.choice(X.group.elements)
         Xc = QuasiplatonicSurface.from_vector(X.vector.conjugate_by(h))
         assert chevalley_weil_multiplicities(Xc, T) == base
+
+
+COVERS = {
+    "A5": (alternating_5, [(2, 5, 5), (3, 3, 5), (5, 5, 5)]),
+    "S5": (symmetric_5, [(2, 4, 5)]),
+    "S4": (symmetric_4, [(3, 4, 4)]),
+    "PSL(2,7)": (psl_2_7, [(2, 3, 7), (3, 3, 4)]),
+}
+
+
+def _cw_cases(source):
+    if source.startswith("gm:"):
+        _, X, T = gm_bundle(int(source[3:]))
+        return T, [X]
+    build, signatures = COVERS[source]
+    G = build()
+    surfaces = [QuasiplatonicSurface.from_vector(v)
+                for periods in signatures
+                for v in find_generating_vectors(G, Signature(0, periods), limit=4)]
+    return character_table(G), surfaces
+
+
+@pytest.mark.parametrize("source", [f"gm:{m}" for m in range(6, 21, 2)] + list(COVERS))
+def test_chevalley_weil_spectra_match_cyclotomic_reference(source):
+    T, surfaces = _cw_cases(source)
+    assert surfaces
+    for X in surfaces:
+        assert chevalley_weil_multiplicities(X, T) == cyclotomic_cw_reference(X, T)
+    e = T.group.exponent()
+    orders = [cls.order for cls in T.group.conjugacy_classes()]
+    for chi, spectra in zip(T.irreducibles, T.spectra):
+        for c, (o, spectrum) in enumerate(zip(orders, spectra)):
+            assert len(spectrum) == o and all(type(m) is int for m in spectrum)
+            mults = {t * (e // o): m for t, m in enumerate(spectrum) if m}
+            assert _from_root_multiplicities(e, mults) == chi.values[c]
 
 
 def test_analytic_character_degree_and_quotient():
