@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
-from .cyclotomic import Cyclotomic, _reduction_rows
+from .cyclotomic import Cyclotomic, _reduction_rows, prime_factors
 from .errors import (
     GroupMismatch,
     GroupTooLarge,
@@ -141,8 +141,7 @@ def inner_product(chi: Character, psi: Character) -> Cyclotomic:
 
 def power_class_map(G: FiniteGroup, k: int) -> Tuple[int, ...]:
     """Class index of g^k for a representative g of each class."""
-    classes = G.conjugacy_classes()
-    return tuple(G.class_index(cls.representative ** k) for cls in classes)
+    return tuple(row[k % len(row)] for row in G.power_classes())
 
 
 def symmetric_square(chi: Character) -> Character:
@@ -159,9 +158,10 @@ def fixed_space_dimension(chi: Character, H: Subgroup) -> int:
     G = chi.group
     if H.parent is not G:
         raise SubgroupMismatch("subgroup of a different group")
+    class_of = G.class_ids()
     total = Cyclotomic.zero()
-    for h in H.elements:
-        total = total + chi.values[G.class_index(h)]
+    for h in H.indices:
+        total = total + chi.values[class_of[h]]
     total = total / H.order
     try:
         value = total.integer_value()
@@ -194,7 +194,7 @@ def _dixon_rows(G: FiniteGroup) -> List[Tuple[List[Cyclotomic], Tuple[Tuple[int,
     n = G.order
     e = G.exponent()
     sizes = [cls.size for cls in classes]
-    inv_class = [G.class_index(cls.representative.inverse()) for cls in classes]
+    inv_class = power_class_map(G, -1)
 
     p = _find_prime(e, 2 * n + 1)
     z = _find_root_of_unity(e, p)
@@ -209,11 +209,11 @@ def _dixon_rows(G: FiniteGroup) -> List[Tuple[List[Cyclotomic], Tuple[Tuple[int,
     # Per class: element order o, classes of rep^s for s < o, the powers
     # z^(-(e/o) u) for u < o, indexed by t*s mod o in the transform, and 1/o.
     lift_data = []
-    for cls in classes:
+    for cls, power_classes in zip(classes, G.power_classes()):
         o = cls.order
         zinv = pow(z, e - e // o, p)
-        lift_data.append((o, _power_classes_of(G, cls.representative, o),
-                          [pow(zinv, u, p) for u in range(o)], pow(o, p - 2, p)))
+        lift_data.append((o, power_classes, [pow(zinv, u, p) for u in range(o)],
+                          pow(o, p - 2, p)))
 
     rows_out = []
     for v in vectors:
@@ -248,15 +248,6 @@ def _dixon_rows(G: FiniteGroup) -> List[Tuple[List[Cyclotomic], Tuple[Tuple[int,
     return rows_out
 
 
-def _power_classes_of(G: FiniteGroup, rep, count: int) -> List[int]:
-    out = []
-    cur = G.identity
-    for _ in range(count):
-        out.append(G.class_index(cur))
-        cur = cur * rep
-    return out
-
-
 def _from_root_multiplicities(e: int, mults: Dict[int, int]) -> Cyclotomic:
     rows = _reduction_rows(e)
     acc: Dict[int, Fraction] = {}
@@ -274,10 +265,7 @@ def _class_matrices(G: FiniteGroup, classes) -> List[List[List[int]]]:
     """M_i[j][l] = #{(x, y) in C_i x C_j : xy = z_l} for a fixed z_l."""
     G._ensure_table()
     k = len(classes)
-    cls_of = [0] * G.order
-    for ci, cls in enumerate(classes):
-        for m in cls.members:
-            cls_of[G.index_of(m)] = ci
+    cls_of = G.class_ids()
     mats = [[[0] * k for _ in range(k)] for _ in range(k)]
     for l in range(k):
         zl = G.index_of(classes[l].representative)
@@ -298,30 +286,13 @@ def _find_prime(e: int, minimum: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return prime_factors(n) == [n]
 
 
 def _find_root_of_unity(e: int, p: int) -> int:
     if e == 1:
         return 1
-    prime_divs = []
-    m = e
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            prime_divs.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        prime_divs.append(m)
+    prime_divs = prime_factors(e)
     for c in range(2, p):
         z = pow(c, (p - 1) // e, p)
         if all(pow(z, e // q, p) != 1 for q in prime_divs):

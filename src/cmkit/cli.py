@@ -2,8 +2,14 @@
 
 Commands: analyze, streit, table, quotients, verify, batch.  Output is JSON
 (default) or a plain text table; identical requests produce byte-identical
-output.  Exit codes: 0 for any completed computation (the verdict rides in
-the payload), 1 for input errors, 2 for resource bounds.
+output.  A failure prints {"error": code, "detail": text}, or in `batch`
+becomes that source's row (the batch exits with the worst row's code).
+Exit codes: 0 for any completed computation (the verdict rides in the
+payload); 1 for input errors (`invalid_input` unless a specific code
+applies); 2 for resource bounds (`bound_exceeded`); 3 when an identity that
+holds for every correct computation fails (`internal_check_failed`:
+`InvalidCharacterTable`, `NonIntegralMultiplicity`, `NonIntegralResult`,
+`InconsistentRamification`), a fault of the program, not of the input.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import List, Optional
 
 from .chartable import character_table
 from .criteria import cm_verdict, streit_test, verify_isogeny_relation
-from .errors import CmkitError, GroupTooLarge, InvalidParameter
+from .errors import INTERNAL_ERRORS, CmkitError, GroupTooLarge, InvalidParameter
 from .gmfamily import GmInstance, build_gm, canonical_vector
 from .group import DEFAULT_MAX_ORDER, FiniteGroup
 from .perm import Permutation
@@ -36,6 +42,7 @@ from .surface import GeneratingVector, QuasiplatonicSurface
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BOUND = 2
+EXIT_INTERNAL = 3
 
 _GM_RE = re.compile(r"^gm:(\d+)$")
 _WORD_RE = re.compile(r"^([A-Za-z]\w*)(?:\^(-?\d+))?$")
@@ -47,6 +54,17 @@ class CliError(Exception):
         self.code = code
         self.detail = detail
         self.exit_code = exit_code
+
+
+def _failure(ex: Exception) -> tuple:
+    """(error code, detail, exit code) for an error that ends a command."""
+    if isinstance(ex, CliError):
+        return ex.code, ex.detail, ex.exit_code
+    if isinstance(ex, GroupTooLarge):
+        return "bound_exceeded", str(ex), EXIT_BOUND
+    if isinstance(ex, INTERNAL_ERRORS):
+        return "internal_check_failed", str(ex), EXIT_INTERNAL
+    return "invalid_input", str(ex), EXIT_INPUT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -278,19 +296,11 @@ def _run_batch(args) -> tuple:
             status = row.get("status", "?")
             summary.append(f"{source}: {status} genus={row.get('genus')} "
                            f"streit={row.get('streit_value')}")
-        except CliError as ex:
-            results.append({"source": source, "error": ex.code, "detail": ex.detail})
-            summary.append(f"{source}: error {ex.code}")
-            worst = max(worst, ex.exit_code)
-        except GroupTooLarge as ex:
-            results.append({"source": source, "error": "bound_exceeded", "detail": str(ex)})
-            summary.append(f"{source}: error bound_exceeded")
-            worst = max(worst, EXIT_BOUND)
-        except CmkitError as ex:
-            results.append({"source": source, "error": "computation_failed",
-                            "detail": str(ex)})
-            summary.append(f"{source}: error computation_failed")
-            worst = max(worst, EXIT_INPUT)
+        except (CliError, CmkitError, ValueError) as ex:
+            code, detail, exit_code = _failure(ex)
+            results.append({"source": source, "error": code, "detail": detail})
+            summary.append(f"{source}: error {code}")
+            worst = max(worst, exit_code)
     payload = {"command": "batch", "results": results, "summary": summary}
     return payload, worst
 
@@ -347,15 +357,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         payload = runner(args)
         _emit(payload, args.format)
         return EXIT_OK
-    except CliError as ex:
-        print(json.dumps({"error": ex.code, "detail": ex.detail}, sort_keys=True))
-        return ex.exit_code
-    except GroupTooLarge as ex:
-        print(json.dumps({"error": "bound_exceeded", "detail": str(ex)}, sort_keys=True))
-        return EXIT_BOUND
-    except (CmkitError, ValueError) as ex:
-        print(json.dumps({"error": "invalid_input", "detail": str(ex)}, sort_keys=True))
-        return EXIT_INPUT
+    except (CliError, CmkitError, ValueError) as ex:
+        code, detail, exit_code = _failure(ex)
+        print(json.dumps({"error": code, "detail": detail}, sort_keys=True))
+        return exit_code
 
 
 if __name__ == "__main__":

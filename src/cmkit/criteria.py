@@ -50,7 +50,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 ROUTE_A = "statement_A"
 ROUTE_B = "statement_B"
-ROUTE_GENUS_ZERO = "genus_zero"
 
 EXCEPTION_PERIODS = (2, 2, 3, 3)
 
@@ -490,9 +489,6 @@ def reverify_verdict(X: QuasiplatonicSurface, T: CharacterTable,
                 return False
         elif cert.route == ROUTE_B:
             if not check_statement_b(X, H).holds:
-                return False
-        elif cert.route == ROUTE_GENUS_ZERO:
-            if quotient_surface(X, H).genus != 0:
                 return False
         else:
             return False

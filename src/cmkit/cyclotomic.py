@@ -14,24 +14,31 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 _POLY_CACHE: Dict[int, list] = {}
 _ROW_CACHE: Dict[int, list] = {}
 
 
+def prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def euler_phi(n: int) -> int:
     result = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            result -= result // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        result -= result // m
+    for p in prime_factors(n):
+        result -= result // p
     return result
 
 

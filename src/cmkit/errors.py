@@ -71,3 +71,8 @@ class NotProperNontrivial(CmkitError):
 
 class GenusZeroQuotient(CmkitError):
     """Quotient has genus zero; the large-abelian test does not apply."""
+
+
+# Failed identities that no input can cause on a correct program.
+INTERNAL_ERRORS = (InvalidCharacterTable, NonIntegralMultiplicity, NonIntegralResult,
+                   InconsistentRamification)

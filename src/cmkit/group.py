@@ -1,18 +1,27 @@
-"""Finite permutation groups with eager element enumeration.
+"""Finite permutation groups, computed on element indices.
 
-Groups are built by closing a generating set; every derived object
-(conjugacy classes, subgroup lattice, coset actions) is computed over the
-full element list and cached.  All orderings are deterministic: element
-lists are sorted by image tuple, classes by (element order, size, minimal
-member), subgroups by (order, element indices).
+The group is built once by closing its generators over `Permutation`s; from
+then on an element is its index in the element list, sorted by image tuple
+(the identity is 0), and products come from the Cayley table, filled from
+image tuples.  Classes, power classes, closure, normality, normalizers and
+the subgroup lattice work on indices.  A `Subgroup` holds its sorted element
+indices and numbers its left cosets gH once (coset id of each element index,
+cosets ordered by minimal member); quotient genera and Galois signatures
+read the action of an element as a list of coset ids.  `Permutation`s appear
+only at I/O: elements, generators, class members, `Subgroup.elements`, and
+the builders `coset_action` and `quotient_with_map`.  All orderings are
+deterministic: classes by (element order, size, minimal member), subgroups
+by (order, element indices).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from .cyclotomic import prime_factors
 from .errors import (
     ElementNotInGroup,
     GroupTooLarge,
@@ -34,7 +43,7 @@ class FiniteGroup:
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  max_order: int = DEFAULT_MAX_ORDER,
-                 _elements: Optional[Sequence[Permutation]] = None):
+                 _elements: Optional[Iterable[Permutation]] = None):
         self.degree = int(degree)
         gens = tuple(generators)
         for g in gens:
@@ -48,14 +57,20 @@ class FiniteGroup:
             elements = list(_elements)
         elements.sort()
         self.elements: Tuple[Permutation, ...] = tuple(elements)
-        self._index: Dict[Permutation, int] = {g: i for i, g in enumerate(self.elements)}
         # The identity is the lexicographically smallest bijection.
-        assert self.elements[0].is_identity()
+        if not elements or not elements[0].is_identity():
+            raise ElementNotInGroup("the identity is not among the group elements")
         self.identity = self.elements[0]
-        self._inv: List[int] = [self._index[g.inverse()] for g in self.elements]
+        self._images: List[Tuple[int, ...]] = [g.images for g in self.elements]
+        self._index: Dict[Tuple[int, ...], int] = {a: i for i, a in enumerate(self._images)}
+        # The inverse of a permutation is the argsort of its image tuple.
+        points = range(self.degree)
+        self._inv: List[int] = [self._index[tuple(sorted(points, key=a.__getitem__))]
+                                for a in self._images]
         self._table: Optional[List[List[int]]] = None
         self._classes: Optional[Tuple[ConjugacyClass, ...]] = None
-        self._class_of: Optional[Dict[Permutation, int]] = None
+        self._class_of: Optional[List[int]] = None
+        self._power_classes: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._subgroups: Optional[Tuple["Subgroup", ...]] = None
         self._exponent: Optional[int] = None
         self._chartable = None  # populated by cmkit.chartable.character_table
@@ -81,7 +96,7 @@ class FiniteGroup:
         return len(self.elements)
 
     def __contains__(self, g: Permutation) -> bool:
-        return g in self._index
+        return isinstance(g, Permutation) and g.images in self._index
 
     def __iter__(self):
         return iter(self.elements)
@@ -93,33 +108,50 @@ class FiniteGroup:
 
     def index_of(self, g: Permutation) -> int:
         try:
-            return self._index[g]
+            return self._index[g.images]
         except KeyError:
             raise ElementNotInGroup(f"{g!r} is not in the group") from None
 
     def _ensure_table(self) -> None:
         if self._table is None and self.order <= _TABLE_LIMIT:
-            els = self.elements
-            idx = self._index
-            self._table = [[idx[a * b] for b in els] for a in els]
+            imgs, idx = self._images, self._index
+            self._table = [[idx[tuple(map(a.__getitem__, b))] for b in imgs] for a in imgs]
 
     def mul(self, i: int, j: int) -> int:
         if self._table is not None:
             return self._table[i][j]
-        return self._index[self.elements[i] * self.elements[j]]
+        a = self._images[i]
+        return self._index[tuple(map(a.__getitem__, self._images[j]))]
 
     def inv(self, i: int) -> int:
         return self._inv[i]
 
+    def index_closure(self, seed: Iterable[int]) -> FrozenSet[int]:
+        """Element indices of the subgroup generated by the given indices."""
+        self._ensure_table()
+        seed = tuple(seed)
+        els = {0, *seed}
+        frontier = list(els)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s in seed:
+                    y = self.mul(x, s)
+                    if y not in els:
+                        els.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return frozenset(els)
+
     # -- basic predicates ------------------------------------------------
 
     def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(a * b == b * a for a in gens for b in gens)
+        gens = [self.index_of(g) for g in self.generators]
+        return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
 
     def element_order(self, g: Permutation) -> int:
         """Order of g, which equals the lcm of its cycle lengths."""
-        if g not in self._index:
+        if g not in self:
             raise ElementNotInGroup(f"{g!r} is not in the group")
         return g.order()
 
@@ -135,7 +167,7 @@ class FiniteGroup:
             return self._classes
         self._ensure_table()
         n = self.order
-        gen_idx = [self._index[g] for g in self.generators]
+        gen_idx = [self.index_of(g) for g in self.generators]
         seen = [False] * n
         raw: List[List[int]] = []
         for start in range(n):
@@ -157,25 +189,42 @@ class FiniteGroup:
             raw.append(sorted(orbit))
         raw.sort(key=lambda members: (self.elements[members[0]].order(),
                                       len(members),
-                                      self.elements[members[0]].images))
+                                      self._images[members[0]]))
         classes = []
-        class_of: Dict[Permutation, int] = {}
+        class_of = [0] * n
         for ci, members in enumerate(raw):
             perms = tuple(self.elements[i] for i in members)
             classes.append(ConjugacyClass(representative=perms[0], members=perms,
                                           order=perms[0].order()))
-            for p in perms:
-                class_of[p] = ci
+            for i in members:
+                class_of[i] = ci
         self._classes = tuple(classes)
         self._class_of = class_of
         return self._classes
 
-    def class_index(self, g: Permutation) -> int:
+    def class_ids(self) -> List[int]:
+        """The class index of every element index."""
         self.conjugacy_classes()
-        try:
-            return self._class_of[g]
-        except KeyError:
-            raise ElementNotInGroup(f"{g!r} is not in the group") from None
+        return self._class_of
+
+    def class_index(self, g: Permutation) -> int:
+        return self.class_ids()[self.index_of(g)]
+
+    def power_classes(self) -> Tuple[Tuple[int, ...], ...]:
+        """For each class, the classes of rep^s for s = 0, ..., o - 1, where
+        rep is its representative and o its element order."""
+        if self._power_classes is None:
+            class_of = self.class_ids()
+            rows = []
+            for cls in self._classes:
+                rep = self.index_of(cls.representative)
+                cur, row = 0, []
+                for _ in range(cls.order):
+                    row.append(class_of[cur])
+                    cur = self.mul(cur, rep)
+                rows.append(tuple(row))
+            self._power_classes = tuple(rows)
+        return self._power_classes
 
     # -- subgroups ---------------------------------------------------------
 
@@ -183,29 +232,13 @@ class FiniteGroup:
         return Subgroup(self, elements)
 
     def subgroup_generated(self, gens: Sequence[Permutation]) -> "Subgroup":
-        for g in gens:
-            if g not in self._index:
-                raise ElementNotInGroup(f"{g!r} is not in the group")
-        els = _close({self.identity}, tuple(gens), self.order)
-        # closed by construction
-        return Subgroup(self, els, _gens=tuple(gens), _validated=True)
+        closure = self.index_closure([self.index_of(g) for g in gens])
+        return Subgroup(self, (self.elements[i] for i in closure),
+                        _gens=tuple(gens), _validated=True)
 
     def generated_order(self, gens: Sequence[Permutation]) -> int:
         """Order of the subgroup generated, without building a Subgroup."""
-        self._ensure_table()
-        seed = [self.index_of(g) for g in gens]
-        els = {0, *seed}
-        frontier = list(els)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in seed:
-                    y = self.mul(x, s)
-                    if y not in els:
-                        els.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return len(els)
+        return len(self.index_closure([self.index_of(g) for g in gens]))
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (self.identity,), _gens=())
@@ -220,32 +253,13 @@ class FiniteGroup:
                 f"subgroup enumeration bound {bound} exceeded (order {self.order})")
         if self._subgroups is not None:
             return self._subgroups
-        self._ensure_table()
 
-        def close_idx(seed: frozenset) -> frozenset:
-            els = set(seed)
-            els.add(0)
-            frontier = list(els)
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for s in seed:
-                        y = self.mul(x, s)
-                        if y not in els:
-                            els.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            return frozenset(els)
-
-        cyclics = []
-        seen_cyc = set()
+        first: Dict[FrozenSet[int], int] = {}
         for i in range(self.order):
-            c = close_idx(frozenset([i]))
-            if c not in seen_cyc:
-                seen_cyc.add(c)
-                cyclics.append((i, c))
+            first.setdefault(self.index_closure((i,)), i)
+        cyclics = [(i, c) for c, i in first.items()]
 
-        gensets: Dict[frozenset, Tuple[int, ...]] = {frozenset([0]): ()}
+        gensets: Dict[FrozenSet[int], Tuple[int, ...]] = {frozenset([0]): ()}
         for i, c in cyclics:
             gensets.setdefault(c, (i,))
         queue = list(gensets.keys())
@@ -256,7 +270,7 @@ class FiniteGroup:
                 if c <= h:
                     continue
                 new_gens = h_gens + (i,)
-                k = close_idx(frozenset(new_gens))
+                k = self.index_closure(new_gens)
                 if k not in gensets:
                     gensets[k] = new_gens
                     queue.append(k)
@@ -275,66 +289,35 @@ class FiniteGroup:
 
     def is_normal(self, H: "Subgroup") -> bool:
         self._check_subgroup(H)
-        hset = H.element_set
-        for g in self.generators:
-            gi = g.inverse()
-            for h in H.elements:
-                if g * h * gi not in hset:
-                    return False
-        return True
+        return all(H.normalized_by(self.index_of(g)) for g in self.generators)
 
     def normalizer(self, H: "Subgroup") -> "Subgroup":
         self._check_subgroup(H)
-        h_idx = frozenset(self._index[h] for h in H.elements)
-        members = []
-        for i in range(self.order):
-            ii = self._inv[i]
-            if all(self.mul(self.mul(i, h), ii) in h_idx for h in h_idx):
-                members.append(self.elements[i])
+        members = [g for i, g in enumerate(self.elements) if H.normalized_by(i)]
         return Subgroup(self, members, _validated=True)
-
-    def centralizer_order(self, g: Permutation) -> int:
-        return sum(1 for x in self.elements if x * g == g * x)
 
     # -- cosets and quotients ----------------------------------------------
 
-    def left_cosets(self, H: "Subgroup") -> List[Tuple[Permutation, ...]]:
-        """Left cosets gH, ordered by minimal member; the coset of 1 is first."""
-        self._check_subgroup(H)
-        h_idx = [self._index[h] for h in H.elements]
-        seen = [False] * self.order
-        cosets = []
-        for i in range(self.order):
-            if seen[i]:
-                continue
-            members = sorted(self.mul(i, h) for h in h_idx)
-            for m in members:
-                seen[m] = True
-            cosets.append(tuple(self.elements[m] for m in members))
-        return cosets
-
     def coset_action(self, H: "Subgroup") -> Dict[Permutation, Permutation]:
-        """The homomorphism onto the action on left cosets of H."""
-        cosets = self.left_cosets(H)
-        coset_of: Dict[Permutation, int] = {}
-        for ci, members in enumerate(cosets):
-            for m in members:
-                coset_of[m] = ci
-        reps = [c[0] for c in cosets]
-        action = {}
-        for g in self.elements:
-            action[g] = Permutation(tuple(coset_of[g * r] for r in reps))
-        return action
+        """The homomorphism onto the action on left cosets of H, as
+        permutations of the coset ids of `H.coset_ids()`."""
+        self._check_subgroup(H)
+        return {g: Permutation(H.action_on_cosets(i)) for i, g in enumerate(self.elements)}
 
     def quotient_with_map(self, N: "Subgroup") -> Tuple["FiniteGroup", Dict[Permutation, Permutation]]:
+        """G/N as its regular action on the coset ids of N, and the map onto it;
+        N is normal, so every element of a coset acts as its minimal member."""
         if not self.is_normal(N):
             raise NotNormal("quotient by a non-normal subgroup")
-        action = self.coset_action(N)
-        images = sorted(set(action.values()))
+        coset, reps = N.coset_ids()
+        images = [Permutation(N.action_on_cosets(r)) for r in reps]
+        action = {g: images[coset[i]] for i, g in enumerate(self.elements)}
         quotient = FiniteGroup(images[0].degree,
                                tuple(action[g] for g in self.generators),
-                               _elements=images)
-        assert quotient.order * N.order == self.order
+                               _elements=set(images))
+        if quotient.order * N.order != self.order:
+            raise NotNormal(f"quotient of order {quotient.order} by a subgroup of order "
+                            f"{N.order} in a group of order {self.order}")
         return quotient, action
 
     def quotient_group(self, N: "Subgroup") -> "FiniteGroup":
@@ -352,7 +335,7 @@ class FiniteGroup:
         n = self.order
         if n == 1:
             return ()
-        primes = _prime_factors(n)
+        primes = prime_factors(n)
         primary: Dict[int, List[int]] = {}
         for p in primes:
             counts = [1]  # number of x with x^(p^j) = 1
@@ -408,32 +391,46 @@ class ConjugacyClass:
 
 
 class Subgroup:
-    """A subgroup given by its full (closed) element set."""
+    """A subgroup of `parent`, held as its sorted element indices."""
 
     def __init__(self, parent: FiniteGroup, elements: Iterable[Permutation],
                  _gens: Optional[Tuple[Permutation, ...]] = None,
                  _validated: bool = False):
         self.parent = parent
-        els = sorted(set(elements))
-        self.elements: Tuple[Permutation, ...] = tuple(els)
-        self.element_set = frozenset(els)
+        indices = set()
+        for h in elements:
+            try:
+                indices.add(parent.index_of(h))
+            except ElementNotInGroup:
+                raise SubgroupMismatch(f"{h!r} is not in the parent group") from None
+        self.indices: Tuple[int, ...] = tuple(sorted(indices))
         if not _validated:
-            for h in els:
-                if h not in parent._index:
-                    raise SubgroupMismatch(f"{h!r} is not in the parent group")
-            for a in els:
-                for b in els:
-                    if a * b not in self.element_set:
-                        raise SubgroupMismatch("element set is not closed")
-            if parent.identity not in self.element_set:
-                raise SubgroupMismatch("identity missing from subgroup")
-        assert parent.order % len(els) == 0  # Lagrange
+            parent._ensure_table()
+            mul = parent.mul
+            if any(mul(a, b) not in indices for a in indices for b in indices):
+                raise SubgroupMismatch("element set is not closed")
+        if 0 not in indices:
+            raise SubgroupMismatch("identity missing from subgroup")
+        if parent.order % len(indices):
+            raise SubgroupMismatch(
+                f"{len(indices)} elements cannot form a subgroup of a group of "
+                f"order {parent.order} (Lagrange)")
         self._gens = _gens
+        self._cosets: Optional[Tuple[List[int], List[int]]] = None
         self._as_group: Optional[FiniteGroup] = None
+
+    @cached_property
+    def elements(self) -> Tuple[Permutation, ...]:
+        """The members, sorted by image tuple (the order of their indices)."""
+        return tuple(self.parent.elements[i] for i in self.indices)
+
+    @cached_property
+    def element_set(self) -> FrozenSet[Permutation]:
+        return frozenset(self.elements)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.indices)
 
     @property
     def index(self) -> int:
@@ -444,10 +441,10 @@ class Subgroup:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subgroup) and other.parent is self.parent
-                and other.element_set == self.element_set)
+                and other.indices == self.indices)
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.element_set))
+        return hash((id(self.parent), self.indices))
 
     def __repr__(self) -> str:
         gens = ", ".join(g.cycle_string() for g in self.generators())
@@ -466,21 +463,21 @@ class Subgroup:
         """A small deterministic generating set (greedy over sorted elements)."""
         if self._gens is not None:
             return self._gens
-        gens: List[Permutation] = []
-        have = {self.parent.identity}
-        for g in self.elements:
-            if g in have:
+        gens: List[int] = []
+        have = frozenset([0])
+        for i in self.indices:
+            if i in have:
                 continue
-            gens.append(g)
-            have = set(_close(have, tuple(gens), self.order))
+            gens.append(i)
+            have = self.parent.index_closure(gens)
             if len(have) == self.order:
                 break
-        self._gens = tuple(gens)
+        self._gens = tuple(self.parent.elements[i] for i in gens)
         return self._gens
 
     def is_abelian(self) -> bool:
-        els = self.elements
-        return all(a * b == b * a for i, a in enumerate(els) for b in els[i + 1:])
+        mul, idx = self.parent.mul, self.indices
+        return all(mul(a, b) == mul(b, a) for k, a in enumerate(idx) for b in idx[k + 1:])
 
     def is_cyclic(self) -> bool:
         return any(g.order() == self.order for g in self.elements)
@@ -492,8 +489,43 @@ class Subgroup:
                                          _elements=self.elements)
         return self._as_group
 
+    # -- cosets ------------------------------------------------------------
+
+    def coset_ids(self) -> Tuple[List[int], List[int]]:
+        """The left cosets gH, numbered once by minimal member.
+
+        Returns the coset id of every element index of the parent, and the
+        minimal member of every coset; H itself is coset 0.
+        """
+        if self._cosets is None:
+            G = self.parent
+            G._ensure_table()
+            coset = [-1] * G.order
+            reps: List[int] = []
+            for i in range(G.order):
+                if coset[i] < 0:
+                    for h in self.indices:
+                        coset[G.mul(i, h)] = len(reps)
+                    reps.append(i)
+            self._cosets = (coset, reps)
+        return self._cosets
+
+    def action_on_cosets(self, i: int) -> List[int]:
+        """Image array of left multiplication by element index i on the coset ids."""
+        coset, reps = self.coset_ids()
+        mul = self.parent.mul
+        return [coset[mul(i, r)] for r in reps]
+
+    def normalized_by(self, i: int) -> bool:
+        """Whether element index i normalizes H: h i H = i H for every h in H."""
+        coset, _ = self.coset_ids()
+        mul, home = self.parent.mul, coset[i]
+        return all(coset[mul(h, i)] == home for h in self.indices)
+
 
 def _close(start: set, gens: Tuple[Permutation, ...], max_order: int) -> List[Permutation]:
+    """The elements of the group generated by gens: the one closure that
+    composes permutations, since the Cayley table needs the elements first."""
     els = set(start)
     frontier = list(els)
     while frontier:
@@ -508,17 +540,3 @@ def _close(start: set, gens: Tuple[Permutation, ...], max_order: int) -> List[Pe
                     nxt.append(y)
         frontier = nxt
     return list(els)
-
-
-def _prime_factors(n: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

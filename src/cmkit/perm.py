@@ -88,20 +88,7 @@ class Permutation:
 
     def all_cycles(self) -> list[tuple[int, ...]]:
         """All cycles including fixed points, each starting at its minimum."""
-        seen = [False] * len(self.images)
-        cycles = []
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                cycle.append(x)
-                seen[x] = True
-                x = self.images[x]
-            cycles.append(tuple(cycle))
-        return cycles
+        return cycles_of(self.images)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles only."""
@@ -131,3 +118,22 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
+
+
+def cycles_of(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """All cycles of the image array, fixed points included, each starting
+    at its minimum, in order of their minima."""
+    seen = [False] * len(images)
+    cycles = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        x = images[start]
+        while x != start:
+            cycle.append(x)
+            seen[x] = True
+            x = images[x]
+        cycles.append(tuple(cycle))
+    return cycles

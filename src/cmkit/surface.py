@@ -3,7 +3,8 @@
 A generating vector (g_1, ..., g_r) with product one encodes a Galois cover
 of the sphere branched over r points with local orders equal to the element
 orders.  Everything downstream is combinatorial: genera come from cycle
-counting on coset actions (Riemann-Hurwitz) and, independently, from
+counting on the coset numbering of each subgroup (Riemann-Hurwitz, on
+element indices; see `cmkit.group`) and, independently, from
 fixed-space dimensions of the analytic character, whose irreducible
 multiplicities are produced by the classical eigenvalue bookkeeping of the
 branch data (Chevalley-Weil).
@@ -28,7 +29,7 @@ from .errors import (
     SubgroupMismatch,
 )
 from .group import FiniteGroup, Subgroup
-from .perm import Permutation
+from .perm import Permutation, cycles_of
 
 
 @dataclass(frozen=True)
@@ -140,27 +141,26 @@ def find_generating_vectors(G: FiniteGroup, sig: Signature,
         raise ValueError("only genus-zero base signatures are searched")
     periods = sig.periods
     r = len(periods)
-    by_order: Dict[int, List[Permutation]] = {}
-    for g in G.elements:
-        by_order.setdefault(g.order(), []).append(g)
-    firsts = [cls.representative for cls in G.conjugacy_classes()
+    orders = [g.order() for g in G.elements]
+    by_order: Dict[int, List[int]] = {}
+    for i, o in enumerate(orders):
+        by_order.setdefault(o, []).append(i)
+    firsts = [G.index_of(cls.representative) for cls in G.conjugacy_classes()
               if cls.order == periods[0]]
     results: List[GeneratingVector] = []
 
-    def generates(entries: Tuple[Permutation, ...]) -> bool:
-        return G.generated_order(list(entries)) == G.order
-
-    def extend(prefix: Tuple[Permutation, ...], prod: Permutation) -> None:
+    def extend(prefix: Tuple[int, ...], prod: int) -> None:
         if len(results) >= limit:
             return
         pos = len(prefix)
         if pos == r - 1:
-            last = prod.inverse()
-            if last.order() == periods[-1] and generates(prefix + (last,)):
-                results.append(GeneratingVector(G, prefix + (last,)))
+            last = G.inv(prod)
+            entries = prefix + (last,)
+            if orders[last] == periods[-1] and len(G.index_closure(entries)) == G.order:
+                results.append(GeneratingVector(G, tuple(G.elements[i] for i in entries)))
             return
         for g in by_order.get(periods[pos], []):
-            extend(prefix + (g,), prod * g)
+            extend(prefix + (g,), G.mul(prod, g))
             if len(results) >= limit:
                 return
 
@@ -174,17 +174,18 @@ def find_generating_vectors(G: FiniteGroup, sig: Signature,
 def quotient_surface(X: QuasiplatonicSurface, H: Subgroup) -> QuotientSurface:
     """X/H with genus from cycle counting on the coset action of H."""
     G = X.group
-    action = G.coset_action(H)
     n = H.index
     defect = 0
     branch = []
     for g in X.vector.entries:
-        lengths = action[g].cycle_lengths()
+        lengths = [len(c) for c in cycles_of(H.action_on_cosets(G.index_of(g)))]
         defect += n - len(lengths)
         branch.append((g.order(), tuple(sorted(lengths, reverse=True))))
-    assert defect % 2 == 0, "Riemann-Hurwitz parity violated"
+    if defect % 2:
+        raise NonIntegerGenus(f"odd Riemann-Hurwitz defect {defect} for X/H")
     genus = 1 - n + defect // 2
-    assert genus >= 0
+    if genus < 0:
+        raise NegativeGenus(f"X/H would have genus {genus}")
     return QuotientSurface(X, H, genus, tuple(branch))
 
 
@@ -194,43 +195,23 @@ def galois_quotient_signature(X: QuasiplatonicSurface, H: Subgroup,
     G = X.group
     if H.parent is not G or N.parent is not G:
         raise SubgroupMismatch("subgroups of a different group")
-    if not H.element_set <= N.element_set:
+    if not set(H.indices) <= set(N.indices):
         raise SubgroupMismatch("H is not contained in N")
-    for g in N.generators():
-        gi = g.inverse()
-        for h in H.elements:
-            if g * h * gi not in H.element_set:
-                raise NotNormalInN("H is not normal in N")
+    if not all(H.normalized_by(G.index_of(g)) for g in N.generators()):
+        raise NotNormalInN("H is not normal in N")
 
-    act_H = G.coset_action(H)
-    act_N = G.coset_action(N)
-    cosets_H = G.left_cosets(H)
-    cosets_N = G.left_cosets(N)
-    n_coset_of: Dict[Permutation, int] = {}
-    for ci, members in enumerate(cosets_N):
-        for m in members:
-            n_coset_of[m] = ci
-    proj = [n_coset_of[c[0]] for c in cosets_H]
+    coset_N, _ = N.coset_ids()
+    _, reps_H = H.coset_ids()
+    proj = [coset_N[r] for r in reps_H]
 
     periods = []
     for g in X.vector.entries:
-        perm_H = act_H[g]
-        for cyc in act_N[g].all_cycles():
+        gi = G.index_of(g)
+        top = {x: len(c) for c in cycles_of(H.action_on_cosets(gi)) for x in c}
+        for cyc in cycles_of(N.action_on_cosets(gi)):
             l_base = len(cyc)
             in_fiber = set(cyc)
-            pts = [i for i, t in enumerate(proj) if t in in_fiber]
-            lengths = set()
-            seen = set()
-            for start in pts:
-                if start in seen:
-                    continue
-                length = 0
-                x = start
-                while x not in seen:
-                    seen.add(x)
-                    x = perm_H(x)
-                    length += 1
-                lengths.add(length)
+            lengths = {top[c] for c, t in enumerate(proj) if t in in_fiber}
             if len(lengths) != 1:
                 raise InconsistentRamification(
                     f"unequal ramification over one point: {sorted(lengths)}")

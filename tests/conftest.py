@@ -115,6 +115,61 @@ def cyclotomic_cw_reference(X, T):
     return tuple(mults)
 
 
+def _permutation_cosets(G, H):
+    """Left cosets gH by Permutation products: coset of each element, and
+    the minimal member of each coset (cosets in order of minimal member)."""
+    coset_of, reps = {}, []
+    for g in G.elements:
+        if g not in coset_of:
+            for h in H.elements:
+                coset_of[g * h] = len(reps)
+            reps.append(g)
+    return coset_of, reps
+
+
+def _coset_permutation(g, cosets):
+    coset_of, reps = cosets
+    return Permutation(tuple(coset_of[g * r] for r in reps))
+
+
+def permutation_quotient_reference(X, H):
+    """(genus, branch data) of X/H by cycle counting on Permutations.
+
+    The slow oracle for `quotient_surface`: each vector entry's action on
+    the left cosets of H is built as a `Permutation` from products of
+    `Permutation`s; no element index, Cayley table or coset numbering of
+    the package is used.
+    """
+    cosets = _permutation_cosets(X.group, H)
+    n = len(cosets[1])
+    defect, branch = 0, []
+    for g in X.vector.entries:
+        lengths = _coset_permutation(g, cosets).cycle_lengths()
+        defect += n - len(lengths)
+        branch.append((g.order(), tuple(sorted(lengths, reverse=True))))
+    assert defect % 2 == 0
+    return 1 - n + defect // 2, tuple(branch)
+
+
+def permutation_galois_reference(X, H, N):
+    """(orbit genus, sorted periods) of the Galois cover X/H -> X/N (H
+    normal in N), from the Permutation actions on the cosets of H and N."""
+    cosets_H, cosets_N = _permutation_cosets(X.group, H), _permutation_cosets(X.group, N)
+    proj = [cosets_N[0][r] for r in cosets_H[1]]
+    periods = []
+    for g in X.vector.entries:
+        on_H = _coset_permutation(g, cosets_H)
+        top = {x: len(c) for c in on_H.all_cycles() for x in c}
+        for cyc in _coset_permutation(g, cosets_N).all_cycles():
+            lengths = {top[c] for c, t in enumerate(proj) if t in cyc}
+            assert len(lengths) == 1
+            l_top = lengths.pop()
+            assert l_top % len(cyc) == 0
+            if l_top > len(cyc):
+                periods.append(l_top // len(cyc))
+    return permutation_quotient_reference(X, N)[0], tuple(sorted(periods))
+
+
 @functools.lru_cache(maxsize=None)
 def symmetric_3():
     return FiniteGroup.from_generators(3, [Permutation([1, 0, 2]), Permutation([1, 2, 0])])

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from cmkit.cli import main
+import cmkit.cli
+from cmkit import InvalidCharacterTable
+from cmkit.cli import EXIT_INTERNAL, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -179,6 +181,22 @@ def test_batch_isolates_failures(capsys):
     assert bad["error"] == "invalid_parameter"
 
 
+def test_failed_internal_identity_is_not_bad_input(capsys, monkeypatch):
+    def broken_table(G):
+        raise InvalidCharacterTable("degree-sum identity failed")
+
+    monkeypatch.setattr(cmkit.cli, "character_table", broken_table)
+    code, payload = run_json(capsys, "streit", "gm:6")
+    assert code == EXIT_INTERNAL == 3
+    assert payload == {"error": "internal_check_failed",
+                       "detail": "degree-sum identity failed"}
+    code, payload = run_json(capsys, "batch", "gm:6")
+    assert code == EXIT_INTERNAL
+    assert payload["results"] == [{"source": "gm:6", "error": "internal_check_failed",
+                                   "detail": "degree-sum identity failed"}]
+    assert payload["summary"] == ["gm:6: error internal_check_failed"]
+
+
 def test_byte_identical_output(capsys):
     _, first = run(capsys, "analyze", "gm:10")
     _, second = run(capsys, "analyze", "gm:10")
@@ -188,14 +206,32 @@ def test_byte_identical_output(capsys):
     assert t1 == t2
 
 
-@pytest.mark.parametrize("command, source", [
-    ("table", "gm:8"), ("streit", "gm:12"), ("quotients", "gm:8"), ("analyze", "gm:10")])
-def test_golden_output(capsys, command, source):
+# id -> (argv, golden stdout file).  Requests run inside tests/golden, where
+# the A5 group file and the gm:12 relation file live, so that the relative
+# source path recorded in the payload is the same wherever pytest starts.
+GOLDEN_RUNS = {
+    "table-gm:8": (["table", "gm:8"], "table_gm8.json"),
+    "streit-gm:12": (["streit", "gm:12"], "streit_gm12.json"),
+    "quotients-gm:8": (["quotients", "gm:8"], "quotients_gm8.json"),
+    "analyze-gm:10": (["analyze", "gm:10"], "analyze_gm10.json"),
+    "verify-gm:12": (["verify", "gm:12", "--relation", "gm12_relation.json"],
+                     "verify_gm12.json"),
+    "quotients-gm:8-table": (["quotients", "gm:8", "--format", "table"],
+                             "quotients_gm8.txt"),
+    "analyze-a5-255": (["analyze", "a5_group.json", "--vector",
+                        "g0^2*g1,g0,g0^-1*g1^-1*g0^-2", "--search-limit", "5"],
+                       "analyze_a5.json"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_golden_output(capsys, monkeypatch, name):
     """stdout is byte-identical to the committed output of the same request."""
-    code, out = run(capsys, command, source)
+    argv, golden = GOLDEN_RUNS[name]
+    monkeypatch.chdir(GOLDEN)
+    code, out = run(capsys, *argv)
     assert code == 0
-    golden = GOLDEN / f"{command}_{source.replace(':', '')}.json"
-    assert out.encode() == golden.read_bytes()
+    assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_table_format_output(capsys):

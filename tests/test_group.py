@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmkit
 from cmkit import (
     ElementNotInGroup,
     FiniteGroup,
@@ -190,3 +195,36 @@ def test_abelian_invariants():
     assert klein_4().abelian_invariants() == (2, 2)
     with pytest.raises(ValueError):
         symmetric_3().abelian_invariants()
+
+
+SUBGROUP_CHECKS_S4 = """
+from cmkit import ElementNotInGroup, FiniteGroup, Permutation, Subgroup, SubgroupMismatch
+G = FiniteGroup.from_generators(4, [Permutation.from_cycles(4, [(0, 1, 2, 3)]),
+                                    Permutation.from_cycles(4, [(0, 1)])])
+cases = {
+    "three": lambda: Subgroup(G, G.elements[1:4], _validated=True),
+    "five": lambda: Subgroup(G, G.elements[:5], _validated=True),
+    "no identity": lambda: FiniteGroup(4, G.generators, _elements=G.elements[1:]),
+}
+for name, build in cases.items():
+    try:
+        build()
+    except (SubgroupMismatch, ElementNotInGroup) as ex:
+        print(name, "rejected:", ex)
+    else:
+        print(name, "accepted")
+"""
+
+
+def test_subgroup_checks_survive_optimize():
+    """Identity and Lagrange checks on trusted element sets are raises, not
+    asserts: `python -O` keeps them."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cmkit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", SUBGROUP_CHECKS_S4], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "three rejected: identity missing from subgroup",
+        "five rejected: 5 elements cannot form a subgroup of a group of order 24 (Lagrange)",
+        "no identity rejected: the identity is not among the group elements",
+    ]

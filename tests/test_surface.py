@@ -28,6 +28,8 @@ from conftest import (
     cyclotomic_cw_reference,
     gm_bundle,
     klein_4,
+    permutation_galois_reference,
+    permutation_quotient_reference,
     psl_2_7,
     symmetric_4,
     symmetric_5,
@@ -200,6 +202,32 @@ def test_chevalley_weil_spectra_match_cyclotomic_reference(source):
             assert len(spectrum) == o and all(type(m) is int for m in spectrum)
             mults = {t * (e // o): m for t, m in enumerate(spectrum) if m}
             assert _from_root_multiplicities(e, mults) == chi.values[c]
+
+
+@pytest.mark.parametrize("source", [f"gm:{m}" for m in range(6, 17, 2)] + list(COVERS))
+def test_quotients_match_permutation_reference(source):
+    """Coset numbering on indices against Permutation coset actions: genus,
+    branch data, normalizer and Galois signature for every subgroup H and
+    each pair (H, N_G(H)), on the first vector of each signature."""
+    if source.startswith("gm:"):
+        X = gm_bundle(int(source[3:]))[1]
+        surfaces = [X]
+    else:
+        build, signatures = COVERS[source]
+        G = build()
+        surfaces = [QuasiplatonicSurface.from_vector(
+            find_generating_vectors(G, Signature(0, periods))[0]) for periods in signatures]
+    G = surfaces[0].group
+    for H in G.all_subgroups():
+        N = G.normalizer(H)
+        assert {x for x in G.elements
+                if all(x * h * x.inverse() in H for h in H.elements)} == N.element_set
+        assert G.is_normal(H) == (N.order == G.order)
+        for X in surfaces:
+            q = quotient_surface(X, H)
+            assert (q.genus, q.branch_data) == permutation_quotient_reference(X, H)
+            sig = galois_quotient_signature(X, H, N)
+            assert (sig.orbit_genus, sig.periods) == permutation_galois_reference(X, H, N)
 
 
 def test_analytic_character_degree_and_quotient():
