@@ -1,31 +1,50 @@
 """Exact complex irreducible character tables.
 
-The table is computed with the class-matrix method: the joint eigenvectors
-of the class-multiplication matrices are found over F_p for a prime
-p = 1 (mod e), where e is the group exponent, and degrees are recovered
-from the orthogonality relation.  For each irreducible chi and class C of
-element order o, a discrete Fourier transform over the powers of a
-representative g, taken mod p with a fixed primitive e-th root z,
+The table is computed by Dixon's method as revisited by Schneider: the
+class matrices M_i, M_i[j][l] = #{x in C_i : x^-1 z_l in C_j} for the
+representative z_l of class l, commute, and their common eigenvectors over
+F_p, for a prime p = 1 (mod e) above 2|G| with e the group exponent, are
+the irreducibles.  One combination A = sum_i c_i M_i with seeded random c_i
+is built straight from the Cayley table and its characteristic polynomial
+is computed once; for each eigenvalue lambda, (m / (x - lambda))(A) e_0,
+with m the product of x - mu over the distinct eigenvalues and e_0 the
+identity-class indicator, projects onto the lambda-eigenspace, and all
+projections come from one Krylov sequence of e_0.  Eigenspaces that two or
+more irreducibles share (p is small, so eigenvalues can repeat) are split
+the same way by further seeded combinations and, failing those, by each
+class matrix alone.  Degrees are recovered from the orthogonality relation.
+
+For each irreducible chi and class C of element order o, a discrete Fourier
+transform over the powers of a representative g, taken mod p with a fixed
+primitive e-th root z,
 
     n_t = (1/o) sum_{s < o} chi(g^s) z^(-t s e/o),    t < o,
 
 gives the multiplicity n_t of zeta_o^t = exp(2 pi i t / o) as an
 eigenvalue of rho(g), where z stands for zeta_e.  The n_t are integers in
-[0, chi(1)], so their mod-p representatives are exact.  They are kept as
-`CharacterTable.spectra` (surface.chevalley_weil_multiplicities reads its
-counts from them), and chi(C) = sum_t n_t zeta_o^t is the exact cyclotomic
-value.  The norm-one and degree-sum identities are re-checked after
-lifting; every failed identity raises `InvalidCharacterTable`.
+[0, chi(1)], so their mod-p representatives are exact.  The transform runs
+once per rational class: the class of g^u, u a unit mod o, has the
+spectrum n_(t u^-1), and each such spectrum is checked against the class's
+value mod p.  The spectra are kept as `CharacterTable.spectra`
+(surface.chevalley_weil_multiplicities reads its counts from them), and
+chi(C) = sum_t n_t zeta_o^t is the exact cyclotomic value, summed in
+integers.  The finished table is verified in integer arithmetic: every value
+against its spectrum, the degree sum, and norm one, <chi, chi> summed from
+the spectra in Z[x]/(x^e - 1) and reduced mod Phi_e.  Every failed identity
+raises `InvalidCharacterTable`.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
+from operator import itemgetter, mul
 from typing import Dict, List, Optional, Tuple
 
-from .cyclotomic import Cyclotomic, _reduction_rows, prime_factors
+from .cyclotomic import Cyclotomic, _reduction_rows, euler_phi, prime_factors
 from .errors import (
     GroupMismatch,
     GroupTooLarge,
@@ -34,6 +53,7 @@ from .errors import (
     SubgroupMismatch,
 )
 from .group import FiniteGroup, Subgroup
+from .modp import charpoly, combine, divide_linear, echelon, matvec, nullspace, restrict, roots
 
 DEFAULT_CHARTABLE_BOUND = 2000
 
@@ -94,7 +114,7 @@ class CharacterTable:
         for i, chi in enumerate(self.irreducibles):
             if all(v == one for v in chi.values):
                 return i
-        raise AssertionError("trivial character missing")
+        raise InvalidCharacterTable("trivial character missing")
 
     def conjugate_index(self, i: int) -> int:
         key = ("conj", i)
@@ -105,7 +125,7 @@ class CharacterTable:
                     self._cache[key] = j
                     break
             else:
-                raise AssertionError("table not closed under conjugation")
+                raise InvalidCharacterTable("table not closed under conjugation")
         return self._cache[key]
 
     def degrees(self) -> Tuple[int, ...]:
@@ -117,12 +137,9 @@ def character_table(G: FiniteGroup, bound: int = DEFAULT_CHARTABLE_BOUND) -> Cha
         return G._chartable
     if G.order > bound:
         raise GroupTooLarge(f"character table bound {bound} exceeded (order {G.order})")
-    e = G.exponent()
-    rows = [(Character(G, tuple(values)), spectrum) for values, spectrum in _dixon_rows(G)]
-    rows.sort(key=lambda row: (row[0].values[0].integer_value(),
-                               tuple(v.dense(e) for v in row[0].values)))
-    table = CharacterTable(G, tuple(chi for chi, _ in rows),
-                           tuple(spectrum for _, spectrum in rows))
+    rows = sorted(_dixon_rows(G), key=itemgetter(0))
+    table = CharacterTable(G, tuple(Character(G, tuple(values)) for _, values, _ in rows),
+                           tuple(spectra for _, _, spectra in rows))
     _verify_table(table)
     G._chartable = table
     return table
@@ -187,33 +204,38 @@ def trivial_character(G: FiniteGroup) -> Character:
 # Dixon's method over F_p
 
 
-def _dixon_rows(G: FiniteGroup) -> List[Tuple[List[Cyclotomic], Tuple[Tuple[int, ...], ...]]]:
-    """(values, spectra) of each irreducible, in eigenvector order."""
+def _dixon_rows(G: FiniteGroup) -> List[Tuple[tuple, List[Cyclotomic], Tuple[Tuple[int, ...], ...]]]:
+    """(sort key, values, spectra) of each irreducible, in eigenvector order.
+
+    The sort key is the degree followed by the integer coefficient vector of
+    each value on the power basis of Q(zeta_e).
+    """
     classes = G.conjugacy_classes()
     k = len(classes)
     n = G.order
     e = G.exponent()
     sizes = [cls.size for cls in classes]
     inv_class = power_class_map(G, -1)
+    power = G.power_classes()
+    source = _rational_sources(classes, power)
 
     p = _find_prime(e, 2 * n + 1)
     z = _find_root_of_unity(e, p)
 
-    matrices = _class_matrices(G, classes)
-
-    vectors = _joint_eigenvectors(matrices, k, p)
+    vectors = _joint_eigenvectors(G, p)
     if len(vectors) != k:
         raise InvalidCharacterTable(f"{len(vectors)} joint eigenvectors for {k} classes")
 
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
-    # Per class: element order o, classes of rep^s for s < o, the powers
-    # z^(-(e/o) u) for u < o, indexed by t*s mod o in the transform, and 1/o.
-    lift_data = []
-    for cls, power_classes in zip(classes, G.power_classes()):
-        o = cls.order
-        zinv = pow(z, e - e // o, p)
-        lift_data.append((o, power_classes, [pow(zinv, u, p) for u in range(o)],
-                          pow(o, p - 2, p)))
+    # Per element order o: z^((e/o) t) for t < o, the rows
+    # (z^(-(e/o) t s))_(s < o) of the discrete Fourier transform, and 1/o.
+    per_order = {}
+    for o in {cls.order for cls in classes}:
+        ztab = [pow(z, (e // o) * t, p) for t in range(o)]
+        dft = [[ztab[(-t * s_) % o] for s_ in range(o)] for t in range(o)]
+        per_order[o] = (ztab, dft, pow(o, p - 2, p))
+    width = euler_phi(e)
+    lifted: Dict[Tuple[int, ...], Tuple[Cyclotomic, Tuple[int, ...]]] = {}
 
     rows_out = []
     for v in vectors:
@@ -228,51 +250,78 @@ def _dixon_rows(G: FiniteGroup) -> List[Tuple[List[Cyclotomic], Tuple[Tuple[int,
             raise InvalidCharacterTable("degree recovery failed")
         vals = [(degree * omega[j] * inv_sizes[j]) % p for j in range(k)]
 
-        values: List[Cyclotomic] = []
-        spectra = []
-        for o, pc, ztab, inv_o in lift_data:
-            seq = [vals[c] for c in pc]
-            spectrum = tuple(
-                (sum(x * ztab[(t * s_) % o] for s_, x in enumerate(seq)) * inv_o) % p
-                for t in range(o))
-            if max(spectrum) > degree:
-                raise InvalidCharacterTable("lifted multiplicity out of range")
-            if sum(spectrum) != degree:
-                raise InvalidCharacterTable(
-                    "eigenvalue multiplicities do not sum to the degree")
-            f = e // o
-            values.append(_from_root_multiplicities(
-                e, {t * f: m for t, m in enumerate(spectrum) if m}))
+        spectra: List[Tuple[int, ...]] = []
+        for c, (cls, (first, reindex)) in enumerate(zip(classes, source)):
+            ztab, dft, inv_o = per_order[cls.order]
+            if first == c:
+                seq = [vals[j] for j in power[c]]
+                spectrum = tuple((sum(map(mul, row, seq)) * inv_o) % p for row in dft)
+                if max(spectrum) > degree:
+                    raise InvalidCharacterTable("lifted multiplicity out of range")
+                if sum(spectrum) != degree:
+                    raise InvalidCharacterTable(
+                        "eigenvalue multiplicities do not sum to the degree")
+            else:
+                spectrum = tuple(map(spectra[first].__getitem__, reindex))
+            if sum(map(mul, spectrum, ztab)) % p != vals[c]:
+                raise InvalidCharacterTable("eigenvalue spectrum does not give the class value")
             spectra.append(spectrum)
-        rows_out.append((values, tuple(spectra)))
+
+        values = []
+        key: List[Tuple[int, ...]] = []
+        for spectrum in spectra:
+            if spectrum not in lifted:
+                coeffs = _root_sum(e, _spectrum_exponents(e, spectrum))
+                lifted[spectrum] = (_cyclotomic(e, coeffs),
+                                    tuple(coeffs.get(j, 0) for j in range(width)))
+            value, dense = lifted[spectrum]
+            values.append(value)
+            key.append(dense)
+        rows_out.append(((degree, tuple(key)), values, tuple(spectra)))
     return rows_out
 
 
-def _from_root_multiplicities(e: int, mults: Dict[int, int]) -> Cyclotomic:
+def _rational_sources(classes, power) -> List[Tuple[int, List[int]]]:
+    """(first, [t u^-1 mod o for t < o]) for each class.
+
+    A class is the class of g^u for a unit u mod o, where g represents
+    `first`, the first class of its rational class, and o is the element
+    order.  rho(g^u) has the eigenvalues of rho(g) raised to the u-th power,
+    so the class's spectrum is the spectrum of `first` read at t u^-1.
+    """
+    source: List[Optional[Tuple[int, List[int]]]] = [None] * len(classes)
+    for c, (cls, row) in enumerate(zip(classes, power)):
+        if source[c] is None:
+            o = cls.order
+            for u in range(o):
+                if gcd(u, o) == 1 and source[row[u]] is None:
+                    u_inv = pow(u, -1, o)
+                    source[row[u]] = (c, [(t * u_inv) % o for t in range(o)])
+    return source
+
+
+def _spectrum_exponents(e: int, spectrum: Tuple[int, ...]) -> Dict[int, int]:
+    """{exponent of zeta_e: multiplicity} for a spectrum over zeta_o, o | e."""
+    f = e // len(spectrum)
+    return {t * f: m for t, m in enumerate(spectrum) if m}
+
+
+def _root_sum(e: int, mults: Dict[int, int]) -> Dict[int, int]:
+    """Integer coefficients of sum m zeta_e^k on the power basis of Q(zeta_e)."""
     rows = _reduction_rows(e)
-    acc: Dict[int, Fraction] = {}
+    acc: Dict[int, int] = {}
     for k_exp, m in mults.items():
         for j, t in rows[k_exp % e].items():
-            v = acc.get(j, Fraction(0)) + m * t
-            if v:
-                acc[j] = v
-            elif j in acc:
-                del acc[j]
-    return Cyclotomic(e, acc)
+            acc[j] = acc.get(j, 0) + m * t
+    return {j: c for j, c in acc.items() if c}
 
 
-def _class_matrices(G: FiniteGroup, classes) -> List[List[List[int]]]:
-    """M_i[j][l] = #{(x, y) in C_i x C_j : xy = z_l} for a fixed z_l."""
-    G._ensure_table()
-    k = len(classes)
-    cls_of = G.class_ids()
-    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for l in range(k):
-        zl = G.index_of(classes[l].representative)
-        for x in range(G.order):
-            y = G.mul(G.inv(x), zl)
-            mats[cls_of[x]][cls_of[y]][l] += 1
-    return mats
+def _cyclotomic(e: int, coeffs: Dict[int, int]) -> Cyclotomic:
+    return Cyclotomic(e, {j: Fraction(c) for j, c in coeffs.items()})
+
+
+def _from_root_multiplicities(e: int, mults: Dict[int, int]) -> Cyclotomic:
+    return _cyclotomic(e, _root_sum(e, mults))
 
 
 def _find_prime(e: int, minimum: int) -> int:
@@ -297,205 +346,178 @@ def _find_root_of_unity(e: int, p: int) -> int:
         z = pow(c, (p - 1) // e, p)
         if all(pow(z, e // q, p) != 1 for q in prime_divs):
             return z
-    raise AssertionError("no primitive root found")
+    raise InvalidCharacterTable(f"no primitive {e}-th root of unity mod {p}")
 
 
-# -- linear algebra over F_p --------------------------------------------------
+# -- splitting the class algebra over F_p ---------------------------------------
+
+# The split order never reaches the output: rows are sorted by an exact key.
+_SPLIT_SEED = 1990
+_SEEDED_COMBINATIONS = 4
 
 
-def _joint_eigenvectors(matrices, k: int, p: int) -> List[List[int]]:
-    """1-dimensional common eigenspaces of the commuting class matrices."""
-    subspaces: List[List[List[int]]] = [[[1 if i == j else 0 for j in range(k)]
-                                         for i in range(k)]]
-    for mat in matrices[1:]:
-        if all(len(b) == 1 for b in subspaces):
+def _class_combination(G: FiniteGroup, coeffs: List[int], p: int) -> List[List[int]]:
+    """sum_i coeffs[i] M_i mod p, with M_i[j][l] = #{x in C_i : x^-1 z_l in C_j}
+    for the representative z_l of class l."""
+    G._ensure_table()
+    class_of = G.class_ids()
+    k = len(coeffs)
+    weighted = [(G.inv(x), coeffs[c]) for x, c in enumerate(class_of) if coeffs[c]]
+    mat = [[0] * k for _ in range(k)]
+    for l, cls in enumerate(G.conjugacy_classes()):
+        zl = G.index_of(cls.representative)
+        for xi, c in weighted:
+            mat[class_of[G.mul(xi, zl)]][l] += c
+    return [[x % p for x in row] for row in mat]
+
+
+def _joint_eigenvectors(G: FiniteGroup, p: int) -> List[List[int]]:
+    """One common eigenvector of the class matrices for each irreducible.
+
+    The matrices act on class space with eigenvectors w_chi, where
+    w_chi[l] = |C_l| chi(z_l) / chi(1), and the identity-class indicator is
+    e_0 = sum_chi (chi(1)^2 / |G|) w_chi, every coefficient nonzero mod
+    p > 2|G|.  A combination A of class matrices, seeded ones first and then
+    each class matrix alone, splits every subspace still shared by several
+    irreducibles into its eigenspaces.  Each subspace carries the projection
+    of e_0 onto it, which keeps a nonzero coefficient on every w_chi in it,
+    as the start vector of its next split (`_split`).
+    """
+    k = len(G.conjugacy_classes())
+    rng = random.Random(_SPLIT_SEED)
+    combinations = [[0] + [rng.randrange(p) for _ in range(k - 1)]
+                    for _ in range(_SEEDED_COMBINATIONS)]
+    combinations += [[int(i == j) for j in range(k)] for i in range(1, k)]
+    found: List[List[int]] = []
+    # (start vector, (rows, pivots) of the subspace in reduced echelon form);
+    # None stands for all of class space.
+    pending: list = [([int(i == 0) for i in range(k)], None)]
+    if k == 1:
+        found, pending = [[1]], []
+    for coeffs in combinations:
+        if not pending:
             break
-        refined: List[List[List[int]]] = []
-        for basis in subspaces:
-            if len(basis) == 1:
-                refined.append(basis)
-                continue
-            restricted = _restrict(mat, basis, p)
-            eigs = _eigenvalues(restricted, p)
-            if len(eigs) <= 1:
-                refined.append(basis)
-                continue
-            for lam in sorted(eigs):
-                lifted = []
-                for coords in _nullspace(_shift(restricted, lam, p), p):
-                    vec = [0] * k
-                    for c, b in zip(coords, basis):
-                        if c:
-                            for idx in range(k):
-                                vec[idx] = (vec[idx] + c * b[idx]) % p
-                    lifted.append(vec)
-                refined.append(lifted)
-        subspaces = refined
-    assert all(len(b) == 1 for b in subspaces), "class matrices failed to separate"
-    return [b[0] for b in subspaces]
+        mat = _class_combination(G, coeffs, p)
+        still = []
+        for start, space in pending:
+            if space is None:
+                parts = _split(mat, start, p, rng)
+                lift = list
+            else:
+                rows, pivots = space
+                parts = _split(restrict(mat, rows, pivots, p),
+                               [start[c] for c in pivots], p, rng)
+                lift = partial(combine, basis=rows, p=p)
+            if not parts:
+                still.append((start, space))
+            for vec, basis in parts:
+                if len(basis) == 1:
+                    found.append(lift(vec))
+                    continue
+                lifted = [lift(b) for b in basis]
+                sub = echelon(lifted, p)
+                if len(sub[0]) != len(lifted):
+                    raise InvalidCharacterTable("basis vectors are dependent")
+                still.append((lift(vec), sub))
+        pending = still
+    if pending:
+        raise InvalidCharacterTable("class matrices failed to separate")
+    return found
 
 
-def _matvec(mat, vec, p):
-    return [sum(row[j] * vec[j] for j in range(len(vec))) % p for row in mat]
+def _split(mat, start, p: int, rng: random.Random) -> List[Tuple[List[int], List[List[int]]]]:
+    """(projection of start, basis) of each eigenspace of a diagonalizable
+    matrix over F_p; empty when there is a single eigenvalue.
 
-
-def _restrict(mat, basis, p):
-    solver = _RowBasis(basis, p)
-    d = len(basis)
-    cols = []
-    for b in basis:
-        w = _matvec(mat, b, p)
-        coords = solver.coords(w)
-        assert coords is not None, "subspace not invariant"
-        cols.append(coords)
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
-def _shift(mat, lam, p):
+    With m the product of x - mu over the distinct eigenvalues mu, the
+    projection onto the lambda-eigenspace is a multiple of
+    q(mat) = (m / (x - lambda))(mat), read off one Krylov sequence of the
+    start vector.  A repeated eigenvalue takes its basis from the
+    projections of seeded vectors, or from the nullspace of mat - lambda
+    when those are dependent.
+    """
     d = len(mat)
-    return [[(mat[i][j] - (lam if i == j else 0)) % p for j in range(d)] for i in range(d)]
-
-
-def _eigenvalues(mat, p) -> List[int]:
-    coeffs = _charpoly(mat, p)
-    roots = []
-    for lam in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * lam + c) % p
-        if acc == 0:
-            roots.append(lam)
-    return roots
-
-
-def _charpoly(mat, p) -> List[int]:
-    """Characteristic polynomial coefficients (ascending) over F_p."""
-    d = len(mat)
-    h = [row[:] for row in mat]
-    # similarity reduction to upper Hessenberg form
-    for c in range(d - 2):
-        pivot = next((r for r in range(c + 1, d) if h[r][c] % p), None)
-        if pivot is None:
-            continue
-        if pivot != c + 1:
-            h[pivot], h[c + 1] = h[c + 1], h[pivot]
-            for r in range(d):
-                h[r][pivot], h[r][c + 1] = h[r][c + 1], h[r][pivot]
-        inv = pow(h[c + 1][c], p - 2, p)
-        for r in range(c + 2, d):
-            f = (h[r][c] * inv) % p
-            if not f:
-                continue
-            for j in range(d):
-                h[r][j] = (h[r][j] - f * h[c + 1][j]) % p
-            for i in range(d):
-                h[i][c + 1] = (h[i][c + 1] + f * h[i][r]) % p
-    # expand det(xI - H) along the last column of each leading block
-    polys: List[List[int]] = [[1]]
-    for m in range(1, d + 1):
-        # (x - H[m-1][m-1]) * f_{m-1}
-        prev = polys[m - 1]
-        cur = [0] + prev[:]
-        for idx, c in enumerate(prev):
-            cur[idx] = (cur[idx] - h[m - 1][m - 1] * c) % p
-        cur = [c % p for c in cur]
-        prod = 1
-        for i in range(1, m):
-            prod = (prod * h[m - i][m - i - 1]) % p
-            coef = (h[m - 1 - i][m - 1] * prod) % p
-            if coef:
-                lower = polys[m - 1 - i]
-                for idx, c in enumerate(lower):
-                    cur[idx] = (cur[idx] - coef * c) % p
-        polys.append([c % p for c in cur])
-    return polys[d]
-
-
-def _nullspace(mat, p) -> List[List[int]]:
-    d = len(mat)
-    m = [row[:] for row in mat]
-    pivots = []
-    r = 0
-    for c in range(d):
-        pivot = next((i for i in range(r, d) if m[i][c] % p), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(d):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(d) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * d
-        vec[fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = (-m[row_idx][fc]) % p
-        basis.append(vec)
-    return basis
-
-
-class _RowBasis:
-    """Coordinates of vectors with respect to a fixed basis, over F_p."""
-
-    def __init__(self, basis: List[List[int]], p: int):
-        self.p = p
-        d = len(basis)
-        k = len(basis[0])
-        rows = [b[:] for b in basis]
-        transform = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        pivots = []
-        r = 0
-        for c in range(k):
-            pivot = next((i for i in range(r, d) if rows[i][c] % p), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            transform[r], transform[pivot] = transform[pivot], transform[r]
-            inv = pow(rows[r][c], p - 2, p)
-            rows[r] = [(x * inv) % p for x in rows[r]]
-            transform[r] = [(x * inv) % p for x in transform[r]]
-            for i in range(d):
-                if i != r and rows[i][c] % p:
-                    f = rows[i][c]
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-                    transform[i] = [(a - f * b) % p for a, b in zip(transform[i], transform[r])]
-            pivots.append(c)
-            r += 1
-            if r == d:
-                break
-        assert r == d, "basis vectors are dependent"
-        self.rows = rows
-        self.transform = transform
-        self.pivots = pivots
-
-    def coords(self, w: List[int]) -> Optional[List[int]]:
-        p = self.p
-        y = [w[c] % p for c in self.pivots]
-        # verify w = y . rows
-        k = len(w)
-        for j in range(k):
-            acc = sum(y[i] * self.rows[i][j] for i in range(len(y))) % p
-            if acc != w[j] % p:
-                return None
-        d = len(y)
-        return [sum(y[i] * self.transform[i][j] for i in range(d)) % p for j in range(d)]
+    eigenvalues = roots(charpoly(mat, p), p)
+    if sum(eigenvalues.values()) != d:
+        raise InvalidCharacterTable("characteristic polynomial does not split over F_p")
+    if len(eigenvalues) == 1:
+        return []
+    minimal = [1]
+    for lam in eigenvalues:
+        minimal = [(a - lam * b) % p for a, b in zip([0] + minimal, minimal + [0])]
+    starts = [start] + [[rng.randrange(p) for _ in range(d)]
+                        for _ in range(max(eigenvalues.values()) - 1)]
+    krylov = []
+    for vec in starts:
+        seq = [vec]
+        for _ in range(len(eigenvalues) - 1):
+            seq.append(matvec(mat, seq[-1], p))
+        krylov.append(list(zip(*seq)))
+    parts = []
+    for lam, mult in eigenvalues.items():
+        q, _ = divide_linear(minimal, lam, p)
+        vecs = [[sum(map(mul, q, col)) % p for col in cols] for cols in krylov[:mult]]
+        if not any(vecs[0]):
+            raise InvalidCharacterTable("projection of the start vector vanishes")
+        basis, _ = echelon(vecs, p)
+        if len(basis) < mult:
+            shifted = [[(x - lam * (i == j)) % p for j, x in enumerate(row)]
+                       for i, row in enumerate(mat)]
+            basis, _ = echelon(vecs + nullspace(shifted, p), p)
+        if len(basis) != mult:
+            raise InvalidCharacterTable(
+                f"eigenspace of dimension {len(basis)} for a root of multiplicity {mult}")
+        parts.append((vecs[0], basis))
+    return parts
 
 
 def _verify_table(table: CharacterTable) -> None:
+    """Class count, degree sum, values against spectra, and norm one.
+
+    <chi, chi> is summed from the spectra in integers: at a class of element
+    order o, chi conj(chi) = sum_d a_d zeta_o^d with a_d the autocorrelation
+    sum_t n_t n_(t-d) of the spectrum.  The autocorrelations, weighted by class
+    size, are accumulated in Z[x]/(x^e - 1) and reduced once mod Phi_e; the
+    result must be |G|.
+    """
     G = table.group
-    k = len(G.conjugacy_classes())
+    classes = G.conjugacy_classes()
+    k = len(classes)
     if len(table.irreducibles) != k:
         raise InvalidCharacterTable(
             f"{len(table.irreducibles)} irreducibles for {k} classes")
     if sum(d * d for d in table.degrees()) != G.order:
         raise InvalidCharacterTable("degree-sum identity failed")
-    one = Cyclotomic.one()
-    for chi in table.irreducibles:
-        if inner_product(chi, chi) != one:
+    e = G.exponent()
+    rows = _reduction_rows(e)
+    # spectrum -> (its value, [(exponent of zeta_e, autocorrelation)])
+    seen: Dict[Tuple[int, ...], Tuple[Cyclotomic, List[Tuple[int, int]]]] = {}
+    for chi, spectra in zip(table.irreducibles, table.spectra):
+        acc = [0] * e
+        for cls, value, spectrum in zip(classes, chi.values, spectra):
+            if len(spectrum) != cls.order:
+                raise InvalidCharacterTable(f"{chi!r} has a malformed spectrum")
+            if spectrum not in seen:
+                o = cls.order
+                if min(spectrum) < 0:
+                    raise InvalidCharacterTable(f"{chi!r} has a negative multiplicity")
+                support = [(t, m) for t, m in enumerate(spectrum) if m]
+                autocorrelation: Dict[int, int] = {}
+                for t, m in support:
+                    for t2, m2 in support:
+                        d = ((t - t2) % o) * (e // o)
+                        autocorrelation[d] = autocorrelation.get(d, 0) + m * m2
+                seen[spectrum] = (_from_root_multiplicities(e, _spectrum_exponents(e, spectrum)),
+                                  list(autocorrelation.items()))
+            expected, autocorrelation = seen[spectrum]
+            if expected != value:
+                raise InvalidCharacterTable(f"{chi!r} differs from its spectrum")
+            for d, a in autocorrelation:
+                acc[d] += cls.size * a
+        reduced: Dict[int, int] = {}
+        for i, a in enumerate(acc):
+            if a:
+                for j, t in rows[i].items():
+                    reduced[j] = reduced.get(j, 0) + a * t
+        if {j: c for j, c in reduced.items() if c} != {0: G.order}:
             raise InvalidCharacterTable(f"{chi!r} is not norm one")

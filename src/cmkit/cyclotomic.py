@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 _POLY_CACHE: Dict[int, list] = {}
 _ROW_CACHE: Dict[int, list] = {}
@@ -158,12 +158,6 @@ class Cyclotomic:
                 elif k in out:
                     del out[k]
         return out
-
-    def dense(self, e2: int) -> Tuple[Fraction, ...]:
-        """Coefficient tuple on the power basis of Q(zeta_e2); a sort key."""
-        lifted = self._lifted(e2) if e2 != self.conductor else self.coeffs
-        width = euler_phi(e2)
-        return tuple(lifted.get(i, Fraction(0)) for i in range(width))
 
     # -- predicates ----------------------------------------------------------
 

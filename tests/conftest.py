@@ -201,6 +201,12 @@ def symmetric_5():
 
 
 @functools.lru_cache(maxsize=None)
+def cyclic_7_squared():
+    """C7 x C7 on two disjoint 7-cycles: 49 classes, characters mod p = 113."""
+    return _from_cycles(14, [(0, 1, 2, 3, 4, 5, 6)], [(7, 8, 9, 10, 11, 12, 13)])
+
+
+@functools.lru_cache(maxsize=None)
 def psl_2_7():
     """x -> x + 1 and x -> -1/x on the projective line over F_7 (7 is infinity)."""
     return _from_cycles(8, [(0, 1, 2, 3, 4, 5, 6)], [(0, 7), (1, 6), (2, 3), (4, 5)])

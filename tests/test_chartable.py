@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cmkit
 
@@ -13,6 +15,7 @@ from cmkit import (
     Cyclotomic,
     FiniteGroup,
     GroupMismatch,
+    InvalidCharacterTable,
     NonIntegralResult,
     Permutation,
     character_table,
@@ -23,7 +26,18 @@ from cmkit import (
     symmetric_square,
     trivial_character,
 )
-from conftest import gm_bundle, symmetric_3
+from cmkit.chartable import CharacterTable, _from_root_multiplicities, _split
+from cmkit.modp import echelon, matvec
+from conftest import (
+    alternating_5,
+    cyclic_7_squared,
+    gm_bundle,
+    klein_4,
+    psl_2_7,
+    symmetric_3,
+    symmetric_4,
+    symmetric_5,
+)
 
 one = Cyclotomic.one()
 zero = Cyclotomic.zero()
@@ -52,14 +66,33 @@ def test_gm10_degree_sum_and_class_count():
     assert len(T.irreducibles) == len(inst.group.conjugacy_classes())
 
 
+def _gm_group(m):
+    return pytest.param(lambda: gm_bundle(m)[0].group, id=f"gm:{m}")
+
+
+# PSL(2,7), C7 x C7 (49 classes, p = 113) and gm:10-20 repeat eigenvalues in
+# the first seeded class combination, so their tables go through the
+# refinement; C7 x C7 and gm:20 also through the nullspace fallback.
 @pytest.mark.parametrize("maker", [
     lambda: FiniteGroup.cyclic(2),
     lambda: FiniteGroup.cyclic(6),
     symmetric_3,
     lambda: gm_bundle(6)[0].group,
     lambda: gm_bundle(8)[0].group,
+    pytest.param(FiniteGroup.trivial, id="C1"),
+    pytest.param(lambda: FiniteGroup.cyclic(3), id="C3"),
+    pytest.param(lambda: FiniteGroup.cyclic(5), id="C5"),
+    pytest.param(klein_4, id="V4"),
+    pytest.param(symmetric_4, id="S4"),
+    pytest.param(alternating_5, id="A5"),
+    pytest.param(symmetric_5, id="S5"),
+    pytest.param(psl_2_7, id="PSL(2,7)"),
+    pytest.param(cyclic_7_squared, id="C7xC7"),
+    *(_gm_group(m) for m in range(10, 22, 2)),
 ])
 def test_row_and_column_orthogonality(maker):
+    """Orthogonality in Cyclotomic arithmetic, independent of the integer
+    checks the table passed when it was built."""
     G = maker()
     T = table_of(G)
     irr = T.irreducibles
@@ -68,11 +101,12 @@ def test_row_and_column_orthogonality(maker):
             assert inner_product(a, b) == (one if i == j else zero)
     # column orthogonality: sum over rows chi(g) conj(chi(h)) = |C_G(g)| [g ~ h]
     classes = G.conjugacy_classes()
+    conjugates = [chi.conjugate() for chi in irr]
     for ci in range(len(classes)):
         for cj in range(len(classes)):
             total = zero
-            for chi in irr:
-                total = total + chi.values[ci] * chi.values[cj].conjugate()
+            for chi, bar in zip(irr, conjugates):
+                total = total + chi.values[ci] * bar.values[cj]
             expected = G.order // classes[ci].size if ci == cj else 0
             assert total == Cyclotomic.rational(expected)
 
@@ -197,10 +231,90 @@ else:
 """
 
 
-def test_verify_table_rejects_under_optimize():
-    """The table checks are raises, not asserts: `python -O` keeps them."""
+NOT_INVARIANT = """
+from cmkit import InvalidCharacterTable
+from cmkit.modp import restrict
+try:
+    restrict([[0, 1], [1, 0]], [[1, 0]], [0], 7)
+except InvalidCharacterTable as ex:
+    print("rejected:", ex)
+else:
+    print("accepted")
+"""
+
+
+def _run_optimized(script):
     env = {**os.environ, "PYTHONPATH": str(Path(cmkit.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-O", "-c", ONE_ROW_C3], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("rejected: 1 irreducibles for 3 classes")
+    return proc.stdout
+
+
+def test_verify_table_rejects_under_optimize():
+    """The table checks are raises, not asserts: `python -O` keeps them."""
+    assert _run_optimized(ONE_ROW_C3).startswith("rejected: 1 irreducibles for 3 classes")
+    assert _run_optimized(NOT_INVARIANT).startswith("rejected: subspace not invariant")
+
+
+def test_missing_trivial_character_is_a_table_error():
+    G = FiniteGroup.cyclic(2)
+    T = table_of(G)
+    sign = next(chi for chi in T.irreducibles if chi.values[1] != one)
+    with pytest.raises(InvalidCharacterTable):
+        CharacterTable(G, (sign,), ((),)).trivial_index
+
+
+class _FixedDraws:
+    """Stands in for the seeded generator of `_split`."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randrange(self, p):
+        return next(self.values)
+
+
+def test_split_falls_back_to_the_nullspace():
+    """Eigenvalue 1 twice, on (1, 1, 0) and (1, 0, 1), and 2 on (-1, -1, -1);
+    e_0 is their sum.  The extra start vector is e_0 itself, so its
+    projection adds nothing and the second basis vector must come from the
+    nullspace of mat - 1."""
+    p = 7
+    mat = [[0, 1, 1], [-1 % p, 2, 1], [-1 % p, 1, 2]]
+    parts = _split(mat, [1, 0, 0], p, _FixedDraws([1, 0, 0]))
+    assert [len(basis) for _, basis in parts] == [2, 1]
+    for lam, (start, basis) in zip((1, 2), parts):
+        assert len(echelon(basis, p)[0]) == len(basis)
+        for vec in [start, *basis]:
+            assert matvec(mat, vec, p) == [(lam * x) % p for x in vec]
+    start = parts[0][0]
+    assert [(x * pow(start[1], p - 2, p)) % p for x in start] == [2, 1, 1]
+
+
+@st.composite
+def small_permutation_groups(draw):
+    """Groups generated by two random permutations of degree <= 6, order <= 120."""
+    degree = draw(st.integers(min_value=1, max_value=6))
+    gens = [Permutation(draw(st.permutations(range(degree)))) for _ in range(2)]
+    G = FiniteGroup.from_generators(degree, gens)
+    assume(G.order <= 120)
+    return G
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_permutation_groups())
+def test_random_small_groups_have_checked_tables(G):
+    """The Cyclotomic norm and degree-sum oracle holds, and every stored
+    spectrum re-lifts to its value."""
+    T = character_table(G)
+    assert len(T) == len(G.conjugacy_classes())
+    assert sum(d * d for d in T.degrees()) == G.order
+    e = G.exponent()
+    for chi, spectra in zip(T.irreducibles, T.spectra):
+        assert inner_product(chi, chi) == one
+        for cls, value, spectrum in zip(G.conjugacy_classes(), chi.values, spectra):
+            o = cls.order
+            assert len(spectrum) == o and sum(spectrum) == chi.degree
+            mults = {t * (e // o): m for t, m in enumerate(spectrum) if m}
+            assert _from_root_multiplicities(e, mults) == value

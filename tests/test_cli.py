@@ -207,8 +207,11 @@ def test_byte_identical_output(capsys):
 
 
 # id -> (argv, golden stdout file).  Requests run inside tests/golden, where
-# the A5 group file and the gm:12 relation file live, so that the relative
-# source path recorded in the payload is the same wherever pytest starts.
+# the A5 and PSL(2,7) group files and the gm:12 relation file live, so that
+# the relative source path recorded in the payload is the same wherever
+# pytest starts.  PSL(2,7) acts by x -> x + 1 and x -> -1/x on the projective
+# line over F_7 (7 stands for infinity); its table has irrational values at
+# conductor 84.
 GOLDEN_RUNS = {
     "table-gm:8": (["table", "gm:8"], "table_gm8.json"),
     "streit-gm:12": (["streit", "gm:12"], "streit_gm12.json"),
@@ -221,6 +224,8 @@ GOLDEN_RUNS = {
     "analyze-a5-255": (["analyze", "a5_group.json", "--vector",
                         "g0^2*g1,g0,g0^-1*g1^-1*g0^-2", "--search-limit", "5"],
                        "analyze_a5.json"),
+    "table-gm:16": (["table", "gm:16"], "table_gm16.json"),
+    "table-psl27": (["table", "psl27_group.json"], "table_psl27.json"),
 }
 
 
