@@ -41,6 +41,7 @@ from .errors import (
     GroupMismatch,
     GroupTooLarge,
     InconsistentRamification,
+    InternalCheckFailed,
     InvalidCharacterTable,
     InvalidParameter,
     InvalidPermutation,

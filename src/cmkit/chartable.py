@@ -359,7 +359,6 @@ _SEEDED_COMBINATIONS = 4
 def _class_combination(G: FiniteGroup, coeffs: List[int], p: int) -> List[List[int]]:
     """sum_i coeffs[i] M_i mod p, with M_i[j][l] = #{x in C_i : x^-1 z_l in C_j}
     for the representative z_l of class l."""
-    G._ensure_table()
     class_of = G.class_ids()
     k = len(coeffs)
     weighted = [(G.inv(x), coeffs[c]) for x, c in enumerate(class_of) if coeffs[c]]

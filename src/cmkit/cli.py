@@ -9,7 +9,8 @@ payload); 1 for input errors (`invalid_input` unless a specific code
 applies); 2 for resource bounds (`bound_exceeded`); 3 when an identity that
 holds for every correct computation fails (`internal_check_failed`:
 `InvalidCharacterTable`, `NonIntegralMultiplicity`, `NonIntegralResult`,
-`InconsistentRamification`), a fault of the program, not of the input.
+`InconsistentRamification`, `InternalCheckFailed`), a fault of the program,
+not of the input.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _build_parser() -> _Parser:
     def common(p, vector=True):
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--max-order", type=int, default=None,
-                       help="element-enumeration bound (env CMKIT_MAX_ORDER)")
+                       help=f"group-order bound, default {DEFAULT_MAX_ORDER} (env CMKIT_MAX_ORDER)")
         if vector:
             p.add_argument("--vector", default=None,
                            help="entries as generator words 'a*b,t,...' or a JSON "
@@ -148,6 +149,8 @@ def _resolve_group(source: str, max_order: int):
         raise CliError("bad_group_file", f"cannot read group file: {ex}")
     try:
         G = group_from_json(data, max_order)
+    except GroupTooLarge:
+        raise
     except CmkitError as ex:
         raise CliError("bad_group_file", str(ex))
     names = {f"g{i}": g for i, g in enumerate(G.generators)}

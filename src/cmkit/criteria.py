@@ -32,6 +32,7 @@ from .chartable import (
 from .errors import (
     GenusZeroQuotient,
     GroupMismatch,
+    InternalCheckFailed,
     NonIntegralResult,
     NotProperNontrivial,
 )
@@ -80,16 +81,6 @@ class StatementAResult:
     quotient_abelian: Optional[bool]
     abelian_invariants: Optional[Tuple[int, ...]]
 
-    def as_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "normal": self.is_normal,
-            "quotient_order": self.quotient_order,
-            "quotient_abelian": self.quotient_abelian,
-            "abelian_invariants": list(self.abelian_invariants)
-            if self.abelian_invariants is not None else None,
-        }
-
 
 @dataclass(frozen=True)
 class StatementBResult:
@@ -104,32 +95,12 @@ class StatementBResult:
     quotient_signature: Optional[Signature]
     searched: int
 
-    def as_json(self) -> dict:
-        sig = self.quotient_signature
-        return {
-            "holds": self.holds,
-            "genus": self.genus,
-            "bound": self.bound,
-            "group_order": self.group_order,
-            "group_generators": list(self.group_generators),
-            "group_is_cyclic6": self.group_is_cyclic6,
-            "bound_satisfied": self.bound_satisfied,
-            "exception_matched": self.exception_matched,
-            "quotient_signature": None if sig is None else
-            {"orbit_genus": sig.orbit_genus, "periods": list(sig.periods)},
-            "searched": self.searched,
-        }
-
 
 @dataclass(frozen=True)
 class FactorCertificate:
     subgroup: Subgroup
     route: str
     evidence: object  # StatementAResult | StatementBResult | dict
-
-    def as_json(self) -> dict:
-        ev = self.evidence.as_json() if hasattr(self.evidence, "as_json") else self.evidence
-        return {"route": self.route, "evidence": ev}
 
 
 @dataclass(frozen=True)
@@ -145,17 +116,6 @@ class IrreducibleRow:
     def ok(self) -> bool:
         return self.lhs == self.rhs
 
-    def as_json(self) -> dict:
-        return {
-            "irreducible": self.index,
-            "degree": self.degree,
-            "h1_multiplicity": self.h1_multiplicity,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "factor_dimensions": list(self.factor_dimensions),
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
 class RelationReport:
@@ -165,13 +125,6 @@ class RelationReport:
     rows: Tuple[IrreducibleRow, ...]
     genus_lhs: int
     genus_rhs: int
-
-    def as_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "rows": [r.as_json() for r in self.rows],
-            "genus_identity": {"lhs": self.genus_lhs, "rhs": self.genus_rhs},
-        }
 
 
 @dataclass(frozen=True)
@@ -224,7 +177,7 @@ def check_statement_b(X: QuasiplatonicSurface, H: Subgroup) -> StatementBResult:
     bound = 4 * (genus - 1)
 
     N = G.normalizer(H)
-    N_grp = N.as_group()
+    N_grp = FiniteGroup(G.degree, N.generators(), max_order=G.order)
     H_in_N = N_grp.subgroup(H.elements)
     Q, hom = N_grp.quotient_with_map(H_in_N)
 
@@ -293,9 +246,10 @@ def verify_isogeny_relation(X: QuasiplatonicSurface, T: CharacterTable,
     holds = all(r.ok for r in rows)
     genus_lhs = R.n * X.genus
     genus_rhs = sum(mult * quotient_surface(X, H).genus for H, mult in R.factors)
-    if holds:
+    if holds and genus_lhs != genus_rhs:
         # dimension accounting is a provable consequence of the row identities
-        assert genus_lhs == genus_rhs
+        raise InternalCheckFailed(
+            f"row identities hold but the genus identity fails: {genus_lhs} != {genus_rhs}")
     return RelationReport(holds, R.n, h1, tuple(rows), genus_lhs, genus_rhs)
 
 

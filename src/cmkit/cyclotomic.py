@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List
 
+from .errors import InternalCheckFailed
+
 _POLY_CACHE: Dict[int, list] = {}
 _ROW_CACHE: Dict[int, list] = {}
 
@@ -59,7 +61,8 @@ def _poly_div_exact(num: list, den: list) -> list:
         q[i - dn] = c
         for j, dj in enumerate(den):
             num[i - dn + j] -= c * dj
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise InternalCheckFailed("non-exact polynomial division")
     return q
 
 
@@ -146,7 +149,8 @@ class Cyclotomic:
         e = self.conductor
         if e == e2:
             return dict(self.coeffs)
-        assert e2 % e == 0
+        if e2 % e:
+            raise InternalCheckFailed(f"conductor {e} does not divide {e2}")
         f = e2 // e
         rows = _reduction_rows(e2)
         out: Dict[int, Fraction] = {}

@@ -53,6 +53,10 @@ class InvalidCharacterTable(CmkitError):
     """A character table, or a count read from it, fails a required identity."""
 
 
+class InternalCheckFailed(CmkitError):
+    """An identity that holds for every input on a correct program failed."""
+
+
 class NonIntegralMultiplicity(CmkitError):
     """Eigenvalue bookkeeping produced a non-integral multiplicity."""
 
@@ -75,4 +79,4 @@ class GenusZeroQuotient(CmkitError):
 
 # Failed identities that no input can cause on a correct program.
 INTERNAL_ERRORS = (InvalidCharacterTable, NonIntegralMultiplicity, NonIntegralResult,
-                   InconsistentRamification)
+                   InconsistentRamification, InternalCheckFailed)

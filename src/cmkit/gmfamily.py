@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import InvalidParameter, VectorNotFound
+from .errors import InternalCheckFailed, InvalidParameter, VectorNotFound
 from .group import DEFAULT_MAX_ORDER, FiniteGroup, Subgroup
 from .perm import Permutation
 from .surface import (
@@ -102,16 +102,20 @@ def build_gm(m: int, max_order: int = DEFAULT_MAX_ORDER) -> GmInstance:
     b = left_mult((0, 1, 0))
     t = left_mult((0, 0, 1))
     group = FiniteGroup.from_generators(4 * m, [a, b, t], max_order=max_order)
-    assert group.order == 4 * m
-
     ident = group.identity
-    assert a * a == ident and b * b == ident
     ab = a * b
-    assert ab * ab == ident
-    assert t ** m == ident and not (t ** (m // 2)).is_identity()
     ti = t.inverse()
-    assert t * a * ti == a
-    assert t * b * ti == ab
+    checks = (
+        (group.order == 4 * m, f"order {group.order}, expected {4 * m}"),
+        (a * a == ident and b * b == ident, "a^2 = b^2 = 1 fails"),
+        (ab * ab == ident, "(ab)^2 = 1 fails"),
+        (t ** m == ident and not (t ** (m // 2)).is_identity(), f"t does not have order {m}"),
+        (t * a * ti == a, "t a t^-1 = a fails"),
+        (t * b * ti == ab, "t b t^-1 = ab fails"),
+    )
+    for holds, failure in checks:
+        if not holds:
+            raise InternalCheckFailed(f"gm({m}) presentation: {failure}")
     return GmInstance(m, group, a, b, t)
 
 

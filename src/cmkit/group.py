@@ -1,17 +1,23 @@
 """Finite permutation groups, computed on element indices.
 
-The group is built once by closing its generators over `Permutation`s; from
-then on an element is its index in the element list, sorted by image tuple
-(the identity is 0), and products come from the Cayley table, filled from
-image tuples.  Classes, power classes, closure, normality, normalizers and
-the subgroup lattice work on indices.  A `Subgroup` holds its sorted element
-indices and numbers its left cosets gH once (coset id of each element index,
-cosets ordered by minimal member); quotient genera and Galois signatures
-read the action of an element as a list of coset ids.  `Permutation`s appear
-only at I/O: elements, generators, class members, `Subgroup.elements`, and
-the builders `coset_action` and `quotient_with_map`.  All orderings are
-deterministic: classes by (element order, size, minimal member), subgroups
-by (order, element indices).
+A group comes only from its generators.  The constructor closes them over
+image tuples by left multiplication, breadth first, and records for every
+element x and generator s the element s*x and the tree edge by which each
+element was first reached.  Elements are then numbered by image tuple (the
+identity is 0) and the Cayley table is filled along that tree: row s*p is
+row p mapped through left multiplication by s, |G|^2 list lookups and no
+compositions.  Inverses are read from the table.  Every product is a table
+lookup, so the order bound also bounds the table (|G|^2 entries).
+
+Classes, power classes, closure, normality, normalizers and the subgroup
+lattice work on indices.  A `Subgroup` holds its sorted element indices and
+numbers its left cosets gH once (coset id of each element index, cosets
+ordered by minimal member); quotient genera and Galois signatures read the
+action of an element as a list of coset ids.  `Permutation`s appear only at
+I/O: elements, generators, class members, `Subgroup.elements`,
+`FiniteGroup.subgroup`, and the builders `coset_action` and
+`quotient_with_map`.  All orderings are deterministic: classes by (element
+order, size, minimal member), subgroups by (order, element indices).
 """
 
 from __future__ import annotations
@@ -25,25 +31,23 @@ from .cyclotomic import prime_factors
 from .errors import (
     ElementNotInGroup,
     GroupTooLarge,
+    InternalCheckFailed,
     InvalidPermutation,
     NotNormal,
     SubgroupMismatch,
 )
 from .perm import Permutation
 
-DEFAULT_MAX_ORDER = 100_000
+# Every group carries its Cayley table, so this also bounds the table.
+DEFAULT_MAX_ORDER = 2048
 DEFAULT_SUBGROUP_BOUND = 10_000
-
-# Full multiplication tables are only materialized for small groups.
-_TABLE_LIMIT = 2048
 
 
 class FiniteGroup:
     """A finite permutation group on {0, ..., degree-1}."""
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
-                 max_order: int = DEFAULT_MAX_ORDER,
-                 _elements: Optional[Iterable[Permutation]] = None):
+                 max_order: int = DEFAULT_MAX_ORDER):
         self.degree = int(degree)
         gens = tuple(generators)
         for g in gens:
@@ -51,23 +55,27 @@ class FiniteGroup:
                 raise InvalidPermutation(
                     f"generator degree {g.degree} does not match group degree {self.degree}")
         self.generators = gens
-        if _elements is None:
-            elements = _close({Permutation.identity(self.degree)}, gens, max_order)
-        else:
-            elements = list(_elements)
-        elements.sort()
-        self.elements: Tuple[Permutation, ...] = tuple(elements)
-        # The identity is the lexicographically smallest bijection.
-        if not elements or not elements[0].is_identity():
-            raise ElementNotInGroup("the identity is not among the group elements")
-        self.identity = self.elements[0]
+        found, steps, tree = _close(self.degree, gens, max_order)
+        n = len(found)
+        order = sorted(range(n), key=found.__getitem__)
+        rank = [0] * n
+        for i, old in enumerate(order):
+            rank[old] = i
+        self.elements: Tuple[Permutation, ...] = tuple(Permutation(found[old]) for old in order)
         self._images: List[Tuple[int, ...]] = [g.images for g in self.elements]
+        self.identity = self.elements[0]
         self._index: Dict[Tuple[int, ...], int] = {a: i for i, a in enumerate(self._images)}
-        # The inverse of a permutation is the argsort of its image tuple.
-        points = range(self.degree)
-        self._inv: List[int] = [self._index[tuple(sorted(points, key=a.__getitem__))]
-                                for a in self._images]
-        self._table: Optional[List[List[int]]] = None
+        left = [[0] * n for _ in gens]
+        for old, row in enumerate(steps):
+            for s, y in enumerate(row):
+                left[s][rank[old]] = rank[y]
+        table = [list(range(n))] + [None] * (n - 1)
+        for old in range(1, n):
+            p, s = tree[old]
+            ls = left[s]
+            table[rank[old]] = [ls[v] for v in table[rank[p]]]
+        self._table: List[List[int]] = table
+        self._inv: List[int] = [row.index(0) for row in table]
         self._classes: Optional[Tuple[ConjugacyClass, ...]] = None
         self._class_of: Optional[List[int]] = None
         self._power_classes: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -112,23 +120,14 @@ class FiniteGroup:
         except KeyError:
             raise ElementNotInGroup(f"{g!r} is not in the group") from None
 
-    def _ensure_table(self) -> None:
-        if self._table is None and self.order <= _TABLE_LIMIT:
-            imgs, idx = self._images, self._index
-            self._table = [[idx[tuple(map(a.__getitem__, b))] for b in imgs] for a in imgs]
-
     def mul(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return self._table[i][j]
-        a = self._images[i]
-        return self._index[tuple(map(a.__getitem__, self._images[j]))]
+        return self._table[i][j]
 
     def inv(self, i: int) -> int:
         return self._inv[i]
 
     def index_closure(self, seed: Iterable[int]) -> FrozenSet[int]:
         """Element indices of the subgroup generated by the given indices."""
-        self._ensure_table()
         seed = tuple(seed)
         els = {0, *seed}
         frontier = list(els)
@@ -165,7 +164,6 @@ class FiniteGroup:
     def conjugacy_classes(self) -> Tuple["ConjugacyClass", ...]:
         if self._classes is not None:
             return self._classes
-        self._ensure_table()
         n = self.order
         gen_idx = [self.index_of(g) for g in self.generators]
         seen = [False] * n
@@ -229,22 +227,31 @@ class FiniteGroup:
     # -- subgroups ---------------------------------------------------------
 
     def subgroup(self, elements: Iterable[Permutation]) -> "Subgroup":
-        return Subgroup(self, elements)
+        """The subgroup with exactly these elements, checked to be closed."""
+        indices = set()
+        for h in elements:
+            try:
+                indices.add(self.index_of(h))
+            except ElementNotInGroup:
+                raise SubgroupMismatch(f"{h!r} is not in the parent group") from None
+        mul = self.mul
+        if any(mul(a, b) not in indices for a in indices for b in indices):
+            raise SubgroupMismatch("element set is not closed")
+        return Subgroup(self, indices)
 
     def subgroup_generated(self, gens: Sequence[Permutation]) -> "Subgroup":
-        closure = self.index_closure([self.index_of(g) for g in gens])
-        return Subgroup(self, (self.elements[i] for i in closure),
-                        _gens=tuple(gens), _validated=True)
+        idx = [self.index_of(g) for g in gens]
+        return Subgroup(self, self.index_closure(idx), idx)
 
     def generated_order(self, gens: Sequence[Permutation]) -> int:
         """Order of the subgroup generated, without building a Subgroup."""
         return len(self.index_closure([self.index_of(g) for g in gens]))
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (self.identity,), _gens=())
+        return Subgroup(self, (0,), ())
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, self.elements, _gens=self.generators)
+        return Subgroup(self, range(self.order), [self.index_of(g) for g in self.generators])
 
     def all_subgroups(self, bound: int = DEFAULT_SUBGROUP_BOUND) -> Tuple["Subgroup", ...]:
         """Every subgroup, found by closing unions with cyclic subgroups."""
@@ -275,11 +282,8 @@ class FiniteGroup:
                     gensets[k] = new_gens
                     queue.append(k)
 
-        subs = []
-        for idxset, gens in sorted(gensets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-            subs.append(Subgroup(self, (self.elements[i] for i in idxset),
-                                 _gens=tuple(self.elements[i] for i in gens),
-                                 _validated=True))
+        subs = [Subgroup(self, idxset, gens) for idxset, gens in
+                sorted(gensets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
         self._subgroups = tuple(subs)
         return self._subgroups
 
@@ -293,8 +297,7 @@ class FiniteGroup:
 
     def normalizer(self, H: "Subgroup") -> "Subgroup":
         self._check_subgroup(H)
-        members = [g for i, g in enumerate(self.elements) if H.normalized_by(i)]
-        return Subgroup(self, members, _validated=True)
+        return Subgroup(self, [i for i in range(self.order) if H.normalized_by(i)])
 
     # -- cosets and quotients ----------------------------------------------
 
@@ -314,7 +317,7 @@ class FiniteGroup:
         action = {g: images[coset[i]] for i, g in enumerate(self.elements)}
         quotient = FiniteGroup(images[0].degree,
                                tuple(action[g] for g in self.generators),
-                               _elements=set(images))
+                               max_order=self.order)
         if quotient.order * N.order != self.order:
             raise NotNormal(f"quotient of order {quotient.order} by a subgroup of order "
                             f"{N.order} in a group of order {self.order}")
@@ -375,7 +378,8 @@ class FiniteGroup:
                     d *= comp[i]
             factors.append(d)
         factors.reverse()  # ascending divisibility chain
-        assert all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
+        if any(factors[i + 1] % factors[i] for i in range(len(factors) - 1)):
+            raise InternalCheckFailed(f"invariant factors {factors} do not form a divisibility chain")
         return tuple(factors)
 
 
@@ -391,33 +395,23 @@ class ConjugacyClass:
 
 
 class Subgroup:
-    """A subgroup of `parent`, held as its sorted element indices."""
+    """A subgroup of `parent`, held as its sorted element indices; `gens`,
+    when given, are the element indices of its generators.  The indices are
+    trusted to be closed: `FiniteGroup.subgroup` checks a set of
+    permutations from outside."""
 
-    def __init__(self, parent: FiniteGroup, elements: Iterable[Permutation],
-                 _gens: Optional[Tuple[Permutation, ...]] = None,
-                 _validated: bool = False):
+    def __init__(self, parent: FiniteGroup, indices: Iterable[int],
+                 gens: Optional[Iterable[int]] = None):
         self.parent = parent
-        indices = set()
-        for h in elements:
-            try:
-                indices.add(parent.index_of(h))
-            except ElementNotInGroup:
-                raise SubgroupMismatch(f"{h!r} is not in the parent group") from None
-        self.indices: Tuple[int, ...] = tuple(sorted(indices))
-        if not _validated:
-            parent._ensure_table()
-            mul = parent.mul
-            if any(mul(a, b) not in indices for a in indices for b in indices):
-                raise SubgroupMismatch("element set is not closed")
-        if 0 not in indices:
+        self.indices: Tuple[int, ...] = tuple(sorted(set(indices)))
+        if not self.indices or self.indices[0] != 0:
             raise SubgroupMismatch("identity missing from subgroup")
-        if parent.order % len(indices):
+        if parent.order % len(self.indices):
             raise SubgroupMismatch(
-                f"{len(indices)} elements cannot form a subgroup of a group of "
+                f"{len(self.indices)} elements cannot form a subgroup of a group of "
                 f"order {parent.order} (Lagrange)")
-        self._gens = _gens
+        self._gens: Optional[Tuple[int, ...]] = None if gens is None else tuple(gens)
         self._cosets: Optional[Tuple[List[int], List[int]]] = None
-        self._as_group: Optional[FiniteGroup] = None
 
     @cached_property
     def elements(self) -> Tuple[Permutation, ...]:
@@ -461,19 +455,18 @@ class Subgroup:
 
     def generators(self) -> Tuple[Permutation, ...]:
         """A small deterministic generating set (greedy over sorted elements)."""
-        if self._gens is not None:
-            return self._gens
-        gens: List[int] = []
-        have = frozenset([0])
-        for i in self.indices:
-            if i in have:
-                continue
-            gens.append(i)
-            have = self.parent.index_closure(gens)
-            if len(have) == self.order:
-                break
-        self._gens = tuple(self.parent.elements[i] for i in gens)
-        return self._gens
+        if self._gens is None:
+            gens: List[int] = []
+            have = frozenset([0])
+            for i in self.indices:
+                if i in have:
+                    continue
+                gens.append(i)
+                have = self.parent.index_closure(gens)
+                if len(have) == self.order:
+                    break
+            self._gens = tuple(gens)
+        return tuple(self.parent.elements[i] for i in self._gens)
 
     def is_abelian(self) -> bool:
         mul, idx = self.parent.mul, self.indices
@@ -481,13 +474,6 @@ class Subgroup:
 
     def is_cyclic(self) -> bool:
         return any(g.order() == self.order for g in self.elements)
-
-    def as_group(self) -> FiniteGroup:
-        """The same elements packaged as a standalone FiniteGroup."""
-        if self._as_group is None:
-            self._as_group = FiniteGroup(self.parent.degree, self.generators(),
-                                         _elements=self.elements)
-        return self._as_group
 
     # -- cosets ------------------------------------------------------------
 
@@ -499,7 +485,6 @@ class Subgroup:
         """
         if self._cosets is None:
             G = self.parent
-            G._ensure_table()
             coset = [-1] * G.order
             reps: List[int] = []
             for i in range(G.order):
@@ -523,20 +508,33 @@ class Subgroup:
         return all(coset[mul(h, i)] == home for h in self.indices)
 
 
-def _close(start: set, gens: Tuple[Permutation, ...], max_order: int) -> List[Permutation]:
-    """The elements of the group generated by gens: the one closure that
-    composes permutations, since the Cayley table needs the elements first."""
-    els = set(start)
-    frontier = list(els)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in els:
-                    if len(els) >= max_order:
-                        raise GroupTooLarge(f"order bound {max_order} exceeded")
-                    els.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return list(els)
+def _close(degree: int, gens: Tuple[Permutation, ...], max_order: int):
+    """Close the generators over image tuples by left multiplication.
+
+    Returns the elements in the order found (the identity first); for every
+    element x, the position of s*x for each generator s; and for every
+    element after the identity, the (position, generator) pair p, s by
+    which it was first reached as s*p.  This is the one closure that
+    composes permutations: the Cayley table is read off its steps.
+    """
+    found = [tuple(range(degree))]
+    where = {found[0]: 0}
+    steps: List[List[int]] = []
+    tree: List[Tuple[int, int]] = [(0, 0)]
+    i = 0
+    while i < len(found):
+        x = found[i]
+        row = []
+        for s, g in enumerate(gens):
+            y = tuple(map(g.images.__getitem__, x))
+            j = where.get(y)
+            if j is None:
+                if len(found) >= max_order:
+                    raise GroupTooLarge(f"order bound {max_order} exceeded")
+                j = where[y] = len(found)
+                found.append(y)
+                tree.append((i, s))
+            row.append(j)
+        steps.append(row)
+        i += 1
+    return found, steps, tree

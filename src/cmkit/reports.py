@@ -9,7 +9,14 @@ from __future__ import annotations
 from typing import Optional
 
 from .chartable import CharacterTable, character_table, fixed_space_dimension
-from .criteria import CMVerdict, IsogenyRelation, RelationReport
+from .criteria import (
+    CMVerdict,
+    IrreducibleRow,
+    IsogenyRelation,
+    RelationReport,
+    StatementAResult,
+    StatementBResult,
+)
 from .errors import InvalidPermutation
 from .group import FiniteGroup, Subgroup
 from .perm import Permutation
@@ -40,6 +47,34 @@ def relation_from_json(G: FiniteGroup, data: dict) -> IsogenyRelation:
 
 def signature_json(sig) -> dict:
     return {"orbit_genus": sig.orbit_genus, "periods": list(sig.periods)}
+
+
+def _evidence_json(evidence) -> dict:
+    """A factor certificate's evidence: statement A or B, or a plain dict."""
+    if isinstance(evidence, StatementAResult):
+        return {
+            "holds": evidence.holds,
+            "normal": evidence.is_normal,
+            "quotient_order": evidence.quotient_order,
+            "quotient_abelian": evidence.quotient_abelian,
+            "abelian_invariants": None if evidence.abelian_invariants is None
+            else list(evidence.abelian_invariants),
+        }
+    if isinstance(evidence, StatementBResult):
+        sig = evidence.quotient_signature
+        return {
+            "holds": evidence.holds,
+            "genus": evidence.genus,
+            "bound": evidence.bound,
+            "group_order": evidence.group_order,
+            "group_generators": list(evidence.group_generators),
+            "group_is_cyclic6": evidence.group_is_cyclic6,
+            "bound_satisfied": evidence.bound_satisfied,
+            "exception_matched": evidence.exception_matched,
+            "quotient_signature": None if sig is None else signature_json(sig),
+            "searched": evidence.searched,
+        }
+    return evidence
 
 
 def group_json(G: FiniteGroup) -> dict:
@@ -94,7 +129,7 @@ def relation_json(X: QuasiplatonicSurface, relation: IsogenyRelation,
         cert = cert_by_subgroup.get(H)
         if cert is not None:
             entry["route"] = cert.route
-            entry["evidence"] = cert.as_json()["evidence"]
+            entry["evidence"] = _evidence_json(cert.evidence)
         factors.append(entry)
     return {"n": relation.n, "factors": factors}
 
@@ -109,11 +144,27 @@ def verdict_json(X: QuasiplatonicSurface, verdict: CMVerdict) -> dict:
     if verdict.relation is not None:
         payload["relation"] = relation_json(X, verdict.relation, verdict.certificates)
     if verdict.relation_report is not None:
-        payload["irreducible_report"] = [r.as_json() for r in verdict.relation_report.rows]
+        payload["irreducible_report"] = [_row_json(r) for r in verdict.relation_report.rows]
     if verdict.search_log:
         payload["search_log"] = list(verdict.search_log)
     return payload
 
 
+def _row_json(row: IrreducibleRow) -> dict:
+    return {
+        "irreducible": row.index,
+        "degree": row.degree,
+        "h1_multiplicity": row.h1_multiplicity,
+        "lhs": row.lhs,
+        "rhs": row.rhs,
+        "factor_dimensions": list(row.factor_dimensions),
+        "ok": row.ok,
+    }
+
+
 def relation_report_json(report: RelationReport) -> dict:
-    return report.as_json()
+    return {
+        "holds": report.holds,
+        "rows": [_row_json(r) for r in report.rows],
+        "genus_identity": {"lhs": report.genus_lhs, "rhs": report.genus_rhs},
+    }

@@ -115,6 +115,23 @@ def cyclotomic_cw_reference(X, T):
     return tuple(mults)
 
 
+def reference_table(G):
+    """Cayley table and inverses from `Permutation` products and inverses.
+
+    The slow oracle for the table the constructor reads off the closure's
+    generator steps: every entry is a composition looked up by image tuple.
+    """
+    table = [[G.index_of(a * b) for b in G.elements] for a in G.elements]
+    inverses = [G.index_of(a.inverse()) for a in G.elements]
+    return table, inverses
+
+
+def index_table(G):
+    """The package's Cayley table and inverses, read through `mul` and `inv`."""
+    n = G.order
+    return [[G.mul(i, j) for j in range(n)] for i in range(n)], [G.inv(i) for i in range(n)]
+
+
 def _permutation_cosets(G, H):
     """Left cosets gH by Permutation products: coset of each element, and
     the minimal member of each coset (cosets in order of minimal member)."""

@@ -32,8 +32,10 @@ from conftest import (
     alternating_5,
     cyclic_7_squared,
     gm_bundle,
+    index_table,
     klein_4,
     psl_2_7,
+    reference_table,
     symmetric_3,
     symmetric_4,
     symmetric_5,
@@ -318,3 +320,10 @@ def test_random_small_groups_have_checked_tables(G):
             assert len(spectrum) == o and sum(spectrum) == chi.degree
             mults = {t * (e // o): m for t, m in enumerate(spectrum) if m}
             assert _from_root_multiplicities(e, mults) == value
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_permutation_groups())
+def test_random_small_groups_have_reference_cayley_tables(G):
+    """The same inputs: the table and inverses equal `Permutation` products."""
+    assert index_table(G) == reference_table(G)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from cmkit import (
@@ -23,7 +26,10 @@ from cmkit import (
     verify_isogeny_relation,
 )
 from cmkit.criteria import _search_certified_relation
+from cmkit.reports import relation_json
 from conftest import gm_bundle, klein_4
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def c6_exception_surface():
@@ -217,6 +223,19 @@ def test_relation_search_certifies_gm8():
             assert check_statement_a(X.group, cert.subgroup).holds
         else:
             assert check_statement_b(X, cert.subgroup).holds
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_relation_route_golden(m):
+    """The certified relation, its certificates and the search log are
+    byte-identical to the recorded ones: gm:8 certifies statement B with a
+    cyclic K, gm:12 with a two-generator K."""
+    _, X, T = gm_bundle(m)
+    log = []
+    relation, _, certificates = _search_certified_relation(X, T, 1000, log)
+    payload = {"relation": relation_json(X, relation, certificates), "search_log": log}
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert text.encode() == (GOLDEN / f"relation_gm{m}.json").read_bytes()
 
 
 def test_search_respects_limit():

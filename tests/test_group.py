@@ -1,3 +1,5 @@
+import ast
+import json
 import os
 import random
 import subprocess
@@ -16,7 +18,19 @@ from cmkit import (
     SubgroupMismatch,
     build_gm,
 )
-from conftest import gm_bundle, klein_4, symmetric_3
+from cmkit.cli import main
+from conftest import (
+    alternating_5,
+    cyclic_7_squared,
+    gm_bundle,
+    index_table,
+    klein_4,
+    psl_2_7,
+    reference_table,
+    symmetric_3,
+    symmetric_4,
+    symmetric_5,
+)
 
 
 def test_from_generators_examples(v4):
@@ -29,6 +43,50 @@ def test_order_bound():
     with pytest.raises(GroupTooLarge):
         FiniteGroup.from_generators(10, [Permutation.from_cycles(10, [tuple(range(10))])],
                                     max_order=5)
+
+
+@pytest.mark.parametrize("maker", [
+    pytest.param(FiniteGroup.trivial, id="C1"),
+    pytest.param(lambda: FiniteGroup.cyclic(6), id="C6"),
+    pytest.param(klein_4, id="V4"),
+    pytest.param(symmetric_4, id="S4"),
+    pytest.param(alternating_5, id="A5"),
+    pytest.param(symmetric_5, id="S5"),
+    pytest.param(psl_2_7, id="PSL(2,7)"),
+    pytest.param(cyclic_7_squared, id="C7xC7"),
+    *(pytest.param(lambda m=m: build_gm(m).group, id=f"gm:{m}") for m in range(6, 22, 2)),
+])
+def test_cayley_table_matches_permutation_products(maker):
+    """The table read off the closure's generator steps, and the inverses
+    read from it, equal the products and inverses of the `Permutation`s."""
+    G = maker()
+    assert index_table(G) == reference_table(G)
+
+
+# S7 (order 5040) is past the default order bound of 2048; its table would
+# hold about 25M entries, so neither check may build it.
+S7_FILE = {"degree": 7, "generators": [[1, 2, 3, 4, 5, 6, 0], [1, 0, 2, 3, 4, 5, 6]]}
+
+
+def test_default_order_bound_stops_the_build(tmp_path, capsys):
+    gens = [Permutation(images) for images in S7_FILE["generators"]]
+    with pytest.raises(GroupTooLarge):
+        FiniteGroup(7, gens)
+    path = tmp_path / "s7.json"
+    path.write_text(json.dumps(S7_FILE))
+    code = main(["table", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"] == "bound_exceeded"
+
+
+def test_no_asserts_in_the_package():
+    """Checks must survive `python -O`, which strips `assert` statements."""
+    package = Path(cmkit.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_closure_and_lagrange(s3):
@@ -198,18 +256,20 @@ def test_abelian_invariants():
 
 
 SUBGROUP_CHECKS_S4 = """
-from cmkit import ElementNotInGroup, FiniteGroup, Permutation, Subgroup, SubgroupMismatch
+from cmkit import FiniteGroup, InternalCheckFailed, Permutation, Subgroup, SubgroupMismatch
+from cmkit.cyclotomic import _poly_div_exact
 G = FiniteGroup.from_generators(4, [Permutation.from_cycles(4, [(0, 1, 2, 3)]),
                                     Permutation.from_cycles(4, [(0, 1)])])
 cases = {
-    "three": lambda: Subgroup(G, G.elements[1:4], _validated=True),
-    "five": lambda: Subgroup(G, G.elements[:5], _validated=True),
-    "no identity": lambda: FiniteGroup(4, G.generators, _elements=G.elements[1:]),
+    "three": lambda: Subgroup(G, (1, 2, 3)),
+    "five": lambda: Subgroup(G, range(5)),
+    "not closed": lambda: G.subgroup(G.elements[:4]),
+    "division": lambda: _poly_div_exact([1, 0, 1], [1, 1]),
 }
 for name, build in cases.items():
     try:
         build()
-    except (SubgroupMismatch, ElementNotInGroup) as ex:
+    except (SubgroupMismatch, InternalCheckFailed) as ex:
         print(name, "rejected:", ex)
     else:
         print(name, "accepted")
@@ -217,8 +277,9 @@ for name, build in cases.items():
 
 
 def test_subgroup_checks_survive_optimize():
-    """Identity and Lagrange checks on trusted element sets are raises, not
-    asserts: `python -O` keeps them."""
+    """Identity and Lagrange checks on trusted index sets, the closure check
+    on permutations from outside and exact polynomial division are raises,
+    not asserts: `python -O` keeps them."""
     env = {**os.environ, "PYTHONPATH": str(Path(cmkit.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-O", "-c", SUBGROUP_CHECKS_S4], env=env,
                           capture_output=True, text=True, timeout=60)
@@ -226,5 +287,6 @@ def test_subgroup_checks_survive_optimize():
     assert proc.stdout.splitlines() == [
         "three rejected: identity missing from subgroup",
         "five rejected: 5 elements cannot form a subgroup of a group of order 24 (Lagrange)",
-        "no identity rejected: the identity is not among the group elements",
+        "not closed rejected: element set is not closed",
+        "division rejected: non-exact polynomial division",
     ]
