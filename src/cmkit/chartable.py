@@ -44,7 +44,7 @@ from math import gcd, isqrt
 from operator import itemgetter, mul
 from typing import Dict, List, Optional, Tuple
 
-from .cyclotomic import Cyclotomic, _reduction_rows, euler_phi, prime_factors
+from .cyclotomic import Cyclotomic, _reduction_rows, euler_phi, prime_factors, reduced_integer
 from .errors import (
     GroupMismatch,
     GroupTooLarge,
@@ -476,8 +476,8 @@ def _verify_table(table: CharacterTable) -> None:
     <chi, chi> is summed from the spectra in integers: at a class of element
     order o, chi conj(chi) = sum_d a_d zeta_o^d with a_d the autocorrelation
     sum_t n_t n_(t-d) of the spectrum.  The autocorrelations, weighted by class
-    size, are accumulated in Z[x]/(x^e - 1) and reduced once mod Phi_e; the
-    result must be |G|.
+    size, are accumulated in Z[x]/(x^e - 1) and reduced once mod Phi_e
+    (`cyclotomic.reduced_integer`); the result must be |G|.
     """
     G = table.group
     classes = G.conjugacy_classes()
@@ -488,7 +488,6 @@ def _verify_table(table: CharacterTable) -> None:
     if sum(d * d for d in table.degrees()) != G.order:
         raise InvalidCharacterTable("degree-sum identity failed")
     e = G.exponent()
-    rows = _reduction_rows(e)
     # spectrum -> (its value, [(exponent of zeta_e, autocorrelation)])
     seen: Dict[Tuple[int, ...], Tuple[Cyclotomic, List[Tuple[int, int]]]] = {}
     for chi, spectra in zip(table.irreducibles, table.spectra):
@@ -513,10 +512,5 @@ def _verify_table(table: CharacterTable) -> None:
                 raise InvalidCharacterTable(f"{chi!r} differs from its spectrum")
             for d, a in autocorrelation:
                 acc[d] += cls.size * a
-        reduced: Dict[int, int] = {}
-        for i, a in enumerate(acc):
-            if a:
-                for j, t in rows[i].items():
-                    reduced[j] = reduced.get(j, 0) + a * t
-        if {j: c for j, c in reduced.items() if c} != {0: G.order}:
+        if reduced_integer(acc) != G.order:
             raise InvalidCharacterTable(f"{chi!r} is not norm one")

@@ -201,7 +201,9 @@ def _surface(args, G, inst, names) -> QuasiplatonicSurface:
 def _run_analyze(args) -> dict:
     G, inst, names = _resolve_group(args.source, _max_order(args))
     X = _surface(args, G, inst, names)
-    T = character_table(G)
+    # a zero Streit value certifies without the table; a positive one
+    # needs it for the relation search
+    T = character_table(G) if streit_test(X) else None
     verdict = cm_verdict(X, T, search_limit=args.search_limit)
     payload = {
         "command": "analyze",
@@ -218,8 +220,7 @@ def _run_analyze(args) -> dict:
 def _run_streit(args) -> dict:
     G, inst, names = _resolve_group(args.source, _max_order(args))
     X = _surface(args, G, inst, names)
-    T = character_table(G)
-    value = streit_test(X, T)
+    value = streit_test(X)
     return {
         "command": "streit",
         "source": args.source,

@@ -11,24 +11,32 @@ The relation-route certificates rely on quotients being Belyi covers, so
 the search only runs for three-point covers; the symmetric-square route is
 rigidity-based and needs no such guard (a cover with more branch points
 deforms, which forces a positive value).
+
+The symmetric-square ("Streit") value needs no character table.  The
+analytic character chi_a is read off the branch data by the Eichler trace
+formula, scaled by D = lcm of the branch orders to integer coefficients,
+and (1/2|G|) sum over classes of |C| (chi_a(c)^2 + chi_a(c^2)) is summed in
+Z[x]/(x^e - 1) and reduced once mod Phi_e (`cyclotomic.reduced_integer`,
+the same reduction as the table's norm-one check).  The sum must be a
+non-negative multiple of 2|G|D^2, <chi_a, 1> must be the orbit genus and
+chi_a(1) the genus; each failure raises `NonIntegralResult` or
+`InternalCheckFailed`.  The table is built only for a positive value, for
+the relation search.  `reverify_verdict` re-derives a zero from the table's
+eigenvalue spectra instead, through the same reduction; the `Cyclotomic`
+route (`analytic_character`, `symmetric_square`, `inner_product`) is kept
+as a test oracle.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .chartable import (
-    Character,
-    CharacterTable,
-    fixed_space_dimension,
-    inner_product,
-    symmetric_square,
-    trivial_character,
-)
+from .chartable import CharacterTable, _rational_sources, character_table, fixed_space_dimension
+from .cyclotomic import reduced_integer
 from .errors import (
     GenusZeroQuotient,
     GroupMismatch,
@@ -40,9 +48,9 @@ from .group import FiniteGroup, Subgroup
 from .surface import (
     QuasiplatonicSurface,
     Signature,
-    analytic_character,
     chevalley_weil_multiplicities,
     galois_quotient_signature,
+    genus_from_branch_data,
     quotient_surface,
 )
 
@@ -253,31 +261,171 @@ def verify_isogeny_relation(X: QuasiplatonicSurface, T: CharacterTable,
     return RelationReport(holds, R.n, h1, tuple(rows), genus_lhs, genus_rhs)
 
 
-def streit_test(X: QuasiplatonicSurface, T: CharacterTable) -> int:
+def streit_test(X: QuasiplatonicSurface) -> int:
     """Exact value of the symmetric-square inner product <S^2(rho_a), 1>.
 
     Zero certifies complex multiplication: the period point is then rigid in
-    the Siegel space.
+    the Siegel space.  The value comes from the branch data alone, by the
+    Eichler trace formula in integers (`_eichler_values`, `_streit_value`):
+    no character table and no `Cyclotomic` value is built.
     """
     if X.genus < 1:
         raise ValueError("the symmetric-square test needs genus >= 1")
-    chi_a = analytic_character(X, T)
-    value = inner_product(symmetric_square(chi_a), trivial_character(X.group))
-    try:
-        result = value.integer_value()
-    except ValueError:
+    scale, values = _eichler_values(X)
+    at_squares = [[scale * a for a in values[row[2 % len(row)]]]
+                  for row in X.group.power_classes()]
+    return _streit_value(X, scale, values, at_squares)
+
+
+def _eichler_values(X: QuasiplatonicSurface) -> Tuple[int, List[List[int]]]:
+    """(D, [D chi_a(c) for each class c]), D the lcm of the branch orders.
+
+    Entry t of a class's list is the coefficient of zeta_o^t, o the element
+    order of the class.  chi_a(1) is the genus.  For s != 1,
+    chi_a(s) = 1 + sum of z/(1 - z) over the fixed points of s, z the
+    rotation at the point (Eichler; Farkas-Kra, Riemann Surfaces, V.2).
+    Over the i-th branch value, with c_i the vector entry of order o_i, s
+    fixes |C_G(s)|/o_i points with rotation z = zeta_(o_i)^k for each k with
+    c_i^k conjugate to s, and none otherwise.  z has the order o of s, so
+    z = zeta_o^u with u = k o / o_i, and z/(1 - z) = -1 - (1/o) sum_j j z^j.
+    c_i commutes with c_i^k, so o_i divides |C_G(s)|, and o divides D: every
+    coefficient of D chi_a(s) is an integer.
+    """
+    G = X.group
+    classes = G.conjugacy_classes()
+    power = G.power_classes()
+    periods = X.vector.periods
+    scale = lcm(*periods)
+    values = [[scale] + [0] * (cls.order - 1) for cls in classes]
+    values[0] = [scale * X.genus]
+    for g, o_i in zip(X.vector.entries, periods):
+        row = power[G.class_index(g)]
+        for k in range(1, o_i):
+            c = row[k]
+            o = classes[c].order
+            fixed = G.order // (classes[c].size * o_i)
+            u = k * o // o_i
+            vec = values[c]
+            vec[0] -= fixed * scale
+            step = fixed * (scale // o)
+            for j in range(1, o):
+                vec[(u * j) % o] -= step * j
+    return scale, values
+
+
+def _spectra_streit_value(X: QuasiplatonicSurface, T: CharacterTable) -> int:
+    """The symmetric-square value from the table's eigenvalue spectra.
+
+    sum_i m_i spectra[i][c], with m_i the Chevalley-Weil multiplicities, is
+    the eigenvalue multiset of rho_a at class c: its entries are the integer
+    coefficients of chi_a(c), and the same multiset with doubled exponents
+    gives chi_a(c^2).  Nothing here reads the Eichler formula.
+    """
+    mults = chevalley_weil_multiplicities(X, T)
+    occurring = [(m, spectra) for m, spectra in zip(mults, T.spectra) if m]
+    values, at_squares = [], []
+    for c, cls in enumerate(X.group.conjugacy_classes()):
+        o = cls.order
+        spectrum = [0] * o
+        for m, spectra in occurring:
+            for t, n in enumerate(spectra[c]):
+                spectrum[t] += m * n
+        doubled = [0] * o
+        for t, n in enumerate(spectrum):
+            doubled[2 * t % o] += n
+        values.append(spectrum)
+        at_squares.append(doubled)
+    return _streit_value(X, 1, values, at_squares)
+
+
+def _streit_value(X: QuasiplatonicSurface, scale: int, values: Sequence[Sequence[int]],
+                  at_squares: Sequence[Sequence[int]]) -> int:
+    """(1/2|G|) sum over classes of |C| (chi_a(c)^2 + chi_a(c^2)).
+
+    values[c] and at_squares[c] hold scale * chi_a(c) and scale^2 * chi_a(c^2)
+    as integer coefficients of zeta_o^t, o the length of the list, which
+    divides the group exponent e.  Both sums are accumulated in
+    Z[x]/(x^e - 1), x = zeta_e.  A square is convolved once per rational
+    class: at the class of g^u, u a unit, it is the square at g with its
+    exponents multiplied by u.  chi_a(1) must be the Riemann-Hurwitz genus
+    of the branch data (`InternalCheckFailed`); `_checked_value` reduces the
+    sums and checks them.
+    """
+    G = X.group
+    classes = G.conjugacy_classes()
+    genus = genus_from_branch_data(G.order, X.vector.periods)
+    if list(values[0]) != [scale * genus]:
+        raise InternalCheckFailed(
+            f"chi_a(1) = {values[0]} / {scale} differs from the genus {genus}")
+    e = G.exponent()
+    linear = [0] * e
+    quadratic = [0] * e
+    squares: Dict[int, List[int]] = {}
+    sources = _rational_sources(classes, G.power_classes())
+    for c, (cls, (first, reindex)) in enumerate(zip(classes, sources)):
+        if first not in squares:
+            squares[first] = _cyclic_square(values[first])
+        square = squares[first]
+        _accumulate(linear, values[c], cls.size)
+        _accumulate(quadratic, [square[t] for t in reindex], cls.size)
+        _accumulate(quadratic, at_squares[c], cls.size)
+    return _checked_value(G, scale, linear, quadratic, X.signature.orbit_genus)
+
+
+def _cyclic_square(vec: Sequence[int]) -> List[int]:
+    """The square of sum_t vec[t] x^t in Z[x]/(x^o - 1), o = len(vec)."""
+    o = len(vec)
+    support = [(t, a) for t, a in enumerate(vec) if a]
+    out = [0] * o
+    for t1, a1 in support:
+        for t2, a2 in support:
+            out[(t1 + t2) % o] += a1 * a2
+    return out
+
+
+def _accumulate(acc: List[int], vec: Sequence[int], weight: int) -> None:
+    """acc += weight * sum_t vec[t] zeta_o^t, o = len(vec), in powers of zeta_e."""
+    f = len(acc) // len(vec)
+    for t, a in enumerate(vec):
+        if a:
+            acc[t * f] += weight * a
+
+
+def _checked_value(G: FiniteGroup, scale: int, linear: Sequence[int],
+                   quadratic: Sequence[int], orbit_genus: int) -> int:
+    """The symmetric-square value from the two accumulated class sums.
+
+    `linear` is scale |G| <chi_a, 1>, which must reduce to scale |G| times
+    the orbit genus (`InternalCheckFailed`).  `quadratic` is
+    2 |G| scale^2 <S^2 chi_a, 1>: it must reduce to a non-negative multiple
+    of 2 |G| scale^2 (`NonIntegralResult`).
+    """
+    invariant = reduced_integer(linear)
+    if invariant != scale * G.order * orbit_genus:
+        raise InternalCheckFailed(
+            f"<chi_a, 1> sum {invariant} is not {scale * G.order} times the "
+            f"orbit genus {orbit_genus}")
+    total = reduced_integer(quadratic)
+    denominator = 2 * G.order * scale * scale
+    if total is None:
+        raise NonIntegralResult("symmetric-square sum is not rational")
+    if total % denominator:
         raise NonIntegralResult(
-            f"symmetric-square inner product {value.to_string()} not integral") from None
-    if result < 0:
-        raise NonIntegralResult(f"negative inner product {result}")
-    return result
+            f"symmetric-square sum {total} is not a multiple of {denominator}")
+    if total < 0:
+        raise NonIntegralResult(f"negative inner product {total // denominator}")
+    return total // denominator
 
 
-def cm_verdict(X: QuasiplatonicSurface, T: CharacterTable,
+def cm_verdict(X: QuasiplatonicSurface, T: Optional[CharacterTable] = None,
                search_limit: int = 1000) -> CMVerdict:
     """Combined verdict: symmetric-square test first, then a bounded search
-    for a verified subgroup collection with per-factor certificates."""
-    streit_value = streit_test(X, T)
+    for a verified subgroup collection with per-factor certificates.
+
+    A zero value needs no character table; otherwise T is used, or built
+    when it is None.
+    """
+    streit_value = streit_test(X)
     if streit_value == 0:
         return CMVerdict(CM_CERTIFIED, 0, None, (), None)
 
@@ -288,6 +436,8 @@ def cm_verdict(X: QuasiplatonicSurface, T: CharacterTable,
                     "reason": "relation certificates require a three-point cover"})
         return CMVerdict(INCONCLUSIVE, streit_value, None, (), None, tuple(log))
 
+    if T is None:
+        T = character_table(X.group)
     found = _search_certified_relation(X, T, search_limit, log)
     if found is not None:
         relation, report, certificates = found
@@ -298,7 +448,8 @@ def cm_verdict(X: QuasiplatonicSurface, T: CharacterTable,
 
 def _search_certified_relation(X, T, search_limit, log):
     """Try candidate collections (smallest first, by total index, then
-    lexicographically) and return the first fully certified relation."""
+    lexicographically, enumerated lazily) and return the first fully
+    certified relation."""
     G = X.group
     candidates = []
     for H in G.all_subgroups():
@@ -307,6 +458,7 @@ def _search_certified_relation(X, T, search_limit, log):
         if quotient_surface(X, H).genus >= 1:
             candidates.append(H)
     candidates.sort(key=lambda H: (H.index, H.elements))
+    weights = [H.index for H in candidates]
 
     h1 = h1_multiplicities(X, T)
     active = [i for i, m in enumerate(h1) if m > 0]
@@ -334,9 +486,7 @@ def _search_certified_relation(X, T, search_limit, log):
     for size in range(1, len(candidates) + 1):
         if tried >= search_limit:
             break
-        combos = sorted(combinations(range(len(candidates)), size),
-                        key=lambda c: (sum(candidates[i].index for i in c), c))
-        for combo in combos:
+        for combo in _combinations_by_weight(weights, size):
             if tried >= search_limit:
                 break
             tried += 1
@@ -375,6 +525,31 @@ def _search_certified_relation(X, T, search_limit, log):
             log.append(entry)
             return relation, report, tuple(certificates)
     return None
+
+
+def _combinations_by_weight(weights: Sequence[int], size: int) -> Iterator[Tuple[int, ...]]:
+    """The `size`-element subsets of range(len(weights)), as ascending tuples,
+    lazily in the order of (total weight, tuple); weights must be
+    non-decreasing.
+
+    Best-first from (0, ..., size - 1).  A tuple's parent lowers by one its
+    leftmost entry j that exceeds j, so every tuple is pushed once, by its
+    parent, and comes after it in the order.
+    """
+    n = len(weights)
+    if size > n:
+        return
+    heap = [(sum(weights[:size]), tuple(range(size)))]
+    while heap:
+        total, combo = heapq.heappop(heap)
+        yield combo
+        for j in range(size):
+            raised = combo[j] + 1
+            if raised < (combo[j + 1] if j + 1 < size else n):
+                heapq.heappush(heap, (total - weights[combo[j]] + weights[raised],
+                                      combo[:j] + (raised,) + combo[j + 1:]))
+            if combo[j] != j:
+                break
 
 
 def _solve_multiplicities(degrees: Sequence[int], dim_columns: Sequence[Sequence[int]],
@@ -423,11 +598,17 @@ def _solve_multiplicities(degrees: Sequence[int], dim_columns: Sequence[Sequence
 
 def reverify_verdict(X: QuasiplatonicSurface, T: CharacterTable,
                      verdict: CMVerdict) -> bool:
-    """Re-check an emitted certificate from scratch."""
+    """Re-check an emitted certificate from scratch.
+
+    A zero symmetric-square value is re-derived by a route independent of
+    `streit_test`: the eigenvalue spectra of T (`_spectra_streit_value`).
+    A relation certificate is re-verified row by row and each factor's
+    statement A or B is checked again.
+    """
     if verdict.status != CM_CERTIFIED:
         return False
     if verdict.streit_value == 0:
-        return streit_test(X, T) == 0
+        return _spectra_streit_value(X, T) == 0
     if verdict.relation is None:
         return False
     report = verify_isogeny_relation(X, T, verdict.relation)

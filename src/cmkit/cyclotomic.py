@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence
 
 from .errors import InternalCheckFailed
 
@@ -103,6 +103,24 @@ def _reduction_rows(e: int) -> list:
         rows.append(nxt)
     _ROW_CACHE[e] = rows
     return rows
+
+
+def reduced_integer(acc: Sequence[int]) -> Optional[int]:
+    """The integer sum_i acc[i] zeta_e^i, e = len(acc), or None when the sum
+    is not rational.
+
+    The sum is reduced once mod Phi_e, in integers; it is rational exactly
+    when only the constant coefficient survives.
+    """
+    rows = _reduction_rows(len(acc))
+    reduced: Dict[int, int] = {}
+    for i, a in enumerate(acc):
+        if a:
+            for j, t in rows[i].items():
+                reduced[j] = reduced.get(j, 0) + a * t
+    if any(c for j, c in reduced.items() if j):
+        return None
+    return reduced.get(0, 0)
 
 
 class Cyclotomic:

@@ -1,10 +1,17 @@
 import cmath
 import functools
+import os
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
+import cmkit
 from cmkit import (
     Cyclotomic,
     FiniteGroup,
@@ -237,3 +244,25 @@ def s3():
 @pytest.fixture
 def v4():
     return klein_4()
+
+
+def run_optimized(*argv, cwd=None):
+    """stdout of `python -O argv...` with cmkit importable; it must exit 0.
+
+    -O strips `assert` statements, so a check that survives it is a raise.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cmkit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@st.composite
+def small_permutation_groups(draw):
+    """Groups generated by two random permutations of degree <= 6, order <= 120."""
+    degree = draw(st.integers(min_value=1, max_value=6))
+    gens = [Permutation(draw(st.permutations(range(degree)))) for _ in range(2)]
+    G = FiniteGroup.from_generators(degree, gens)
+    assume(G.order <= 120)
+    return G

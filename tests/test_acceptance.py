@@ -50,6 +50,7 @@ from cmkit import (
     streit_test,
     verify_isogeny_relation,
 )
+from cmkit.criteria import _spectra_streit_value
 from conftest import eichler_streit_value, gm_bundle
 
 ALL_M = list(range(6, 22, 2))
@@ -160,11 +161,14 @@ def test_criterion_6_streit_split():
     failures = []
 
     def check(label, X, T, expected):
-        value = streit_test(X, T)
+        value = streit_test(X)
         oracle = eichler_streit_value([g.images for g in X.vector.entries])
         nearest = round(oracle.real)
         if abs(oracle - nearest) >= 1e-9 or value != nearest:
             failures.append(f"{label}: value {value}, Eichler oracle {oracle}")
+        spectra_value = _spectra_streit_value(X, T)
+        if spectra_value != value:
+            failures.append(f"{label}: value {value}, from the table's spectra {spectra_value}")
         if value != expected:
             failures.append(f"{label}: value {value} != {expected}")
 

@@ -1,14 +1,7 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
-
-import cmkit
+from hypothesis import given, settings
 
 from cmkit import (
     Character,
@@ -17,7 +10,6 @@ from cmkit import (
     GroupMismatch,
     InvalidCharacterTable,
     NonIntegralResult,
-    Permutation,
     character_table,
     fixed_space_dimension,
     inner_product,
@@ -36,6 +28,8 @@ from conftest import (
     klein_4,
     psl_2_7,
     reference_table,
+    run_optimized,
+    small_permutation_groups,
     symmetric_3,
     symmetric_4,
     symmetric_5,
@@ -245,18 +239,10 @@ else:
 """
 
 
-def _run_optimized(script):
-    env = {**os.environ, "PYTHONPATH": str(Path(cmkit.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def test_verify_table_rejects_under_optimize():
     """The table checks are raises, not asserts: `python -O` keeps them."""
-    assert _run_optimized(ONE_ROW_C3).startswith("rejected: 1 irreducibles for 3 classes")
-    assert _run_optimized(NOT_INVARIANT).startswith("rejected: subspace not invariant")
+    assert run_optimized("-c", ONE_ROW_C3).startswith("rejected: 1 irreducibles for 3 classes")
+    assert run_optimized("-c", NOT_INVARIANT).startswith("rejected: subspace not invariant")
 
 
 def test_missing_trivial_character_is_a_table_error():
@@ -292,16 +278,6 @@ def test_split_falls_back_to_the_nullspace():
             assert matvec(mat, vec, p) == [(lam * x) % p for x in vec]
     start = parts[0][0]
     assert [(x * pow(start[1], p - 2, p)) % p for x in start] == [2, 1, 1]
-
-
-@st.composite
-def small_permutation_groups(draw):
-    """Groups generated by two random permutations of degree <= 6, order <= 120."""
-    degree = draw(st.integers(min_value=1, max_value=6))
-    gens = [Permutation(draw(st.permutations(range(degree)))) for _ in range(2)]
-    G = FiniteGroup.from_generators(degree, gens)
-    assume(G.order <= 120)
-    return G
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

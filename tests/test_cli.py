@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 import cmkit.cli
-from cmkit import InvalidCharacterTable
+from cmkit import InvalidCharacterTable, NonIntegralResult
 from cmkit.cli import EXIT_INTERNAL, main
+from conftest import run_optimized
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -185,16 +186,51 @@ def test_failed_internal_identity_is_not_bad_input(capsys, monkeypatch):
     def broken_table(G):
         raise InvalidCharacterTable("degree-sum identity failed")
 
+    def broken_streit(X):
+        raise NonIntegralResult("symmetric-square sum is not rational")
+
     monkeypatch.setattr(cmkit.cli, "character_table", broken_table)
-    code, payload = run_json(capsys, "streit", "gm:6")
+    code, payload = run_json(capsys, "table", "gm:6")
     assert code == EXIT_INTERNAL == 3
     assert payload == {"error": "internal_check_failed",
                        "detail": "degree-sum identity failed"}
+    monkeypatch.setattr(cmkit.cli, "streit_test", broken_streit)
     code, payload = run_json(capsys, "batch", "gm:6")
     assert code == EXIT_INTERNAL
     assert payload["results"] == [{"source": "gm:6", "error": "internal_check_failed",
-                                   "detail": "degree-sum identity failed"}]
+                                   "detail": "symmetric-square sum is not rational"}]
     assert payload["summary"] == ["gm:6: error internal_check_failed"]
+
+
+class TableBuilt(Exception):
+    pass
+
+
+def test_streit_zero_runs_never_build_the_table(capsys, monkeypatch):
+    """streit, analyze and batch on Streit-zero surfaces read no character
+    table; a positive value (A5 with (2,5,5)) still builds one."""
+    def no_table(G):
+        raise TableBuilt()
+
+    monkeypatch.setattr(cmkit.cli, "character_table", no_table)
+    monkeypatch.chdir(GOLDEN)
+    for argv, golden in (GOLDEN_RUNS["streit-gm:12"], GOLDEN_RUNS["analyze-gm:10"]):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / golden).read_bytes()
+    code, payload = run_json(capsys, "batch", "gm:8", "gm:12")
+    assert code == 0
+    assert [row["status"] for row in payload["results"]] == ["CM_CERTIFIED"] * 2
+    with pytest.raises(TableBuilt):
+        main(GOLDEN_RUNS["analyze-a5-255"][0])
+
+
+@pytest.mark.parametrize("name", ["streit-gm:12", "analyze-gm:10"])
+def test_golden_output_under_optimize(name):
+    """The small pipeline under `python -O` prints the same bytes."""
+    argv, golden = GOLDEN_RUNS[name]
+    out = run_optimized("-m", "cmkit.cli", *argv, cwd=GOLDEN)
+    assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_byte_identical_output(capsys):

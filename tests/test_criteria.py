@@ -1,11 +1,16 @@
 import json
+import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmkit import (
     CM_CERTIFIED,
     INCONCLUSIVE,
+    Cyclotomic,
     FiniteGroup,
     GeneratingVector,
     GenusZeroQuotient,
@@ -14,20 +19,34 @@ from cmkit import (
     Permutation,
     QuasiplatonicSurface,
     Signature,
+    analytic_character,
     character_table,
     check_statement_a,
     check_statement_b,
     cm_verdict,
     find_generating_vectors,
+    inner_product,
     known_subgroup_collection,
     quotient_surface,
     reverify_verdict,
     streit_test,
+    symmetric_square,
+    trivial_character,
     verify_isogeny_relation,
 )
-from cmkit.criteria import _search_certified_relation
+from cmkit.criteria import (
+    _combinations_by_weight,
+    _search_certified_relation,
+    _spectra_streit_value,
+)
 from cmkit.reports import relation_json
-from conftest import gm_bundle, klein_4
+from conftest import (
+    eichler_streit_value,
+    gm_bundle,
+    klein_4,
+    run_optimized,
+    small_permutation_groups,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -147,21 +166,25 @@ def test_verify_relation_undersized_collection():
 def test_streit_values_on_the_family():
     for m in (6, 8, 10, 12):
         _, X, T = gm_bundle(m)
-        assert streit_test(X, T) == 0
+        assert streit_test(X) == 0
+        assert _spectra_streit_value(X, T) == 0
 
 
 def test_streit_positive_cases():
     # a four-point cover moves in a one-parameter family
     X = c6_exception_surface()
-    assert streit_test(X, character_table(X.group)) == 1
+    assert streit_test(X) == 1
+    assert _spectra_streit_value(X, character_table(X.group)) == 1
     # six half-periods: a three-parameter family
     C2 = FiniteGroup.cyclic(2)
     s = C2.elements[1]
     Xh = QuasiplatonicSurface.from_vector(GeneratingVector(C2, (s,) * 6))
-    assert streit_test(Xh, character_table(C2)) == 3
+    assert streit_test(Xh) == 3
+    assert _spectra_streit_value(Xh, character_table(C2)) == 3
     # rigid three-point cover that the symmetric-square test cannot settle
     Xs = s4_344_surface()
-    assert streit_test(Xs, character_table(Xs.group)) == 1
+    assert streit_test(Xs) == 1
+    assert _spectra_streit_value(Xs, character_table(Xs.group)) == 1
 
 
 def test_streit_elliptic_rigid_cover():
@@ -170,7 +193,8 @@ def test_streit_elliptic_rigid_cover():
     vec = GeneratingVector(C4, (s * s, s, s))
     X = QuasiplatonicSurface.from_vector(vec)
     assert X.genus == 1
-    assert streit_test(X, character_table(C4)) == 0
+    assert streit_test(X) == 0
+    assert _spectra_streit_value(X, character_table(C4)) == 0
 
 
 def test_symmetric_square_of_trivial_character_sanity():
@@ -249,7 +273,7 @@ def test_streit_is_conjugation_invariant():
     from cmkit import analytic_character, inner_product, symmetric_square, trivial_character
     for m in (6, 8):
         _, X, T = gm_bundle(m)
-        value = streit_test(X, T)
+        value = streit_test(X)
         conj = analytic_character(X, T).conjugate()
         twin = inner_product(symmetric_square(conj), trivial_character(X.group))
         assert twin.integer_value() == value
@@ -275,3 +299,115 @@ def test_verify_rejects_foreign_objects():
         verify_isogeny_relation(X6, T8, known_subgroup_collection(inst6))
     with pytest.raises(GroupMismatch):
         verify_isogeny_relation(X6, T6, known_subgroup_collection(inst8))
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_collections_come_lazily_in_sorted_order(n):
+    """The best-first enumeration yields every size's subsets in the order of
+    sorted(combinations(...), key=(total weight, tuple)), ties included."""
+    rng = random.Random(n)
+    for size in range(1, n + 2):
+        weights = sorted(rng.randrange(1, 5) for _ in range(n))
+        expected = sorted(combinations(range(n), size),
+                          key=lambda c: (sum(weights[i] for i in c), c))
+        assert list(_combinations_by_weight(weights, size)) == expected
+
+
+def test_cm_verdict_builds_the_table_only_for_a_positive_value(monkeypatch):
+    import cmkit.criteria
+
+    def no_table(G):
+        raise AssertionError("character table built")
+
+    _, X, T = gm_bundle(8)
+    monkeypatch.setattr(cmkit.criteria, "character_table", no_table)
+    assert cm_verdict(X).certified
+    Xs = s4_344_surface()
+    with pytest.raises(AssertionError, match="character table built"):
+        cm_verdict(Xs, search_limit=5)
+    monkeypatch.undo()
+    assert cm_verdict(Xs, search_limit=5) == cm_verdict(Xs, character_table(Xs.group),
+                                                         search_limit=5)
+
+
+DOCTORED_SUMS = """
+from cmkit import FiniteGroup, InternalCheckFailed, NonIntegralResult, QuasiplatonicSurface
+from cmkit.criteria import _checked_value, _eichler_values, _streit_value
+from cmkit.gmfamily import build_gm, canonical_vector
+
+C4 = FiniteGroup.cyclic(4)
+n, e = C4.order, C4.exponent()
+cases = {
+    "not a multiple": ([0] * e, [2 * n + 1] + [0] * (e - 1)),
+    "not rational": ([0] * e, [0, 2 * n] + [0] * (e - 2)),
+    "negative": ([0] * e, [-2 * n] + [0] * (e - 1)),
+    "invariants": ([n] + [0] * (e - 1), [2 * n] + [0] * (e - 1)),
+}
+for name, (linear, quadratic) in cases.items():
+    try:
+        _checked_value(C4, 1, linear, quadratic, 0)
+    except (InternalCheckFailed, NonIntegralResult) as ex:
+        print(name, "rejected:", type(ex).__name__)
+    else:
+        print(name, "accepted")
+
+X = QuasiplatonicSurface.from_vector(canonical_vector(build_gm(8)))
+scale, values = _eichler_values(X)
+values[0] = [scale * (X.genus + 1)]
+try:
+    _streit_value(X, scale, values, values)
+except InternalCheckFailed as ex:
+    print("degree rejected:", type(ex).__name__)
+else:
+    print("degree accepted")
+"""
+
+
+def test_streit_checks_survive_optimize():
+    """A doctored class sum or degree is rejected by raises, not asserts."""
+    assert run_optimized("-c", DOCTORED_SUMS).splitlines() == [
+        "not a multiple rejected: NonIntegralResult",
+        "not rational rejected: NonIntegralResult",
+        "negative rejected: NonIntegralResult",
+        "invariants rejected: InternalCheckFailed",
+        "degree rejected: InternalCheckFailed",
+    ]
+
+
+@st.composite
+def random_surfaces(draw):
+    """A random vector of 3 or 4 entries with product one, over the group its
+    entries generate inside a random small permutation group."""
+    G = draw(small_permutation_groups())
+    assume(G.order > 1)
+    r = draw(st.sampled_from((3, 4)))
+    entries = [G.elements[draw(st.integers(1, G.order - 1))] for _ in range(r - 1)]
+    product = G.identity
+    for g in entries:
+        product = product * g
+    assume(not product.is_identity())
+    entries.append(product.inverse())
+    H = FiniteGroup.from_generators(G.degree, entries)
+    return QuasiplatonicSurface.from_vector(GeneratingVector(H, tuple(entries)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_surfaces())
+def test_random_surfaces_agree_on_the_streit_value(X):
+    """Exact Eichler, table spectra, `Cyclotomic` and float Eichler values
+    agree, and every certified verdict re-verifies."""
+    if X.genus < 1:
+        with pytest.raises(ValueError):
+            streit_test(X)
+        return
+    T = character_table(X.group)
+    value = streit_test(X)
+    assert _spectra_streit_value(X, T) == value
+    cyclotomic = inner_product(symmetric_square(analytic_character(X, T)),
+                               trivial_character(X.group))
+    assert cyclotomic == Cyclotomic.rational(value)
+    oracle = eichler_streit_value([g.images for g in X.vector.entries])
+    assert abs(oracle - value) < 1e-9
+    verdict = cm_verdict(X, T, search_limit=20)
+    assert verdict.streit_value == value
+    assert reverify_verdict(X, T, verdict) == verdict.certified

@@ -1,9 +1,6 @@
 import ast
 import json
-import os
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +24,7 @@ from conftest import (
     klein_4,
     psl_2_7,
     reference_table,
+    run_optimized,
     symmetric_3,
     symmetric_4,
     symmetric_5,
@@ -280,11 +278,7 @@ def test_subgroup_checks_survive_optimize():
     """Identity and Lagrange checks on trusted index sets, the closure check
     on permutations from outside and exact polynomial division are raises,
     not asserts: `python -O` keeps them."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cmkit.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-O", "-c", SUBGROUP_CHECKS_S4], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    assert run_optimized("-c", SUBGROUP_CHECKS_S4).splitlines() == [
         "three rejected: identity missing from subgroup",
         "five rejected: 5 elements cannot form a subgroup of a group of order 24 (Lagrange)",
         "not closed rejected: element set is not closed",
