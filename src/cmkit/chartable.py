@@ -31,12 +31,16 @@ chi(C) = sum_t n_t zeta_o^t is the exact cyclotomic value, summed in
 integers.  The finished table is verified in integer arithmetic: every value
 against its spectrum, the degree sum, and norm one, <chi, chi> summed from
 the spectra in Z[x]/(x^e - 1) and reduced mod Phi_e.  Every failed identity
-raises `InvalidCharacterTable`.
+raises `InvalidCharacterTable`.  Later class sums read the spectra the
+same way (`fixed_dimensions`), and `conjugate_index` reverses them;
+`Cyclotomic` arithmetic is left to the oracle API (`inner_product`,
+`symmetric_square`, `fixed_space_dimension`).
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
@@ -44,7 +48,8 @@ from math import gcd, isqrt
 from operator import itemgetter, mul
 from typing import Dict, List, Optional, Tuple
 
-from .cyclotomic import Cyclotomic, _reduction_rows, euler_phi, prime_factors, reduced_integer
+from .cyclotomic import (Cyclotomic, _reduction_rows, accumulate, euler_phi, prime_factors,
+                         reduced_integer)
 from .errors import (
     GroupMismatch,
     GroupTooLarge,
@@ -117,15 +122,35 @@ class CharacterTable:
         raise InvalidCharacterTable("trivial character missing")
 
     def conjugate_index(self, i: int) -> int:
+        """The row of conj(chi_i), whose spectra are t -> n_(-t mod o)."""
         key = ("conj", i)
         if key not in self._cache:
-            conj = self.irreducibles[i].conjugate()
-            for j, chi in enumerate(self.irreducibles):
-                if chi == conj:
-                    self._cache[key] = j
-                    break
-            else:
-                raise InvalidCharacterTable("table not closed under conjugation")
+            conj = tuple(tuple(s[-t] for t in range(len(s))) for s in self.spectra[i])
+            try:
+                self._cache[key] = self.spectra.index(conj)
+            except ValueError:
+                raise InvalidCharacterTable("table not closed under conjugation") from None
+        return self._cache[key]
+
+    def fixed_dimensions(self, H: Subgroup) -> Tuple[int, ...]:
+        """dim V_i^H = (1/|H|) sum_c |H cap C| chi_i(C) for every irreducible,
+        from the spectra in Z[x]/(x^e - 1) reduced once mod Phi_e."""
+        if H.parent is not self.group:
+            raise SubgroupMismatch("subgroup of a different group")
+        key = ("fixed", H)
+        if key not in self._cache:
+            weights = Counter(map(self.group.class_ids().__getitem__, H.indices))
+            dims = []
+            for spectra in self.spectra:
+                acc = [0] * self.conductor
+                for c, w in weights.items():
+                    accumulate(acc, spectra[c], w)
+                total = reduced_integer(acc)
+                if total is None or total % H.order or total < 0:
+                    raise NonIntegralResult(f"fixed-space dimension {total} / {H.order} "
+                                            "is not a non-negative integer")
+                dims.append(total // H.order)
+            self._cache[key] = tuple(dims)
         return self._cache[key]
 
     def degrees(self) -> Tuple[int, ...]:
@@ -171,7 +196,7 @@ def symmetric_square(chi: Character) -> Character:
 
 
 def fixed_space_dimension(chi: Character, H: Subgroup) -> int:
-    """dim V^H = (1/|H|) sum over h of chi(h); integral for genuine characters."""
+    """dim V^H = (1/|H|) sum over h of chi(h): the oracle of `CharacterTable.fixed_dimensions`."""
     G = chi.group
     if H.parent is not G:
         raise SubgroupMismatch("subgroup of a different group")
@@ -488,8 +513,8 @@ def _verify_table(table: CharacterTable) -> None:
     if sum(d * d for d in table.degrees()) != G.order:
         raise InvalidCharacterTable("degree-sum identity failed")
     e = G.exponent()
-    # spectrum -> (its value, [(exponent of zeta_e, autocorrelation)])
-    seen: Dict[Tuple[int, ...], Tuple[Cyclotomic, List[Tuple[int, int]]]] = {}
+    # spectrum -> (its value, autocorrelation as coefficients of zeta_o^d)
+    seen: Dict[Tuple[int, ...], Tuple[Cyclotomic, List[int]]] = {}
     for chi, spectra in zip(table.irreducibles, table.spectra):
         acc = [0] * e
         for cls, value, spectrum in zip(classes, chi.values, spectra):
@@ -500,17 +525,15 @@ def _verify_table(table: CharacterTable) -> None:
                 if min(spectrum) < 0:
                     raise InvalidCharacterTable(f"{chi!r} has a negative multiplicity")
                 support = [(t, m) for t, m in enumerate(spectrum) if m]
-                autocorrelation: Dict[int, int] = {}
+                autocorrelation = [0] * o
                 for t, m in support:
                     for t2, m2 in support:
-                        d = ((t - t2) % o) * (e // o)
-                        autocorrelation[d] = autocorrelation.get(d, 0) + m * m2
+                        autocorrelation[(t - t2) % o] += m * m2
                 seen[spectrum] = (_from_root_multiplicities(e, _spectrum_exponents(e, spectrum)),
-                                  list(autocorrelation.items()))
+                                  autocorrelation)
             expected, autocorrelation = seen[spectrum]
             if expected != value:
                 raise InvalidCharacterTable(f"{chi!r} differs from its spectrum")
-            for d, a in autocorrelation:
-                acc[d] += cls.size * a
+            accumulate(acc, autocorrelation, cls.size)
         if reduced_integer(acc) != G.order:
             raise InvalidCharacterTable(f"{chi!r} is not norm one")

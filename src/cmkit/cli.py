@@ -201,10 +201,7 @@ def _surface(args, G, inst, names) -> QuasiplatonicSurface:
 def _run_analyze(args) -> dict:
     G, inst, names = _resolve_group(args.source, _max_order(args))
     X = _surface(args, G, inst, names)
-    # a zero Streit value certifies without the table; a positive one
-    # needs it for the relation search
-    T = character_table(G) if streit_test(X) else None
-    verdict = cm_verdict(X, T, search_limit=args.search_limit)
+    verdict = cm_verdict(X, search_limit=args.search_limit)
     payload = {
         "command": "analyze",
         "source": args.source,

@@ -24,7 +24,9 @@ chi_a(1) the genus; each failure raises `NonIntegralResult` or
 the relation search.  `reverify_verdict` re-derives a zero from the table's
 eigenvalue spectra instead, through the same reduction; the `Cyclotomic`
 route (`analytic_character`, `symmetric_square`, `inner_product`) is kept
-as a test oracle.
+as a test oracle.  The relation search and `verify_isogeny_relation` read
+dim V_rho^H (`CharacterTable.fixed_dimensions`) and conjugate rows off the
+spectra: no `Cyclotomic` arithmetic runs on a verdict's path.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .chartable import CharacterTable, _rational_sources, character_table, fixed_space_dimension
-from .cyclotomic import reduced_integer
+from .chartable import CharacterTable, _rational_sources, character_table
+from .cyclotomic import accumulate, reduced_integer
 from .errors import (
     GenusZeroQuotient,
     GroupMismatch,
@@ -243,14 +245,15 @@ def verify_isogeny_relation(X: QuasiplatonicSurface, T: CharacterTable,
         if H.parent is not G:
             raise GroupMismatch("relation subgroup of a different group")
     h1 = h1_multiplicities(X, T)
+    columns = [T.fixed_dimensions(H) for H, _ in R.factors]
     rows = []
-    for idx, chi in enumerate(T.irreducibles):
+    for idx, degree in enumerate(T.degrees()):
         if h1[idx] == 0:
             continue
-        dims = tuple(fixed_space_dimension(chi, H) for H, _ in R.factors)
-        lhs = R.n * chi.degree
+        dims = tuple(column[idx] for column in columns)
+        lhs = R.n * degree
         rhs = sum(mult * dim for (_, mult), dim in zip(R.factors, dims))
-        rows.append(IrreducibleRow(idx, chi.degree, h1[idx], lhs, rhs, dims))
+        rows.append(IrreducibleRow(idx, degree, h1[idx], lhs, rhs, dims))
     holds = all(r.ok for r in rows)
     genus_lhs = R.n * X.genus
     genus_rhs = sum(mult * quotient_surface(X, H).genus for H, mult in R.factors)
@@ -366,9 +369,9 @@ def _streit_value(X: QuasiplatonicSurface, scale: int, values: Sequence[Sequence
         if first not in squares:
             squares[first] = _cyclic_square(values[first])
         square = squares[first]
-        _accumulate(linear, values[c], cls.size)
-        _accumulate(quadratic, [square[t] for t in reindex], cls.size)
-        _accumulate(quadratic, at_squares[c], cls.size)
+        accumulate(linear, values[c], cls.size)
+        accumulate(quadratic, [square[t] for t in reindex], cls.size)
+        accumulate(quadratic, at_squares[c], cls.size)
     return _checked_value(G, scale, linear, quadratic, X.signature.orbit_genus)
 
 
@@ -381,14 +384,6 @@ def _cyclic_square(vec: Sequence[int]) -> List[int]:
         for t2, a2 in support:
             out[(t1 + t2) % o] += a1 * a2
     return out
-
-
-def _accumulate(acc: List[int], vec: Sequence[int], weight: int) -> None:
-    """acc += weight * sum_t vec[t] zeta_o^t, o = len(vec), in powers of zeta_e."""
-    f = len(acc) // len(vec)
-    for t, a in enumerate(vec):
-        if a:
-            acc[t * f] += weight * a
 
 
 def _checked_value(G: FiniteGroup, scale: int, linear: Sequence[int],
@@ -463,13 +458,7 @@ def _search_certified_relation(X, T, search_limit, log):
     h1 = h1_multiplicities(X, T)
     active = [i for i, m in enumerate(h1) if m > 0]
     degrees = [T.irreducibles[i].degree for i in active]
-    dim_cache: Dict[Subgroup, List[int]] = {}
     cert_cache: Dict[Subgroup, Optional[FactorCertificate]] = {}
-
-    def dims_of(H: Subgroup) -> List[int]:
-        if H not in dim_cache:
-            dim_cache[H] = [fixed_space_dimension(T.irreducibles[i], H) for i in active]
-        return dim_cache[H]
 
     def certify(H: Subgroup) -> Optional[FactorCertificate]:
         if H not in cert_cache:
@@ -491,8 +480,8 @@ def _search_certified_relation(X, T, search_limit, log):
                 break
             tried += 1
             collection = [candidates[i] for i in combo]
-            solution = _solve_multiplicities(degrees, [dims_of(H) for H in collection],
-                                             G.order)
+            columns = [[dims[i] for i in active] for dims in map(T.fixed_dimensions, collection)]
+            solution = _solve_multiplicities(degrees, columns, G.order)
             entry = {"stage": "collection",
                      "subgroups": [H.generators()[0].cycle_string() if H.generators()
                                    else "()" for H in collection]}

@@ -105,6 +105,14 @@ def _reduction_rows(e: int) -> list:
     return rows
 
 
+def accumulate(acc: List[int], vec: Sequence[int], weight: int) -> None:
+    """acc += weight * sum_t vec[t] zeta_o^t, o = len(vec), in powers of zeta_e, e = len(acc)."""
+    f = len(acc) // len(vec)
+    for t, a in enumerate(vec):
+        if a:
+            acc[t * f] += weight * a
+
+
 def reduced_integer(acc: Sequence[int]) -> Optional[int]:
     """The integer sum_i acc[i] zeta_e^i, e = len(acc), or None when the sum
     is not rational.

@@ -156,7 +156,7 @@ class FiniteGroup:
 
     def exponent(self) -> int:
         if self._exponent is None:
-            self._exponent = lcm(*(g.order() for g in self.elements))
+            self._exponent = lcm(*(cls.order for cls in self.conjugacy_classes()))
         return self._exponent
 
     # -- conjugacy classes -------------------------------------------------

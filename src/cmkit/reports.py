@@ -1,14 +1,13 @@
 """JSON-facing builders and parsers for the command line and for re-verification.
 
 All payloads are deterministic: orderings come from the deterministic
-orderings of the underlying objects, and serialization sorts keys.
+orderings of the underlying objects, and serialization sorts keys.  Table
+values are only printed; class sums come from `CharacterTable.fixed_dimensions`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .chartable import CharacterTable, character_table, fixed_space_dimension
+from .chartable import CharacterTable
 from .criteria import (
     CMVerdict,
     IrreducibleRow,
@@ -20,7 +19,7 @@ from .criteria import (
 from .errors import InvalidPermutation
 from .group import FiniteGroup, Subgroup
 from .perm import Permutation
-from .surface import QuasiplatonicSurface, analytic_character, quotient_surface
+from .surface import QuasiplatonicSurface, chevalley_weil_multiplicities, quotient_surface
 
 
 def group_from_json(data: dict, max_order: int) -> FiniteGroup:
@@ -94,10 +93,11 @@ def character_table_json(T: CharacterTable) -> dict:
     }
 
 
-def quotient_table_json(X: QuasiplatonicSurface, T: Optional[CharacterTable] = None) -> list:
-    """Per-subgroup quotient rows; genus is reported by both methods when a
-    character table is supplied."""
-    chi_a = analytic_character(X, T) if T is not None else None
+def quotient_table_json(X: QuasiplatonicSurface, T: CharacterTable) -> list:
+    """Per-subgroup quotient rows, genus by both methods: cycle counting, and
+    genus_by_character = dim H^0(Omega)^H = sum_i m_i dim V_i^H with m the
+    Chevalley-Weil multiplicities."""
+    mults = chevalley_weil_multiplicities(X, T)
     rows = []
     for H in X.group.all_subgroups():
         q = quotient_surface(X, H)
@@ -108,9 +108,8 @@ def quotient_table_json(X: QuasiplatonicSurface, T: Optional[CharacterTable] = N
             "index": H.index,
             "genus": q.genus,
             "branch_data": [[period, list(lengths)] for period, lengths in q.branch_data],
+            "genus_by_character": sum(m * d for m, d in zip(mults, T.fixed_dimensions(H))),
         }
-        if chi_a is not None:
-            row["genus_by_character"] = fixed_space_dimension(chi_a, H)
         rows.append(row)
     return rows
 

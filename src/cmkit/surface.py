@@ -5,9 +5,9 @@ of the sphere branched over r points with local orders equal to the element
 orders.  Everything downstream is combinatorial: genera come from cycle
 counting on the coset numbering of each subgroup (Riemann-Hurwitz, on
 element indices; see `cmkit.group`) and, independently, from
-fixed-space dimensions of the analytic character, whose irreducible
-multiplicities are produced by the classical eigenvalue bookkeeping of the
-branch data (Chevalley-Weil).
+sum_i m_i dim V_i^H, with irreducible multiplicities m_i produced by the
+classical eigenvalue bookkeeping of the branch data (Chevalley-Weil) and
+dim V_i^H summed from the table's spectra (`CharacterTable.fixed_dimensions`).
 """
 
 from __future__ import annotations
@@ -141,12 +141,12 @@ def find_generating_vectors(G: FiniteGroup, sig: Signature,
         raise ValueError("only genus-zero base signatures are searched")
     periods = sig.periods
     r = len(periods)
-    orders = [g.order() for g in G.elements]
+    classes = G.conjugacy_classes()
+    orders = [classes[c].order for c in G.class_ids()]
     by_order: Dict[int, List[int]] = {}
     for i, o in enumerate(orders):
         by_order.setdefault(o, []).append(i)
-    firsts = [G.index_of(cls.representative) for cls in G.conjugacy_classes()
-              if cls.order == periods[0]]
+    firsts = [G.index_of(cls.representative) for cls in classes if cls.order == periods[0]]
     results: List[GeneratingVector] = []
 
     def extend(prefix: Tuple[int, ...], prod: int) -> None:
@@ -271,7 +271,8 @@ def chevalley_weil_multiplicities(X: QuasiplatonicSurface,
 
 
 def analytic_character(X: QuasiplatonicSurface, T: CharacterTable) -> Character:
-    """Character of the group action on holomorphic 1-forms; degree = genus."""
+    """Character of the group action on holomorphic 1-forms; degree = genus.
+    A `Cyclotomic` test oracle: the package sums the spectra instead."""
     key = ("analytic", X)
     if key in T._cache:
         return T._cache[key]

@@ -15,6 +15,7 @@ import cmkit
 from cmkit import (
     Cyclotomic,
     FiniteGroup,
+    GeneratingVector,
     Permutation,
     QuasiplatonicSurface,
     build_gm,
@@ -266,3 +267,20 @@ def small_permutation_groups(draw):
     G = FiniteGroup.from_generators(degree, gens)
     assume(G.order <= 120)
     return G
+
+
+@st.composite
+def random_surfaces(draw):
+    """A random vector of 3 or 4 entries with product one, over the group its
+    entries generate inside a random small permutation group."""
+    G = draw(small_permutation_groups())
+    assume(G.order > 1)
+    r = draw(st.sampled_from((3, 4)))
+    entries = [G.elements[draw(st.integers(1, G.order - 1))] for _ in range(r - 1)]
+    product = G.identity
+    for g in entries:
+        product = product * g
+    assume(not product.is_identity())
+    entries.append(product.inverse())
+    H = FiniteGroup.from_generators(G.degree, entries)
+    return QuasiplatonicSurface.from_vector(GeneratingVector(H, tuple(entries)))

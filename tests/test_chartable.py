@@ -245,6 +245,30 @@ def test_verify_table_rejects_under_optimize():
     assert run_optimized("-c", NOT_INVARIANT).startswith("rejected: subspace not invariant")
 
 
+DOCTORED_SPECTRA = """
+from cmkit import FiniteGroup, NonIntegralResult
+from cmkit.chartable import CharacterTable, character_table
+for n, doctored, name in ((2, ((1,), (1, 1)), "non-integral"),
+                          (2, ((1,), (0, 3)), "negative"),
+                          (3, ((1,), (0, 1, 0), (0, 1, 0)), "not rational")):
+    G = FiniteGroup.cyclic(n)
+    T = character_table(G)
+    T = CharacterTable(G, T.irreducibles, T.spectra[:-1] + (doctored,))
+    try:
+        T.fixed_dimensions(G.full_subgroup())
+    except NonIntegralResult:
+        print(name, "rejected")
+    else:
+        print(name, "accepted")
+"""
+
+
+def test_fixed_dimensions_reject_doctored_spectra_under_optimize():
+    """A fixed-space dimension that is not a non-negative integer raises."""
+    assert run_optimized("-c", DOCTORED_SPECTRA).splitlines() == [
+        "non-integral rejected", "negative rejected", "not rational rejected"]
+
+
 def test_missing_trivial_character_is_a_table_error():
     G = FiniteGroup.cyclic(2)
     T = table_of(G)

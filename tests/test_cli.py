@@ -4,14 +4,34 @@ from pathlib import Path
 import pytest
 
 import cmkit.cli
-from cmkit import InvalidCharacterTable, NonIntegralResult
+import cmkit.criteria
+from cmkit import (
+    CM_CERTIFIED,
+    INCONCLUSIVE,
+    CMVerdict,
+    Cyclotomic,
+    FiniteGroup,
+    InvalidCharacterTable,
+    NonIntegralResult,
+    Permutation,
+    QuasiplatonicSurface,
+    Signature,
+    build_gm,
+    canonical_vector,
+    character_table,
+    cm_verdict,
+    find_generating_vectors,
+    reverify_verdict,
+)
 from cmkit.cli import EXIT_INTERNAL, main
+from cmkit.criteria import _search_certified_relation
 from conftest import run_optimized
 
 GOLDEN = Path(__file__).parent / "golden"
 
 V4_FILE = {"degree": 4, "generators": [[1, 0, 2, 3], [0, 1, 3, 2]]}
 C6_FILE = {"degree": 6, "generators": [[1, 2, 3, 4, 5, 0]]}
+S3_FILE = {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
 
 
 def run(capsys, *argv):
@@ -194,7 +214,7 @@ def test_failed_internal_identity_is_not_bad_input(capsys, monkeypatch):
     assert code == EXIT_INTERNAL == 3
     assert payload == {"error": "internal_check_failed",
                        "detail": "degree-sum identity failed"}
-    monkeypatch.setattr(cmkit.cli, "streit_test", broken_streit)
+    monkeypatch.setattr(cmkit.criteria, "streit_test", broken_streit)
     code, payload = run_json(capsys, "batch", "gm:6")
     assert code == EXIT_INTERNAL
     assert payload["results"] == [{"source": "gm:6", "error": "internal_check_failed",
@@ -213,6 +233,7 @@ def test_streit_zero_runs_never_build_the_table(capsys, monkeypatch):
         raise TableBuilt()
 
     monkeypatch.setattr(cmkit.cli, "character_table", no_table)
+    monkeypatch.setattr(cmkit.criteria, "character_table", no_table)
     monkeypatch.chdir(GOLDEN)
     for argv, golden in (GOLDEN_RUNS["streit-gm:12"], GOLDEN_RUNS["analyze-gm:10"]):
         code, out = run(capsys, *argv)
@@ -223,6 +244,33 @@ def test_streit_zero_runs_never_build_the_table(capsys, monkeypatch):
     assert [row["status"] for row in payload["results"]] == ["CM_CERTIFIED"] * 2
     with pytest.raises(TableBuilt):
         main(GOLDEN_RUNS["analyze-a5-255"][0])
+
+
+def test_analyze_without_a_search_builds_no_table(capsys, monkeypatch, tmp_path):
+    """S3 with four transpositions: genus 1, value 1, and no relation search
+    on a four-point cover, so `analyze` needs no table and computes the
+    value once."""
+    def no_table(G):
+        raise InvalidCharacterTable("character table built")
+
+    calls = []
+
+    def counted(X, real=cmkit.criteria.streit_test):
+        calls.append(X)
+        return real(X)
+
+    for module in (cmkit.cli, cmkit.criteria):
+        monkeypatch.setattr(module, "character_table", no_table)
+        monkeypatch.setattr(module, "streit_test", counted)
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(S3_FILE))
+    code, payload = run_json(capsys, "analyze", str(path), "--vector",
+                             "[[1,0,2],[1,0,2],[0,2,1],[0,2,1]]")
+    assert code == 0
+    assert (payload["genus"], payload["streit_value"]) == (1, 1)
+    assert payload["status"] == INCONCLUSIVE
+    assert [entry["stage"] for entry in payload["search_log"]] == ["skipped_search"]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["streit-gm:12", "analyze-gm:10"])
@@ -281,3 +329,36 @@ def test_table_format_output(capsys):
     lines = out.strip().splitlines()
     assert lines == ["gm:6: CM_CERTIFIED genus=4 streit=0",
                      "gm:8: CM_CERTIFIED genus=5 streit=0"]
+
+
+CYCLOTOMIC_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+                         "__truediv__", "__pow__", "galois")
+
+
+def test_verdicts_and_payloads_need_no_cyclotomic_arithmetic(capsys, monkeypatch):
+    """With `Cyclotomic` arithmetic disabled, every golden request prints the
+    same bytes, and verdicts and their re-verification still run: class sums
+    after the table is built are made exact from the spectra."""
+    def disabled(*args, **kwargs):
+        raise AssertionError("Cyclotomic arithmetic on the production path")
+
+    for name in CYCLOTOMIC_ARITHMETIC:
+        monkeypatch.setattr(Cyclotomic, name, disabled)
+    monkeypatch.chdir(GOLDEN)
+    for argv, golden in GOLDEN_RUNS.values():
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / golden).read_bytes()
+    G = FiniteGroup.from_generators(5, [Permutation.from_cycles(5, [(0, 1, 2, 3, 4)]),
+                                        Permutation.from_cycles(5, [(0, 1, 2)])])
+    X = QuasiplatonicSurface.from_vector(find_generating_vectors(G, Signature(0, (2, 5, 5)))[0])
+    T = character_table(G)
+    verdict = cm_verdict(X, T, search_limit=5)
+    assert verdict.status == INCONCLUSIVE and verdict.streit_value > 0
+    assert not reverify_verdict(X, T, verdict)
+    X = QuasiplatonicSurface.from_vector(canonical_vector(build_gm(8)))
+    T = character_table(X.group)
+    relation, report, certificates = _search_certified_relation(X, T, 1000, [])
+    # a nonzero value sends re-verification down the relation route
+    certified = CMVerdict(CM_CERTIFIED, 1, relation, certificates, report)
+    assert reverify_verdict(X, T, certified)

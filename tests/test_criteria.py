@@ -4,8 +4,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from cmkit import (
     CM_CERTIFIED,
@@ -44,8 +43,8 @@ from conftest import (
     eichler_streit_value,
     gm_bundle,
     klein_4,
+    random_surfaces,
     run_optimized,
-    small_permutation_groups,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -372,23 +371,6 @@ def test_streit_checks_survive_optimize():
         "invariants rejected: InternalCheckFailed",
         "degree rejected: InternalCheckFailed",
     ]
-
-
-@st.composite
-def random_surfaces(draw):
-    """A random vector of 3 or 4 entries with product one, over the group its
-    entries generate inside a random small permutation group."""
-    G = draw(small_permutation_groups())
-    assume(G.order > 1)
-    r = draw(st.sampled_from((3, 4)))
-    entries = [G.elements[draw(st.integers(1, G.order - 1))] for _ in range(r - 1)]
-    product = G.identity
-    for g in entries:
-        product = product * g
-    assume(not product.is_identity())
-    entries.append(product.inverse())
-    H = FiniteGroup.from_generators(G.degree, entries)
-    return QuasiplatonicSurface.from_vector(GeneratingVector(H, tuple(entries)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from cmkit import (
     FiniteGroup,
@@ -31,6 +32,7 @@ from conftest import (
     permutation_galois_reference,
     permutation_quotient_reference,
     psl_2_7,
+    random_surfaces,
     symmetric_4,
     symmetric_5,
 )
@@ -251,3 +253,23 @@ def test_dual_method_genus_for_every_subgroup(m):
 def test_genus_from_vector_matches_surface():
     inst, X, _ = gm_bundle(10)
     assert genus_from_vector(X.vector) == X.genus == 8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_surfaces())
+def test_random_surfaces_agree_on_class_sums(X):
+    """The spectra route and the `Cyclotomic` oracle agree on random
+    surfaces: fixed-space dimensions of every irreducible for every
+    subgroup, the character genus against cycle counting, conjugate rows,
+    and Chevalley-Weil."""
+    T = character_table(X.group)
+    mults = chevalley_weil_multiplicities(X, T)
+    assert mults == cyclotomic_cw_reference(X, T)
+    for i, chi in enumerate(T.irreducibles):
+        conj = chi.conjugate()
+        assert [psi == conj for psi in T.irreducibles] == [
+            j == T.conjugate_index(i) for j in range(len(T))]
+    for H in X.group.all_subgroups():
+        dims = T.fixed_dimensions(H)
+        assert list(dims) == [fixed_space_dimension(chi, H) for chi in T.irreducibles]
+        assert sum(m * d for m, d in zip(mults, dims)) == quotient_surface(X, H).genus
