@@ -10,7 +10,14 @@ compositions.  Inverses are read from the table.  Every product is a table
 lookup, so the order bound also bounds the table (|G|^2 entries).
 
 Classes, power classes, closure, normality, normalizers and the subgroup
-lattice work on indices.  A `Subgroup` holds its sorted element indices and
+lattice work on indices.  There is one closure on indices, Dimino's
+algorithm (`_grow`): a known subgroup H grows to <H, g> one left coset eH at
+a time, each read whole from row e of the table, and stops once it holds more
+than half the group, which by Lagrange is then the whole group.
+`index_closure`, the greedy `Subgroup.generators` and the lattice share it;
+the lattice grows each join <H, i> from H's elements and stops with
+`GroupTooLarge` once it has found more subgroups than its bound.
+A `Subgroup` holds its sorted element indices and
 numbers its left cosets gH once (coset id of each element index, cosets
 ordered by minimal member); quotient genera and Galois signatures read the
 action of an element as a list of coset ids.  `Permutation`s appear only at
@@ -128,19 +135,45 @@ class FiniteGroup:
 
     def index_closure(self, seed: Iterable[int]) -> FrozenSet[int]:
         """Element indices of the subgroup generated by the given indices."""
-        seed = tuple(seed)
-        els = {0, *seed}
-        frontier = list(els)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in seed:
-                    y = self.mul(x, s)
-                    if y not in els:
-                        els.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(els)
+        elements, member, gens = [0], bytearray(self.order), []
+        member[0] = 1
+        for g in seed:
+            if member[g]:
+                continue
+            gens.append(g)
+            if not self._grow(elements, member, gens):
+                return frozenset(range(self.order))
+        return frozenset(elements)
+
+    def _grow(self, elements: List[int], member: bytearray, gens: Sequence[int]) -> bool:
+        """Grow the subgroup H listed in `elements` and marked in `member`, in
+        place, to the subgroup K generated by `gens`, which must contain H.
+
+        Dimino's algorithm: K is a union of left cosets rH.  For every coset
+        representative r found so far (the identity first) and every
+        generator s, a product e = s*r outside the union found so far starts
+        a new coset eH, added whole as row e of the Cayley table read at H's
+        indices.  Returns False, with the lists partial, as soon as they hold
+        more than half the group: by Lagrange, K is then the whole group.
+        """
+        table = self._table
+        n, sub, steps = len(table), tuple(elements), [table[s] for s in gens]
+        add = elements.append
+        reps = [0]
+        for r in reps:
+            for step in steps:
+                e = step[r]
+                if member[e]:
+                    continue
+                row = table[e]
+                for h in sub:
+                    x = row[h]
+                    member[x] = 1
+                    add(x)
+                if 2 * len(elements) > n:
+                    return False
+                reps.append(e)
+        return True
 
     # -- basic predicates ------------------------------------------------
 
@@ -254,33 +287,47 @@ class FiniteGroup:
         return Subgroup(self, range(self.order), [self.index_of(g) for g in self.generators])
 
     def all_subgroups(self, bound: int = DEFAULT_SUBGROUP_BOUND) -> Tuple["Subgroup", ...]:
-        """Every subgroup, found by closing unions with cyclic subgroups."""
-        if self.order > bound:
-            raise GroupTooLarge(
-                f"subgroup enumeration bound {bound} exceeded (order {self.order})")
+        """Every subgroup, found by joining subgroups with cyclic subgroups.
+
+        Raises `GroupTooLarge` as soon as more than `bound` subgroups are
+        found.
+        """
         if self._subgroups is not None:
+            if len(self._subgroups) > bound:
+                raise GroupTooLarge(f"subgroup enumeration bound {bound} exceeded")
             return self._subgroups
 
+        n = self.order
         first: Dict[FrozenSet[int], int] = {}
-        for i in range(self.order):
+        for i in range(n):
             first.setdefault(self.index_closure((i,)), i)
-        cyclics = [(i, c) for c, i in first.items()]
+        cyclics = list(first.values())
 
         gensets: Dict[FrozenSet[int], Tuple[int, ...]] = {frozenset([0]): ()}
-        for i, c in cyclics:
+        for c, i in first.items():
             gensets.setdefault(c, (i,))
+        whole = frozenset(range(n))
         queue = list(gensets.keys())
         while queue:
+            if len(gensets) > bound:
+                raise GroupTooLarge(f"subgroup enumeration bound {bound} exceeded")
             h = queue.pop()
-            h_gens = gensets[h]
-            for i, c in cyclics:
-                if c <= h:
+            h_gens, h_list = gensets[h], list(h)
+            h_member = bytearray(n)
+            for x in h_list:
+                h_member[x] = 1
+            for i in cyclics:
+                if h_member[i]:  # <i> lies in H
                     continue
                 new_gens = h_gens + (i,)
-                k = self.index_closure(new_gens)
+                elements = h_list.copy()
+                k = (frozenset(elements) if self._grow(elements, h_member.copy(), new_gens)
+                     else whole)
                 if k not in gensets:
                     gensets[k] = new_gens
                     queue.append(k)
+                    if len(gensets) > bound:
+                        break  # raised at the top of the loop
 
         subs = [Subgroup(self, idxset, gens) for idxset, gens in
                 sorted(gensets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
@@ -345,7 +392,7 @@ class FiniteGroup:
             j = 1
             while True:
                 q = p ** j
-                c = sum(1 for g in self.elements if q % g.order() == 0)
+                c = sum(cls.size for cls in self.conjugacy_classes() if q % cls.order == 0)
                 counts.append(c)
                 if counts[-1] == counts[-2]:
                     counts.pop()
@@ -456,14 +503,14 @@ class Subgroup:
     def generators(self) -> Tuple[Permutation, ...]:
         """A small deterministic generating set (greedy over sorted elements)."""
         if self._gens is None:
-            gens: List[int] = []
-            have = frozenset([0])
+            G = self.parent
+            have, member, gens = [0], bytearray(G.order), []
+            member[0] = 1
             for i in self.indices:
-                if i in have:
+                if member[i]:
                     continue
                 gens.append(i)
-                have = self.parent.index_closure(gens)
-                if len(have) == self.order:
+                if not G._grow(have, member, gens) or len(have) == self.order:
                     break
             self._gens = tuple(gens)
         return tuple(self.parent.elements[i] for i in self._gens)
@@ -473,7 +520,8 @@ class Subgroup:
         return all(mul(a, b) == mul(b, a) for k, a in enumerate(idx) for b in idx[k + 1:])
 
     def is_cyclic(self) -> bool:
-        return any(g.order() == self.order for g in self.elements)
+        classes, class_of = self.parent.conjugacy_classes(), self.parent.class_ids()
+        return any(classes[class_of[i]].order == self.order for i in self.indices)
 
     # -- cosets ------------------------------------------------------------
 

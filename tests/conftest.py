@@ -140,6 +140,70 @@ def index_table(G):
     return [[G.mul(i, j) for j in range(n)] for i in range(n)], [G.inv(i) for i in range(n)]
 
 
+def bfs_closure(G, seed):
+    """Element indices of the subgroup generated by `seed`, breadth first
+    over right multiplication by the seed: the oracle for `index_closure`."""
+    seed = tuple(seed)
+    els = {0, *seed}
+    frontier = list(els)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in seed:
+                y = G.mul(x, s)
+                if y not in els:
+                    els.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(els)
+
+
+def reference_subgroups(G):
+    """[(indices, generators)] of every subgroup, as `all_subgroups` lists them.
+
+    The slow oracle for the lattice: the same traversal (cyclic subgroups
+    by first element index, a LIFO queue, joins with cyclic subgroups not
+    already inside, the first generator tuple found for each subgroup), but
+    every join is closed from scratch by `bfs_closure` over all of its
+    generators.
+    """
+    first = {}
+    for i in range(G.order):
+        first.setdefault(bfs_closure(G, (i,)), i)
+    cyclics = [(i, c) for c, i in first.items()]
+    gensets = {frozenset([0]): ()}
+    for i, c in cyclics:
+        gensets.setdefault(c, (i,))
+    queue = list(gensets)
+    while queue:
+        h = queue.pop()
+        for i, c in cyclics:
+            if c <= h:
+                continue
+            new_gens = gensets[h] + (i,)
+            k = bfs_closure(G, new_gens)
+            if k not in gensets:
+                gensets[k] = new_gens
+                queue.append(k)
+    return [(tuple(sorted(k)), gens)
+            for k, gens in sorted(gensets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
+
+
+def reference_generators(G, indices):
+    """The greedy generating set of `Subgroup.generators`, each step closed
+    from scratch by `bfs_closure`: every element of `indices`, in order, not
+    in the group generated so far, until the whole subgroup is generated."""
+    gens, have = [], {0}
+    for i in indices:
+        if i in have:
+            continue
+        gens.append(i)
+        have = bfs_closure(G, gens)
+        if len(have) == len(indices):
+            break
+    return tuple(gens)
+
+
 def _permutation_cosets(G, H):
     """Left cosets gH by Permutation products: coset of each element, and
     the minimal member of each coset (cosets in order of minimal member)."""
@@ -235,6 +299,11 @@ def cyclic_7_squared():
 def psl_2_7():
     """x -> x + 1 and x -> -1/x on the projective line over F_7 (7 is infinity)."""
     return _from_cycles(8, [(0, 1, 2, 3, 4, 5, 6)], [(0, 7), (1, 6), (2, 3), (4, 5)])
+
+
+def elementary_abelian_2(rank):
+    """C2^rank on `rank` disjoint transpositions."""
+    return _from_cycles(2 * rank, *([(2 * j, 2 * j + 1)] for j in range(rank)))
 
 
 @pytest.fixture

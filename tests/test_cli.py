@@ -308,6 +308,8 @@ GOLDEN_RUNS = {
     "analyze-a5-255": (["analyze", "a5_group.json", "--vector",
                         "g0^2*g1,g0,g0^-1*g1^-1*g0^-2", "--search-limit", "5"],
                        "analyze_a5.json"),
+    "quotients-a5": (["quotients", "a5_group.json", "--vector",
+                      "g0^2*g1,g0,g0^-1*g1^-1*g0^-2"], "quotients_a5.json"),
     "table-gm:16": (["table", "gm:16"], "table_gm16.json"),
     "table-psl27": (["table", "psl27_group.json"], "table_psl27.json"),
 }

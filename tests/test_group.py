@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import cmkit
 from cmkit import (
@@ -12,19 +13,25 @@ from cmkit import (
     GroupTooLarge,
     NotNormal,
     Permutation,
+    Subgroup,
     SubgroupMismatch,
     build_gm,
 )
 from cmkit.cli import main
 from conftest import (
     alternating_5,
+    bfs_closure,
     cyclic_7_squared,
+    elementary_abelian_2,
     gm_bundle,
     index_table,
     klein_4,
     psl_2_7,
+    reference_generators,
+    reference_subgroups,
     reference_table,
     run_optimized,
+    small_permutation_groups,
     symmetric_3,
     symmetric_4,
     symmetric_5,
@@ -154,6 +161,63 @@ def test_subgroup_enumeration_bound():
         G.all_subgroups(bound=10)
 
 
+@pytest.mark.parametrize("maker", [
+    pytest.param(symmetric_5, id="S5"),
+    pytest.param(alternating_5, id="A5"),
+    pytest.param(psl_2_7, id="PSL(2,7)"),
+    *(pytest.param(lambda m=m: build_gm(m).group, id=f"gm:{m}") for m in range(6, 34, 2)),
+    pytest.param(cyclic_7_squared, id="C7xC7"),
+    pytest.param(lambda: elementary_abelian_2(5), id="C2^5"),
+])
+def test_all_subgroups_match_the_from_scratch_lattice(maker):
+    """Joins grown coset by coset give the same subgroups, in the same order,
+    with the same first-found generators as joins closed from scratch."""
+    G = maker()
+    assert [(H.indices, H._gens) for H in G.all_subgroups()] == reference_subgroups(G)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_permutation_groups())
+def test_random_lattices_match_the_from_scratch_lattice(G):
+    subgroups = G.all_subgroups()
+    assert [(H.indices, H._gens) for H in subgroups] == reference_subgroups(G)
+    for H in subgroups:
+        fresh = Subgroup(G, H.indices)
+        fresh.generators()
+        assert fresh._gens == reference_generators(G, H.indices)
+    rng = random.Random(G.order)
+    for _ in range(20):
+        seed = [rng.randrange(G.order) for _ in range(rng.randint(0, 3))]
+        assert G.index_closure(seed) == bfs_closure(G, seed)
+
+
+def test_subgroup_count_bound():
+    """The bound counts subgroups, not the group order: C13 has 2."""
+    C13 = FiniteGroup.cyclic(13)
+    assert [H.order for H in C13.all_subgroups(bound=10)] == [1, 13]
+    with pytest.raises(GroupTooLarge):
+        C13.all_subgroups(bound=1)
+
+
+SUBGROUP_BOUND_C2_6 = """
+from cmkit import FiniteGroup, GroupTooLarge, Permutation
+G = FiniteGroup(12, [Permutation.from_cycles(12, [(2 * j, 2 * j + 1)]) for j in range(6)])
+try:
+    G.all_subgroups(bound=1000)
+except GroupTooLarge as ex:
+    print("rejected:", ex)
+else:
+    print("accepted")
+"""
+
+
+def test_subgroup_count_bound_survives_optimize():
+    """C2^6 has 2,825 subgroups; the count bound stops it under `python -O`."""
+    assert run_optimized("-c", SUBGROUP_BOUND_C2_6).splitlines() == [
+        "rejected: subgroup enumeration bound 1000 exceeded",
+    ]
+
+
 def test_is_normal_examples(s3):
     inst = build_gm(10)
     assert inst.group.is_normal(inst.subgroup_a())
@@ -241,6 +305,13 @@ def test_element_order_examples():
     assert inst8.group.element_order(inst8.b * inst8.t) == 8
     with pytest.raises(ElementNotInGroup):
         inst6.group.element_order(Permutation.identity(3))
+
+
+def test_is_cyclic_reads_class_orders():
+    """Element orders from the class table agree with `Permutation.order`."""
+    for G in (symmetric_4(), klein_4(), build_gm(8).group):
+        for H in G.all_subgroups():
+            assert H.is_cyclic() == any(g.order() == H.order for g in H.elements)
 
 
 def test_abelian_invariants():
