@@ -191,7 +191,7 @@ def check_statement_b(X: QuasiplatonicSurface, H: Subgroup) -> StatementBResult:
     H_in_N = N_grp.subgroup(H.elements)
     Q, hom = N_grp.quotient_with_map(H_in_N)
 
-    candidates = sorted(Q.all_subgroups(), key=lambda K: (-K.order, K.elements))
+    candidates = sorted(Q.all_subgroups(), key=lambda K: (-K.order, K.indices))
     searched = 0
     for K in candidates:
         if not K.is_abelian():
@@ -452,7 +452,7 @@ def _search_certified_relation(X, T, search_limit, log):
             continue
         if quotient_surface(X, H).genus >= 1:
             candidates.append(H)
-    candidates.sort(key=lambda H: (H.index, H.elements))
+    candidates.sort(key=lambda H: (H.index, H.indices))
     weights = [H.index for H in candidates]
 
     h1 = h1_multiplicities(X, T)

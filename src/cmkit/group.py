@@ -16,7 +16,10 @@ a time, each read whole from row e of the table, and stops once it holds more
 than half the group, which by Lagrange is then the whole group.
 `index_closure`, the greedy `Subgroup.generators` and the lattice share it;
 the lattice grows each join <H, i> from H's elements and stops with
-`GroupTooLarge` once it has found more subgroups than its bound.
+`GroupTooLarge` once it has found more subgroups than its bound.  It makes
+no join whose result is already known: with K = <H, i>, also <H, x> = K for
+every x in the left coset iH (x lies in K, and i = x*h^-1) and for every
+conjugate g*i*g^-1 by g in H (g lies in K).
 A `Subgroup` holds its sorted element indices and
 numbers its left cosets gH once (coset id of each element index, cosets
 ordered by minimal member); quotient genera and Galois signatures read the
@@ -289,6 +292,17 @@ class FiniteGroup:
     def all_subgroups(self, bound: int = DEFAULT_SUBGROUP_BOUND) -> Tuple["Subgroup", ...]:
         """Every subgroup, found by joining subgroups with cyclic subgroups.
 
+        Starting from the trivial and the cyclic subgroups (by first
+        generating element index), a LIFO queue takes each subgroup H and
+        joins it with every cyclic <i> not inside it, in that order; a new
+        join K = <H, i> is recorded with generators H's plus i.  A cyclic
+        <c> is skipped when <H, c> equals a join already made from H, by two
+        identities: <H, x> = K for every x in iH, since x lies in K and
+        i = x*h^-1 lies in <H, x>; and <H, g*i*g^-1> = K for every g in H,
+        since g lies in K.  A skipped join would only find a subgroup
+        already recorded, so the result and its generators do not depend on
+        the skip.
+
         Raises `GroupTooLarge` as soon as more than `bound` subgroups are
         found.
         """
@@ -297,10 +311,11 @@ class FiniteGroup:
                 raise GroupTooLarge(f"subgroup enumeration bound {bound} exceeded")
             return self._subgroups
 
-        n = self.order
+        n, table, inv = self.order, self._table, self._inv
         first: Dict[FrozenSet[int], int] = {}
+        canon = [0] * n  # element -> first index generating its cyclic subgroup
         for i in range(n):
-            first.setdefault(self.index_closure((i,)), i)
+            canon[i] = first.setdefault(self.index_closure((i,)), i)
         cyclics = list(first.values())
 
         gensets: Dict[FrozenSet[int], Tuple[int, ...]] = {frozenset([0]): ()}
@@ -316,8 +331,9 @@ class FiniteGroup:
             h_member = bytearray(n)
             for x in h_list:
                 h_member[x] = 1
+            done = bytearray(n)  # cyclics c with <H, c> equal to a join already made
             for i in cyclics:
-                if h_member[i]:  # <i> lies in H
+                if h_member[i] or done[i]:  # <i> lies in H, or the join is known
                     continue
                 new_gens = h_gens + (i,)
                 elements = h_list.copy()
@@ -328,6 +344,18 @@ class FiniteGroup:
                     queue.append(k)
                     if len(gensets) > bound:
                         break  # raised at the top of the loop
+                # <H, c> = k for c conjugate to <i> under H, and for c in iH.
+                done[i] = 1
+                orbit = [i]
+                for c in orbit:
+                    for g in h_gens:
+                        d = canon[table[table[g][c]][inv[g]]]
+                        if not done[d]:
+                            done[d] = 1
+                            orbit.append(d)
+                row = table[i]
+                for x in h_list:
+                    done[canon[row[x]]] = 1
 
         subs = [Subgroup(self, idxset, gens) for idxset, gens in
                 sorted(gensets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]

@@ -15,15 +15,17 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
-        imgs = tuple(int(x) for x in images)
+        # A tuple of ints is kept as it is, so a group's elements share the
+        # tuples its closure built; anything else is copied.
+        if type(images) is tuple and set(map(type, images)) <= {int}:
+            imgs = images
+        else:
+            imgs = tuple(map(int, images))
         n = len(imgs)
         if n == 0:
             raise InvalidPermutation("empty image array")
-        seen = [False] * n
-        for x in imgs:
-            if x < 0 or x >= n or seen[x]:
-                raise InvalidPermutation(f"image array {imgs!r} is not a bijection")
-            seen[x] = True
+        if min(imgs) < 0 or max(imgs) >= n or len(set(imgs)) != n:
+            raise InvalidPermutation(f"image array {imgs!r} is not a bijection")
         object.__setattr__(self, "images", imgs)
 
     # Permutations are immutable.

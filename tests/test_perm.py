@@ -25,6 +25,19 @@ def test_rejects_non_bijections():
         Permutation([])
 
 
+def test_keeps_a_tuple_of_ints_and_copies_anything_else():
+    """A group's elements share the image tuples its closure built; other
+    sequences are converted to a tuple of ints.  Both are checked."""
+    images = (2, 0, 1)
+    assert Permutation(images).images is images
+    for other in ([2, 0, 1], (True, False, 2), range(3)):
+        p = Permutation(other)
+        assert type(p.images) is tuple and {type(x) for x in p.images} == {int}
+    for bad in ((0, 0, 1), (0, 3), (-1, 0), (1, 2, 0, 0)):
+        with pytest.raises(InvalidPermutation):
+            Permutation(bad)
+
+
 def test_degree_mismatch_in_composition():
     with pytest.raises(InvalidPermutation):
         Permutation([1, 0]) * Permutation([1, 0, 2])
