@@ -48,8 +48,8 @@ from math import gcd, isqrt
 from operator import itemgetter, mul
 from typing import Dict, List, Optional, Tuple
 
-from .cyclotomic import (Cyclotomic, _reduction_rows, accumulate, euler_phi, prime_factors,
-                         reduced_integer)
+from .cyclotomic import (Cyclotomic, _reduction_rows, accumulate, euler_phi, exact_quotient,
+                         prime_factors, reduced_integer)
 from .errors import (
     GroupMismatch,
     GroupTooLarge,
@@ -145,11 +145,7 @@ class CharacterTable:
                 acc = [0] * self.conductor
                 for c, w in weights.items():
                     accumulate(acc, spectra[c], w)
-                total = reduced_integer(acc)
-                if total is None or total % H.order or total < 0:
-                    raise NonIntegralResult(f"fixed-space dimension {total} / {H.order} "
-                                            "is not a non-negative integer")
-                dims.append(total // H.order)
+                dims.append(exact_quotient(acc, H.order, "fixed-space dimension sum"))
             self._cache[key] = tuple(dims)
         return self._cache[key]
 

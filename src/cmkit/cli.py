@@ -68,6 +68,12 @@ def _failure(ex: Exception) -> tuple:
     return "invalid_input", str(ex), EXIT_INPUT
 
 
+def _non_negative(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError("bad_arguments", message)
@@ -90,7 +96,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="full pipeline: genus, quotients, verdict")
     p.add_argument("source")
     common(p)
-    p.add_argument("--search-limit", type=int, default=1000)
+    p.add_argument("--search-limit", type=_non_negative, default=1000)
 
     p = sub.add_parser("streit", help="symmetric-square test only")
     p.add_argument("source")
@@ -114,7 +120,7 @@ def _build_parser() -> _Parser:
     p.add_argument("sources", nargs="*")
     p.add_argument("--run", choices=("analyze", "streit"), default="analyze")
     common(p, vector=False)
-    p.add_argument("--search-limit", type=int, default=1000)
+    p.add_argument("--search-limit", type=_non_negative, default=1000)
     return parser
 
 
@@ -239,14 +245,13 @@ def _run_table(args) -> dict:
 def _run_quotients(args) -> dict:
     G, inst, names = _resolve_group(args.source, _max_order(args))
     X = _surface(args, G, inst, names)
-    T = character_table(G)
     return {
         "command": "quotients",
         "source": args.source,
         "group": group_json(G),
         "signature": signature_json(X.signature),
         "genus": X.genus,
-        "quotients": quotient_table_json(X, T),
+        "quotients": quotient_table_json(X),
     }
 
 

@@ -12,38 +12,39 @@ the search only runs for three-point covers; the symmetric-square route is
 rigidity-based and needs no such guard (a cover with more branch points
 deforms, which forces a positive value).
 
-The symmetric-square ("Streit") value needs no character table.  The
-analytic character chi_a is read off the branch data by the Eichler trace
-formula, scaled by D = lcm of the branch orders to integer coefficients,
-and (1/2|G|) sum over classes of |C| (chi_a(c)^2 + chi_a(c^2)) is summed in
-Z[x]/(x^e - 1) and reduced once mod Phi_e (`cyclotomic.reduced_integer`,
-the same reduction as the table's norm-one check).  The sum must be a
-non-negative multiple of 2|G|D^2, <chi_a, 1> must be the orbit genus and
-chi_a(1) the genus; each failure raises `NonIntegralResult` or
-`InternalCheckFailed`.  The table is built only for a positive value, for
-the relation search.  `reverify_verdict` re-derives a zero from the table's
-eigenvalue spectra instead, through the same reduction; the `Cyclotomic`
-route (`analytic_character`, `symmetric_square`, `inner_product`) is kept
-as a test oracle.  The relation search and `verify_isogeny_relation` read
-dim V_rho^H (`CharacterTable.fixed_dimensions`) and conjugate rows off the
-spectra: no `Cyclotomic` arithmetic runs on a verdict's path.
+The symmetric-square ("Streit") value and the quotient genera need no
+character table.  The analytic character chi_a is read off the branch data
+by the Eichler trace formula, scaled by D = lcm of the branch orders to
+integer coefficients.  Each count is a class sum of these values in
+Z[x]/(x^e - 1), divided by `cyclotomic.exact_quotient` (one reduction mod
+Phi_e, as in the table's norm-one check), which raises `NonIntegralResult`
+unless the result is a non-negative integer: the value divides by 2|G|D^2,
+the genus of X/H by |H|D.  <chi_a, 1>, the case H = G, must be the orbit
+genus and chi_a(1) the genus (`InternalCheckFailed`).  The table is built
+only for a positive value, for the relation search.  `reverify_verdict`
+re-derives a zero from the table's eigenvalue spectra instead, through the
+same reduction; the `Cyclotomic` route (`analytic_character`,
+`symmetric_square`, `inner_product`) is kept as a test oracle.  The
+relation search and `verify_isogeny_relation` read dim V_rho^H
+(`CharacterTable.fixed_dimensions`) and conjugate rows off the spectra: no
+`Cyclotomic` arithmetic runs on a verdict's path.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .chartable import CharacterTable, _rational_sources, character_table
-from .cyclotomic import accumulate, reduced_integer
+from .cyclotomic import accumulate, exact_quotient
 from .errors import (
     GenusZeroQuotient,
     GroupMismatch,
     InternalCheckFailed,
-    NonIntegralResult,
     NotProperNontrivial,
 )
 from .group import FiniteGroup, Subgroup
@@ -351,8 +352,7 @@ def _streit_value(X: QuasiplatonicSurface, scale: int, values: Sequence[Sequence
     Z[x]/(x^e - 1), x = zeta_e.  A square is convolved once per rational
     class: at the class of g^u, u a unit, it is the square at g with its
     exponents multiplied by u.  chi_a(1) must be the Riemann-Hurwitz genus
-    of the branch data (`InternalCheckFailed`); `_checked_value` reduces the
-    sums and checks them.
+    of the branch data and <chi_a, 1> the orbit genus (`InternalCheckFailed`).
     """
     G = X.group
     classes = G.conjugacy_classes()
@@ -360,19 +360,30 @@ def _streit_value(X: QuasiplatonicSurface, scale: int, values: Sequence[Sequence
     if list(values[0]) != [scale * genus]:
         raise InternalCheckFailed(
             f"chi_a(1) = {values[0]} / {scale} differs from the genus {genus}")
-    e = G.exponent()
-    linear = [0] * e
-    quadratic = [0] * e
+    orbit_genus = _invariant_genus(G, scale, values, range(G.order))
+    if orbit_genus != X.signature.orbit_genus:
+        raise InternalCheckFailed(
+            f"<chi_a, 1> = {orbit_genus} is not the orbit genus {X.signature.orbit_genus}")
+    quadratic = [0] * G.exponent()
     squares: Dict[int, List[int]] = {}
     sources = _rational_sources(classes, G.power_classes())
     for c, (cls, (first, reindex)) in enumerate(zip(classes, sources)):
         if first not in squares:
             squares[first] = _cyclic_square(values[first])
         square = squares[first]
-        accumulate(linear, values[c], cls.size)
         accumulate(quadratic, [square[t] for t in reindex], cls.size)
         accumulate(quadratic, at_squares[c], cls.size)
-    return _checked_value(G, scale, linear, quadratic, X.signature.orbit_genus)
+    return exact_quotient(quadratic, 2 * G.order * scale * scale, "symmetric-square sum")
+
+
+def _invariant_genus(G: FiniteGroup, scale: int, values: Sequence[Sequence[int]],
+                     elements: Sequence[int]) -> int:
+    """The genus of X/H, dim H^0(Omega)^H = (1/|H|) sum_c |H cap C| chi_a(c), for
+    H given by its element indices and values[c] = scale * chi_a(c)."""
+    acc = [0] * G.exponent()
+    for c, w in Counter(map(G.class_ids().__getitem__, elements)).items():
+        accumulate(acc, values[c], w)
+    return exact_quotient(acc, scale * len(elements), "invariant-differential sum")
 
 
 def _cyclic_square(vec: Sequence[int]) -> List[int]:
@@ -384,32 +395,6 @@ def _cyclic_square(vec: Sequence[int]) -> List[int]:
         for t2, a2 in support:
             out[(t1 + t2) % o] += a1 * a2
     return out
-
-
-def _checked_value(G: FiniteGroup, scale: int, linear: Sequence[int],
-                   quadratic: Sequence[int], orbit_genus: int) -> int:
-    """The symmetric-square value from the two accumulated class sums.
-
-    `linear` is scale |G| <chi_a, 1>, which must reduce to scale |G| times
-    the orbit genus (`InternalCheckFailed`).  `quadratic` is
-    2 |G| scale^2 <S^2 chi_a, 1>: it must reduce to a non-negative multiple
-    of 2 |G| scale^2 (`NonIntegralResult`).
-    """
-    invariant = reduced_integer(linear)
-    if invariant != scale * G.order * orbit_genus:
-        raise InternalCheckFailed(
-            f"<chi_a, 1> sum {invariant} is not {scale * G.order} times the "
-            f"orbit genus {orbit_genus}")
-    total = reduced_integer(quadratic)
-    denominator = 2 * G.order * scale * scale
-    if total is None:
-        raise NonIntegralResult("symmetric-square sum is not rational")
-    if total % denominator:
-        raise NonIntegralResult(
-            f"symmetric-square sum {total} is not a multiple of {denominator}")
-    if total < 0:
-        raise NonIntegralResult(f"negative inner product {total // denominator}")
-    return total // denominator
 
 
 def cm_verdict(X: QuasiplatonicSurface, T: Optional[CharacterTable] = None,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence
 
-from .errors import InternalCheckFailed
+from .errors import InternalCheckFailed, NonIntegralResult
 
 _POLY_CACHE: Dict[int, list] = {}
 _ROW_CACHE: Dict[int, list] = {}
@@ -129,6 +129,20 @@ def reduced_integer(acc: Sequence[int]) -> Optional[int]:
     if any(c for j, c in reduced.items() if j):
         return None
     return reduced.get(0, 0)
+
+
+def exact_quotient(acc: Sequence[int], denominator: int, what: str) -> int:
+    """(sum_i acc[i] zeta_e^i) / denominator, e = len(acc), which must be a
+    non-negative integer: a class sum of a genuine character over a group of
+    that order.  Anything else raises `NonIntegralResult`, naming `what`."""
+    total = reduced_integer(acc)
+    if total is None:
+        raise NonIntegralResult(f"{what} is not rational")
+    if total % denominator:
+        raise NonIntegralResult(f"{what} {total} is not a multiple of {denominator}")
+    if total < 0:
+        raise NonIntegralResult(f"{what} {total} is negative")
+    return total // denominator
 
 
 class Cyclotomic:

@@ -519,12 +519,6 @@ class Subgroup:
         gens = ", ".join(g.cycle_string() for g in self.generators())
         return f"<Subgroup of order {self.order} = <{gens}>>"
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
-    def is_full(self) -> bool:
-        return self.order == self.parent.order
-
     def is_proper_nontrivial(self) -> bool:
         return 1 < self.order < self.parent.order
 

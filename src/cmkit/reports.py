@@ -2,7 +2,7 @@
 
 All payloads are deterministic: orderings come from the deterministic
 orderings of the underlying objects, and serialization sorts keys.  Table
-values are only printed; class sums come from `CharacterTable.fixed_dimensions`.
+values are only printed; quotient genera come from the Eichler values.
 """
 
 from __future__ import annotations
@@ -15,17 +15,25 @@ from .criteria import (
     RelationReport,
     StatementAResult,
     StatementBResult,
+    _eichler_values,
+    _invariant_genus,
 )
 from .errors import InvalidPermutation
 from .group import FiniteGroup, Subgroup
 from .perm import Permutation
-from .surface import QuasiplatonicSurface, chevalley_weil_multiplicities, quotient_surface
+from .surface import QuasiplatonicSurface, quotient_surface
+
+
+def _is_image_arrays(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(images, list) and all(type(i) is int for i in images) for images in value)
 
 
 def group_from_json(data: dict, max_order: int) -> FiniteGroup:
-    if not isinstance(data, dict) or "degree" not in data or "generators" not in data:
+    if (not isinstance(data, dict) or type(data.get("degree")) is not int
+            or not _is_image_arrays(data.get("generators"))):
         raise InvalidPermutation('group file needs {"degree": int, "generators": [[int,...],...]}')
-    degree = int(data["degree"])
+    degree = data["degree"]
     gens = [Permutation(images) for images in data["generators"]]
     for g in gens:
         if g.degree != degree:
@@ -39,9 +47,20 @@ def subgroup_from_generators(G: FiniteGroup, gen_images) -> Subgroup:
 
 
 def relation_from_json(G: FiniteGroup, data: dict) -> IsogenyRelation:
-    factors = tuple((subgroup_from_generators(G, f["subgroup_gens"]), int(f["multiplicity"]))
-                    for f in data["factors"])
-    return IsogenyRelation(int(data["n"]), factors)
+    """A relation from {"n": int, "factors": [{"subgroup_gens": [[int,...],...],
+    "multiplicity": int}, ...]}; a malformed field raises ValueError naming it."""
+    if not isinstance(data, dict) or type(data.get("n")) is not int:
+        raise ValueError('relation needs an integer "n"')
+    if not isinstance(data.get("factors"), list):
+        raise ValueError('relation "factors" must be a list')
+    factors = []
+    for f in data["factors"]:
+        if not isinstance(f, dict) or not _is_image_arrays(f.get("subgroup_gens")):
+            raise ValueError('each relation factor needs "subgroup_gens": [[int,...],...]')
+        if type(f.get("multiplicity")) is not int:
+            raise ValueError('each relation factor needs an integer "multiplicity"')
+        factors.append((subgroup_from_generators(G, f["subgroup_gens"]), f["multiplicity"]))
+    return IsogenyRelation(data["n"], tuple(factors))
 
 
 def signature_json(sig) -> dict:
@@ -93,11 +112,11 @@ def character_table_json(T: CharacterTable) -> dict:
     }
 
 
-def quotient_table_json(X: QuasiplatonicSurface, T: CharacterTable) -> list:
+def quotient_table_json(X: QuasiplatonicSurface) -> list:
     """Per-subgroup quotient rows, genus by both methods: cycle counting, and
-    genus_by_character = dim H^0(Omega)^H = sum_i m_i dim V_i^H with m the
-    Chevalley-Weil multiplicities."""
-    mults = chevalley_weil_multiplicities(X, T)
+    genus_by_character = dim H^0(Omega)^H = (1/|H|) sum over h in H of
+    chi_a(h), with chi_a from the Eichler trace formula."""
+    scale, values = _eichler_values(X)
     rows = []
     for H in X.group.all_subgroups():
         q = quotient_surface(X, H)
@@ -108,7 +127,7 @@ def quotient_table_json(X: QuasiplatonicSurface, T: CharacterTable) -> list:
             "index": H.index,
             "genus": q.genus,
             "branch_data": [[period, list(lengths)] for period, lengths in q.branch_data],
-            "genus_by_character": sum(m * d for m, d in zip(mults, T.fixed_dimensions(H))),
+            "genus_by_character": _invariant_genus(X.group, scale, values, H.indices),
         }
         rows.append(row)
     return rows

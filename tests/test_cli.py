@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+import cmkit.chartable
 import cmkit.cli
 import cmkit.criteria
+import cmkit.surface
 from cmkit import (
     CM_CERTIFIED,
     INCONCLUSIVE,
@@ -87,6 +89,33 @@ def test_quotients_command(capsys):
         assert row["order"] * row["index"] == payload["group"]["order"]
 
 
+def test_quotients_never_build_the_table(capsys, monkeypatch):
+    """Both genera of every quotient come without a character table: no
+    table, no Chevalley-Weil multiplicities and no fixed-space dimensions."""
+    def no_table(*args):
+        raise TableBuilt()
+
+    monkeypatch.setattr(cmkit.cli, "character_table", no_table)
+    monkeypatch.setattr(cmkit.chartable, "character_table", no_table)
+    for module in (cmkit.surface, cmkit.criteria):
+        monkeypatch.setattr(module, "chevalley_weil_multiplicities", no_table)
+    monkeypatch.setattr(cmkit.chartable.CharacterTable, "fixed_dimensions", no_table)
+    monkeypatch.chdir(GOLDEN)
+    for name in ("quotients-gm:8", "quotients-a5"):
+        argv, golden = GOLDEN_RUNS[name]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+def test_quotients_run_up_to_order_2048(capsys):
+    """gm:512 has order 2048, above the character-table bound."""
+    code, payload = run_json(capsys, "quotients", "gm:512")
+    assert code == 0
+    assert payload["group"]["order"] == 2048
+    assert all(row["genus"] == row["genus_by_character"] for row in payload["quotients"])
+
+
 def test_verify_roundtrip_with_search_output(capsys, tmp_path):
     # verify accepts a relation payload produced by the library itself
     from cmkit.chartable import character_table
@@ -113,6 +142,24 @@ def test_verify_rejects_garbage(capsys, tmp_path):
     code, payload = run_json(capsys, "verify", "gm:8", "--relation", str(path))
     assert code == 1
     assert payload["error"] == "bad_relation"
+
+
+def test_malformed_relation_names_its_field(capsys, tmp_path):
+    path = tmp_path / "relation.json"
+    path.write_text(json.dumps({"n": 1, "factors": "ab"}))
+    code, payload = run_json(capsys, "verify", "gm:8", "--relation", str(path))
+    assert code == 1
+    assert payload == {"error": "bad_relation",
+                       "detail": 'invalid relation payload: relation "factors" must be a list'}
+
+
+def test_malformed_group_file_is_a_group_file_error(capsys, tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"degree": 5, "generators": "ab"}))
+    code, payload = run_json(capsys, "streit", str(path), "--vector", "g0")
+    assert code == 1
+    assert payload == {"error": "bad_group_file", "detail":
+                       'group file needs {"degree": int, "generators": [[int,...],...]}'}
 
 
 def test_file_group_with_vector(capsys, tmp_path):
@@ -177,6 +224,19 @@ def test_bad_arguments_exit_code(capsys):
     code, payload = run_json(capsys, "frobnicate", "gm:6")
     assert code == 1
     assert payload["error"] == "bad_arguments"
+
+
+def test_negative_search_limit_is_bad_arguments(capsys, monkeypatch):
+    """A negative limit is refused; 0 searches nothing and is INCONCLUSIVE."""
+    monkeypatch.chdir(GOLDEN)
+    a5 = ["analyze", "a5_group.json", "--vector", "g0^2*g1,g0,g0^-1*g1^-1*g0^-2"]
+    for argv in (a5 + ["--search-limit", "-1"], ["batch", "gm:6", "--search-limit", "-1"]):
+        code, payload = run_json(capsys, *argv)
+        assert code == 1
+        assert payload == {"error": "bad_arguments", "detail":
+                           "argument --search-limit: '-1' is not a non-negative integer"}
+    code, payload = run_json(capsys, *a5, "--search-limit", "0")
+    assert code == 0 and payload["status"] == INCONCLUSIVE
 
 
 def test_batch_sweep(capsys):

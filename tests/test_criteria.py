@@ -330,35 +330,36 @@ def test_cm_verdict_builds_the_table_only_for_a_positive_value(monkeypatch):
 
 
 DOCTORED_SUMS = """
-from cmkit import FiniteGroup, InternalCheckFailed, NonIntegralResult, QuasiplatonicSurface
-from cmkit.criteria import _checked_value, _eichler_values, _streit_value
+from cmkit import InternalCheckFailed, NonIntegralResult, QuasiplatonicSurface
+from cmkit.criteria import _eichler_values, _streit_value
+from cmkit.cyclotomic import exact_quotient
 from cmkit.gmfamily import build_gm, canonical_vector
 
-C4 = FiniteGroup.cyclic(4)
-n, e = C4.order, C4.exponent()
-cases = {
-    "not a multiple": ([0] * e, [2 * n + 1] + [0] * (e - 1)),
-    "not rational": ([0] * e, [0, 2 * n] + [0] * (e - 2)),
-    "negative": ([0] * e, [-2 * n] + [0] * (e - 1)),
-    "invariants": ([n] + [0] * (e - 1), [2 * n] + [0] * (e - 1)),
-}
-for name, (linear, quadratic) in cases.items():
+n, e = 4, 4  # the order and exponent of a cyclic group of order 4
+for name, quadratic in (("not a multiple", [2 * n + 1] + [0] * (e - 1)),
+                        ("not rational", [0, 2 * n] + [0] * (e - 2)),
+                        ("negative", [-2 * n] + [0] * (e - 1))):
     try:
-        _checked_value(C4, 1, linear, quadratic, 0)
-    except (InternalCheckFailed, NonIntegralResult) as ex:
+        exact_quotient(quadratic, 2 * n, "symmetric-square sum")
+    except NonIntegralResult as ex:
         print(name, "rejected:", type(ex).__name__)
     else:
         print(name, "accepted")
 
 X = QuasiplatonicSurface.from_vector(canonical_vector(build_gm(8)))
 scale, values = _eichler_values(X)
-values[0] = [scale * (X.genus + 1)]
-try:
-    _streit_value(X, scale, values, values)
-except InternalCheckFailed as ex:
-    print("degree rejected:", type(ex).__name__)
-else:
-    print("degree accepted")
+invariants = [list(v) for v in values]
+# one more invariant differential: <chi_a, 1> exceeds the orbit genus by one
+invariants[1][0] += scale * X.group.order // X.group.conjugacy_classes()[1].size
+degree = [list(v) for v in values]
+degree[0] = [scale * (X.genus + 1)]
+for name, doctored in (("invariants", invariants), ("degree", degree)):
+    try:
+        _streit_value(X, scale, doctored, doctored)
+    except (InternalCheckFailed, NonIntegralResult) as ex:
+        print(name, "rejected:", type(ex).__name__)
+    else:
+        print(name, "accepted")
 """
 
 

@@ -24,6 +24,7 @@ from cmkit import (
     quotient_surface,
 )
 from cmkit.chartable import _from_root_multiplicities
+from cmkit.criteria import _eichler_values, _invariant_genus
 from conftest import (
     alternating_5,
     cyclotomic_cw_reference,
@@ -261,8 +262,10 @@ def test_random_surfaces_agree_on_class_sums(X):
     """The spectra route and the `Cyclotomic` oracle agree on random
     surfaces: fixed-space dimensions of every irreducible for every
     subgroup, the character genus against cycle counting, conjugate rows,
-    and Chevalley-Weil."""
+    and Chevalley-Weil; the Eichler genus of every quotient is its cycle-
+    counting genus."""
     T = character_table(X.group)
+    scale, values = _eichler_values(X)
     mults = chevalley_weil_multiplicities(X, T)
     assert mults == cyclotomic_cw_reference(X, T)
     for i, chi in enumerate(T.irreducibles):
@@ -273,3 +276,4 @@ def test_random_surfaces_agree_on_class_sums(X):
         dims = T.fixed_dimensions(H)
         assert list(dims) == [fixed_space_dimension(chi, H) for chi in T.irreducibles]
         assert sum(m * d for m, d in zip(mults, dims)) == quotient_surface(X, H).genus
+        assert _invariant_genus(X.group, scale, values, H.indices) == quotient_surface(X, H).genus
