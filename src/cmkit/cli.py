@@ -29,6 +29,7 @@ from .gmfamily import GmInstance, build_gm, canonical_vector
 from .group import DEFAULT_MAX_ORDER, FiniteGroup
 from .perm import Permutation
 from .reports import (
+    _is_image_arrays,
     character_table_json,
     group_from_json,
     group_json,
@@ -74,6 +75,12 @@ def _non_negative(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError("bad_arguments", message)
@@ -86,7 +93,7 @@ def _build_parser() -> _Parser:
 
     def common(p, vector=True):
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--max-order", type=int, default=None,
+        p.add_argument("--max-order", type=_positive, default=None,
                        help=f"group-order bound, default {DEFAULT_MAX_ORDER} (env CMKIT_MAX_ORDER)")
         if vector:
             p.add_argument("--vector", default=None,
@@ -130,9 +137,9 @@ def _max_order(args) -> int:
     env = os.environ.get("CMKIT_MAX_ORDER")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            raise CliError("bad_env", f"CMKIT_MAX_ORDER={env!r} is not an integer")
+            return _positive(env)
+        except argparse.ArgumentTypeError:
+            raise CliError("bad_env", f"CMKIT_MAX_ORDER={env!r} is not a positive integer")
     return DEFAULT_MAX_ORDER
 
 
@@ -187,6 +194,9 @@ def _resolve_vector(args, G: FiniteGroup, inst: Optional[GmInstance],
     try:
         if spec.startswith("["):
             arrays = json.loads(spec)
+            if not _is_image_arrays(arrays):
+                raise CliError("bad_vector", "a JSON vector must be an array of image "
+                                             "arrays [[int,...],...]")
             entries = tuple(Permutation(images) for images in arrays)
         else:
             entries = tuple(_parse_word(w, names, G) for w in spec.split(","))

@@ -161,7 +161,7 @@ def check_statement_a(G: FiniteGroup, H: Subgroup) -> StatementAResult:
         raise NotProperNontrivial("statement A needs a proper non-trivial subgroup")
     if not G.is_normal(H):
         return StatementAResult(False, False, None, None, None)
-    Q = G.quotient_group(H)
+    Q, _ = H.normalizer_quotient()  # N_G(H) = G
     abelian = Q.is_abelian()
     invariants = Q.abelian_invariants() if abelian else None
     return StatementAResult(abelian, True, Q.order, abelian, invariants)
@@ -187,11 +187,7 @@ def check_statement_b(X: QuasiplatonicSurface, H: Subgroup) -> StatementBResult:
         raise GenusZeroQuotient("quotient has genus zero; no Jacobian factor")
     bound = 4 * (genus - 1)
 
-    N = G.normalizer(H)
-    N_grp = FiniteGroup(G.degree, N.generators(), max_order=G.order)
-    H_in_N = N_grp.subgroup(H.elements)
-    Q, hom = N_grp.quotient_with_map(H_in_N)
-
+    Q, q = H.normalizer_quotient()
     candidates = sorted(Q.all_subgroups(), key=lambda K: (-K.order, K.indices))
     searched = 0
     for K in candidates:
@@ -202,9 +198,9 @@ def check_statement_b(X: QuasiplatonicSurface, H: Subgroup) -> StatementBResult:
         large = K.order > bound
         sig = None
         if large or cyclic6:
-            preimage_elements = [n for n in N_grp.elements if hom[n] in K.element_set]
-            K_pre = G.subgroup(preimage_elements)
-            sig = galois_quotient_signature(X, H, K_pre)
+            members = set(K.indices)
+            sig = galois_quotient_signature(
+                X, H, Subgroup(G, [i for i, k in enumerate(q) if k in members]))
         bound_ok = (large and sig is not None and sig.orbit_genus == 0
                     and len(sig.periods) <= 3)
         exception = (cyclic6 and sig is not None and sig.orbit_genus == 0

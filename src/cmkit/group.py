@@ -23,10 +23,10 @@ conjugate g*i*g^-1 by g in H (g lies in K).
 A `Subgroup` holds its sorted element indices and
 numbers its left cosets gH once (coset id of each element index, cosets
 ordered by minimal member); quotient genera and Galois signatures read the
-action of an element as a list of coset ids.  `Permutation`s appear only at
-I/O: elements, generators, class members, `Subgroup.elements`,
-`FiniteGroup.subgroup`, and the builders `coset_action` and
-`quotient_with_map`.  All orderings are deterministic: classes by (element
+action of an element as a list of coset ids, as does the one quotient builder,
+`Subgroup.normalizer_quotient` (N_G(H)/H).  `Permutation`s appear only at I/O:
+elements, generators, class members, `Subgroup.elements`, `FiniteGroup.subgroup`
+and `coset_action`.  All orderings are deterministic: classes by (element
 order, size, minimal member), subgroups by (order, element indices).
 """
 
@@ -221,15 +221,13 @@ class FiniteGroup:
                             nxt.append(y)
                 frontier = nxt
             raw.append(sorted(orbit))
-        raw.sort(key=lambda members: (self.elements[members[0]].order(),
-                                      len(members),
-                                      self._images[members[0]]))
+        keyed = sorted((self.elements[members[0]].order(), len(members),
+                        self._images[members[0]], members) for members in raw)
         classes = []
         class_of = [0] * n
-        for ci, members in enumerate(raw):
+        for ci, (order, _, _, members) in enumerate(keyed):
             perms = tuple(self.elements[i] for i in members)
-            classes.append(ConjugacyClass(representative=perms[0], members=perms,
-                                          order=perms[0].order()))
+            classes.append(ConjugacyClass(representative=perms[0], members=perms, order=order))
             for i in members:
                 class_of[i] = ci
         self._classes = tuple(classes)
@@ -383,24 +381,11 @@ class FiniteGroup:
         return {g: Permutation(H.action_on_cosets(i)) for i, g in enumerate(self.elements)}
 
     def quotient_with_map(self, N: "Subgroup") -> Tuple["FiniteGroup", Dict[Permutation, Permutation]]:
-        """G/N as its regular action on the coset ids of N, and the map onto it;
-        N is normal, so every element of a coset acts as its minimal member."""
+        """G/N for normal N, by `N.normalizer_quotient`, and the map onto it."""
         if not self.is_normal(N):
             raise NotNormal("quotient by a non-normal subgroup")
-        coset, reps = N.coset_ids()
-        images = [Permutation(N.action_on_cosets(r)) for r in reps]
-        action = {g: images[coset[i]] for i, g in enumerate(self.elements)}
-        quotient = FiniteGroup(images[0].degree,
-                               tuple(action[g] for g in self.generators),
-                               max_order=self.order)
-        if quotient.order * N.order != self.order:
-            raise NotNormal(f"quotient of order {quotient.order} by a subgroup of order "
-                            f"{N.order} in a group of order {self.order}")
-        return quotient, action
-
-    def quotient_group(self, N: "Subgroup") -> "FiniteGroup":
-        """G/N realized as a permutation group via its regular action on cosets."""
-        return self.quotient_with_map(N)[0]
+        Q, q = N.normalizer_quotient()
+        return Q, {g: Q.elements[k] for g, k in zip(self.elements, q)}
 
     def abelian_invariants(self) -> Tuple[int, ...]:
         """Invariant factors d_1 | d_2 | ... of an abelian group.
@@ -570,6 +555,23 @@ class Subgroup:
         coset, reps = self.coset_ids()
         mul = self.parent.mul
         return [coset[mul(i, r)] for r in reps]
+
+    def normalizer_quotient(self) -> Tuple[FiniteGroup, List[int]]:
+        """N_G(H)/H as the permutation group Q on H's left cosets in N_G(H), numbered
+        as in `coset_ids` and generated by the images of N_G(H)'s generators; and
+        the index in Q of every element index, -1 outside N_G(H)."""
+        G, N = self.parent, self.parent.normalizer(self)
+        N.generators()  # fills N._gens
+        coset, reps = self.coset_ids()
+        inner = sorted({reps[coset[i]] for i in N.indices})  # minimal members
+        point = {coset[r]: p for p, r in enumerate(inner)}
+        images = [tuple(point[coset[G.mul(r, s)]] for s in inner) for r in inner]
+        Q = FiniteGroup(len(inner), [Permutation(images[point[coset[i]]]) for i in N._gens],
+                        max_order=N.order)
+        if Q.order * self.order != N.order:
+            raise InternalCheckFailed(f"|N_G(H)/H| = {Q.order}, not {N.order}/{self.order}")
+        q = {c: Q._index[images[p]] for c, p in point.items()}  # coset id -> index in Q
+        return Q, [q.get(c, -1) for c in coset]
 
     def normalized_by(self, i: int) -> bool:
         """Whether element index i normalizes H: h i H = i H for every h in H."""

@@ -16,12 +16,19 @@ from cmkit import (
     Cyclotomic,
     FiniteGroup,
     GeneratingVector,
+    GenusZeroQuotient,
+    GroupMismatch,
+    NotNormal,
+    NotProperNontrivial,
     Permutation,
     QuasiplatonicSurface,
     build_gm,
     canonical_vector,
     character_table,
+    galois_quotient_signature,
+    quotient_surface,
 )
+from cmkit.criteria import EXCEPTION_PERIODS, StatementAResult, StatementBResult
 
 
 @functools.lru_cache(maxsize=None)
@@ -257,6 +264,85 @@ def permutation_galois_reference(X, H, N):
             if l_top > len(cyc):
                 periods.append(l_top // len(cyc))
     return permutation_quotient_reference(X, N)[0], tuple(sorted(periods))
+
+
+def quotient_reference(G, N):
+    """G/N as its regular action on the coset ids of N, and the map onto it,
+    by `Permutation`s: the oracle for `Subgroup.normalizer_quotient`.  N is
+    normal, so every element of a coset acts as its minimal member."""
+    if not G.is_normal(N):
+        raise NotNormal("quotient by a non-normal subgroup")
+    coset, reps = N.coset_ids()
+    images = [Permutation(N.action_on_cosets(r)) for r in reps]
+    action = {g: images[coset[i]] for i, g in enumerate(G.elements)}
+    quotient = FiniteGroup(images[0].degree,
+                           tuple(action[g] for g in G.generators),
+                           max_order=G.order)
+    if quotient.order * N.order != G.order:
+        raise NotNormal(f"quotient of order {quotient.order} by a subgroup of order "
+                        f"{N.order} in a group of order {G.order}")
+    return quotient, action
+
+
+def statement_a_reference(G, H):
+    """`check_statement_a` with G/H from `quotient_reference`."""
+    if H.parent is not G:
+        raise GroupMismatch("subgroup of a different group")
+    if not H.is_proper_nontrivial():
+        raise NotProperNontrivial("statement A needs a proper non-trivial subgroup")
+    if not G.is_normal(H):
+        return StatementAResult(False, False, None, None, None)
+    Q = quotient_reference(G, H)[0]
+    abelian = Q.is_abelian()
+    invariants = Q.abelian_invariants() if abelian else None
+    return StatementAResult(abelian, True, Q.order, abelian, invariants)
+
+
+def statement_b_reference(X, H):
+    """`check_statement_b` on `Permutation`s: N_G(H) as a group of its own,
+    N_G(H)/H from `quotient_reference`, and each preimage found by looking
+    up the quotient map at every element of N_G(H)."""
+    G = X.group
+    if H.parent is not G:
+        raise GroupMismatch("subgroup of a different group")
+    genus = quotient_surface(X, H).genus
+    if genus == 0:
+        raise GenusZeroQuotient("quotient has genus zero; no Jacobian factor")
+    bound = 4 * (genus - 1)
+
+    N = G.normalizer(H)
+    N_grp = FiniteGroup(G.degree, N.generators(), max_order=G.order)
+    H_in_N = N_grp.subgroup(H.elements)
+    Q, hom = quotient_reference(N_grp, H_in_N)
+
+    candidates = sorted(Q.all_subgroups(), key=lambda K: (-K.order, K.indices))
+    searched = 0
+    for K in candidates:
+        if not K.is_abelian():
+            continue
+        searched += 1
+        cyclic6 = K.order == 6 and K.is_cyclic()
+        large = K.order > bound
+        sig = None
+        if large or cyclic6:
+            preimage_elements = [n for n in N_grp.elements if hom[n] in K.element_set]
+            K_pre = G.subgroup(preimage_elements)
+            sig = galois_quotient_signature(X, H, K_pre)
+        bound_ok = (large and sig is not None and sig.orbit_genus == 0
+                    and len(sig.periods) <= 3)
+        exception = (cyclic6 and sig is not None and sig.orbit_genus == 0
+                     and sig.periods == EXCEPTION_PERIODS)
+        if bound_ok or exception:
+            return StatementBResult(
+                holds=True, genus=genus, bound=bound, group_order=K.order,
+                group_generators=tuple(g.cycle_string() for g in K.generators()),
+                group_is_cyclic6=cyclic6, bound_satisfied=bound_ok,
+                exception_matched=exception, quotient_signature=sig,
+                searched=searched)
+    return StatementBResult(
+        holds=False, genus=genus, bound=bound, group_order=None,
+        group_generators=(), group_is_cyclic6=False, bound_satisfied=False,
+        exception_matched=False, quotient_signature=None, searched=searched)
 
 
 @functools.lru_cache(maxsize=None)

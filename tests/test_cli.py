@@ -191,6 +191,16 @@ def test_vector_as_image_arrays(capsys, tmp_path):
     vec = json.dumps([g3, g3, g2, g4])
     code, payload = run_json(capsys, "streit", str(path), "--vector", vec)
     assert code == 0 and payload["genus"] == 2
+    # entries that are not integer image arrays are refused, not coerced
+    a5 = str(GOLDEN / "a5_group.json")
+    for bad in ("[[3.7, 4, 2, 0, 1], [1, 2, 3, 4, 0], [2, 3, 1, 4, 0]]",
+                "[[true, 0, 2, 3, 4], [1, 2, 3, 4, 0], [2, 3, 1, 4, 0]]",
+                '[["1", 0, 2, 3, 4], [1, 2, 3, 4, 0], [2, 3, 1, 4, 0]]',
+                "[1,2]"):
+        code, payload = run_json(capsys, "streit", a5, "--vector", bad)
+        assert code == 1
+        assert payload == {"error": "bad_vector", "detail": "a JSON vector must be an "
+                           "array of image arrays [[int,...],...]"}
 
 
 def test_unknown_source(capsys):
@@ -209,15 +219,22 @@ def test_bound_exceeded_exit_code(capsys):
     code, payload = run_json(capsys, "analyze", "gm:6", "--max-order", "10")
     assert code == 2
     assert payload["error"] == "bound_exceeded"
+    # a bound below 1 is a malformed argument, not an exceeded bound
+    for bound in ("0", "-1"):
+        code, payload = run_json(capsys, "analyze", "gm:6", "--max-order", bound)
+        assert code == 1
+        assert payload == {"error": "bad_arguments", "detail":
+                           f"argument --max-order: '{bound}' is not a positive integer"}
 
 
 def test_env_bound(capsys, monkeypatch):
     monkeypatch.setenv("CMKIT_MAX_ORDER", "10")
     code, payload = run_json(capsys, "analyze", "gm:6")
     assert code == 2
-    monkeypatch.setenv("CMKIT_MAX_ORDER", "not-a-number")
-    code, payload = run_json(capsys, "analyze", "gm:6")
-    assert code == 1 and payload["error"] == "bad_env"
+    for value in ("not-a-number", "0", "-1"):
+        monkeypatch.setenv("CMKIT_MAX_ORDER", value)
+        code, payload = run_json(capsys, "analyze", "gm:6")
+        assert code == 1 and payload["error"] == "bad_env"
 
 
 def test_bad_arguments_exit_code(capsys):

@@ -40,11 +40,17 @@ from cmkit.criteria import (
 )
 from cmkit.reports import relation_json
 from conftest import (
+    alternating_5,
     eichler_streit_value,
     gm_bundle,
     klein_4,
+    psl_2_7,
+    quotient_reference,
     random_surfaces,
     run_optimized,
+    statement_a_reference,
+    statement_b_reference,
+    symmetric_5,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -106,6 +112,64 @@ def test_statement_b_c6_exception():
     assert res.holds
     assert res.exception_matched and res.group_is_cyclic6
     assert res.quotient_signature == Signature(0, (2, 2, 3, 3))
+
+
+def _statements_match_references(X):
+    """Statements A and B against the `Permutation` route: A on every proper
+    non-trivial H, B on every H whose quotient has genus >= 1, and G/H with
+    its map on every normal H."""
+    G = X.group
+    for H in G.all_subgroups():
+        if H.is_proper_nontrivial():
+            assert check_statement_a(G, H) == statement_a_reference(G, H)
+        if quotient_surface(X, H).genus >= 1:
+            assert check_statement_b(X, H) == statement_b_reference(X, H)
+        if G.is_normal(H):
+            Q, action = G.quotient_with_map(H)
+            Q_ref, action_ref = quotient_reference(G, H)
+            assert Q.elements == Q_ref.elements and action == action_ref
+
+
+def _three_point_cover(build, periods):
+    vec = find_generating_vectors(build(), Signature(0, periods), limit=1)[0]
+    return QuasiplatonicSurface.from_vector(vec)
+
+
+STATEMENT_COVERS = {
+    **{f"gm:{m}": (lambda m=m: gm_bundle(m)[1]) for m in range(6, 17, 2)},
+    "gm:12 (4,6,12)": lambda: _three_point_cover(lambda: gm_bundle(12)[0].group, (4, 6, 12)),
+    "A5 (2,5,5)": lambda: _three_point_cover(alternating_5, (2, 5, 5)),
+    "A5 (3,3,5)": lambda: _three_point_cover(alternating_5, (3, 3, 5)),
+    "S4 (3,4,4)": s4_344_surface,
+    "S5 (2,4,5)": lambda: _three_point_cover(symmetric_5, (2, 4, 5)),
+    "PSL(2,7) (2,3,7)": lambda: _three_point_cover(psl_2_7, (2, 3, 7)),
+    "C6 (2,2,3,3)": c6_exception_surface,
+}
+
+
+@pytest.mark.parametrize("name", list(STATEMENT_COVERS))
+def test_statements_match_permutation_reference(name):
+    """N_G(H)/H on element indices gives statements A and B exactly as the
+    `Permutation` route did, evidence and search count included."""
+    _statements_match_references(STATEMENT_COVERS[name]())
+
+
+def test_statement_b_builds_one_group(monkeypatch):
+    """Statement B builds N_G(H)/H and no other group: N_G(H) stays a
+    `Subgroup` of G."""
+    inst, X, _ = gm_bundle(8)
+    H = inst.subgroup_b()
+    built = []
+    init = FiniteGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    res = check_statement_b(X, H)
+    assert res.holds and res.quotient_signature is not None
+    assert len(built) == 1 and built[0].order * H.order == X.group.normalizer(H).order
 
 
 def test_statement_b_genus_zero_quotient():
@@ -378,7 +442,8 @@ def test_streit_checks_survive_optimize():
 @given(random_surfaces())
 def test_random_surfaces_agree_on_the_streit_value(X):
     """Exact Eichler, table spectra, `Cyclotomic` and float Eichler values
-    agree, and every certified verdict re-verifies."""
+    agree, every certified verdict re-verifies, and statements A and B
+    match the `Permutation` route."""
     if X.genus < 1:
         with pytest.raises(ValueError):
             streit_test(X)
@@ -394,3 +459,4 @@ def test_random_surfaces_agree_on_the_streit_value(X):
     verdict = cm_verdict(X, T, search_limit=20)
     assert verdict.streit_value == value
     assert reverify_verdict(X, T, verdict) == verdict.certified
+    _statements_match_references(X)
