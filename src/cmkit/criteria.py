@@ -298,8 +298,9 @@ def _eichler_values(X: QuasiplatonicSurface) -> Tuple[int, List[List[int]]]:
     scale = lcm(*periods)
     values = [[scale] + [0] * (cls.order - 1) for cls in classes]
     values[0] = [scale * X.genus]
-    for g, o_i in zip(X.vector.entries, periods):
-        row = power[G.class_index(g)]
+    class_of = G.class_ids()
+    for i, o_i in zip(X.vector.indices, periods):
+        row = power[class_of[i]]
         for k in range(1, o_i):
             c = row[k]
             o = classes[c].order

@@ -24,9 +24,10 @@ A `Subgroup` holds its sorted element indices and
 numbers its left cosets gH once (coset id of each element index, cosets
 ordered by minimal member); quotient genera and Galois signatures read the
 action of an element as a list of coset ids, as does the one quotient builder,
-`Subgroup.normalizer_quotient` (N_G(H)/H).  `Permutation`s appear only at I/O:
-elements, generators, class members, `Subgroup.elements`, `FiniteGroup.subgroup`
-and `coset_action`.  All orderings are deterministic: classes by (element
+`Subgroup.normalizer_quotient` (N_G(H)/H).  The generators' indices are read
+off the closure.  `Permutation`s appear only at I/O: elements, generators,
+class members, `Subgroup.elements`, `FiniteGroup.subgroup`, `coset_action`,
+and `index_of`, which turns one into an element index.  All orderings are deterministic: classes by (element
 order, size, minimal member), subgroups by (order, element indices).
 """
 
@@ -86,6 +87,7 @@ class FiniteGroup:
             table[rank[old]] = [ls[v] for v in table[rank[p]]]
         self._table: List[List[int]] = table
         self._inv: List[int] = [row.index(0) for row in table]
+        self._gens: Tuple[int, ...] = tuple(rank[y] for y in steps[0])  # s*identity = s
         self._classes: Optional[Tuple[ConjugacyClass, ...]] = None
         self._class_of: Optional[List[int]] = None
         self._power_classes: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -181,7 +183,7 @@ class FiniteGroup:
     # -- basic predicates ------------------------------------------------
 
     def is_abelian(self) -> bool:
-        gens = [self.index_of(g) for g in self.generators]
+        gens = self._gens
         return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
 
     def element_order(self, g: Permutation) -> int:
@@ -201,7 +203,7 @@ class FiniteGroup:
         if self._classes is not None:
             return self._classes
         n = self.order
-        gen_idx = [self.index_of(g) for g in self.generators]
+        gen_idx = self._gens
         seen = [False] * n
         raw: List[List[int]] = []
         for start in range(n):
@@ -277,15 +279,11 @@ class FiniteGroup:
         idx = [self.index_of(g) for g in gens]
         return Subgroup(self, self.index_closure(idx), idx)
 
-    def generated_order(self, gens: Sequence[Permutation]) -> int:
-        """Order of the subgroup generated, without building a Subgroup."""
-        return len(self.index_closure([self.index_of(g) for g in gens]))
-
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (0,), ())
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, range(self.order), [self.index_of(g) for g in self.generators])
+        return Subgroup(self, range(self.order), self._gens)
 
     def all_subgroups(self, bound: int = DEFAULT_SUBGROUP_BOUND) -> Tuple["Subgroup", ...]:
         """Every subgroup, found by joining subgroups with cyclic subgroups.
@@ -366,11 +364,14 @@ class FiniteGroup:
 
     def is_normal(self, H: "Subgroup") -> bool:
         self._check_subgroup(H)
-        return all(H.normalized_by(self.index_of(g)) for g in self.generators)
+        return all(H.normalized_by(i) for i in self._gens)
 
     def normalizer(self, H: "Subgroup") -> "Subgroup":
+        """N_G(H), a union of left cosets of H: one test per coset."""
         self._check_subgroup(H)
-        return Subgroup(self, [i for i in range(self.order) if H.normalized_by(i)])
+        _, reps = H.coset_ids()
+        mul = self.mul
+        return Subgroup(self, [mul(r, h) for r in reps if H.normalized_by(r) for h in H.indices])
 
     # -- cosets and quotients ----------------------------------------------
 
@@ -390,54 +391,27 @@ class FiniteGroup:
     def abelian_invariants(self) -> Tuple[int, ...]:
         """Invariant factors d_1 | d_2 | ... of an abelian group.
 
-        Derived from counts of elements of each prime-power order, which
-        determine the partition of every primary component.
+        For a prime p, #{x : x^(p^j) = 1} / #{x : x^(p^(j-1)) = 1} = p^k, where
+        k is the number of invariant factors divisible by p^j; in a
+        divisibility chain those are the k largest, so each gains a factor p.
         """
         if not self.is_abelian():
             raise ValueError("abelian_invariants requires an abelian group")
-        n = self.order
-        if n == 1:
-            return ()
-        primes = prime_factors(n)
-        primary: Dict[int, List[int]] = {}
-        for p in primes:
-            counts = [1]  # number of x with x^(p^j) = 1
-            j = 1
+        factors: List[int] = []  # ascending
+        for p in prime_factors(self.order):
+            below, q = 1, p
             while True:
-                q = p ** j
-                c = sum(cls.size for cls in self.conjugacy_classes() if q % cls.order == 0)
-                counts.append(c)
-                if counts[-1] == counts[-2]:
-                    counts.pop()
-                    break
-                j += 1
-            # counts[j] = p^(sum_i min(lambda_i, j)); successive ratios give the
-            # conjugate partition.
-            exps = []
-            for j in range(1, len(counts)):
-                ratio = counts[j] // counts[j - 1]
-                k = 0
+                count = sum(cls.size for cls in self.conjugacy_classes() if q % cls.order == 0)
+                k, ratio = 0, count // below
                 while ratio > 1:
                     ratio //= p
                     k += 1
-                exps.append(k)  # number of parts >= j
-            parts: List[int] = []
-            for j, cnt in enumerate(exps, start=1):
-                while len(parts) < cnt:
-                    parts.append(0)
-                for i in range(cnt):
-                    parts[i] = j
-            primary[p] = sorted((p ** lam for lam in parts), reverse=True)
-        width = max(len(v) for v in primary.values())
-        factors = []
-        for i in range(width):
-            d = 1
-            for p in primes:
-                comp = primary[p]
-                if i < len(comp):
-                    d *= comp[i]
-            factors.append(d)
-        factors.reverse()  # ascending divisibility chain
+                if k == 0:
+                    break
+                factors[:0] = [1] * (k - len(factors))
+                for i in range(len(factors) - k, len(factors)):
+                    factors[i] *= p
+                below, q = count, q * p
         if any(factors[i + 1] % factors[i] for i in range(len(factors) - 1)):
             raise InternalCheckFailed(f"invariant factors {factors} do not form a divisibility chain")
         return tuple(factors)
@@ -509,6 +483,10 @@ class Subgroup:
 
     def generators(self) -> Tuple[Permutation, ...]:
         """A small deterministic generating set (greedy over sorted elements)."""
+        return tuple(self.parent.elements[i] for i in self._generator_indices())
+
+    def _generator_indices(self) -> Tuple[int, ...]:
+        """Element indices of `generators()`."""
         if self._gens is None:
             G = self.parent
             have, member, gens = [0], bytearray(G.order), []
@@ -520,7 +498,7 @@ class Subgroup:
                 if not G._grow(have, member, gens) or len(have) == self.order:
                     break
             self._gens = tuple(gens)
-        return tuple(self.parent.elements[i] for i in self._gens)
+        return self._gens
 
     def is_abelian(self) -> bool:
         mul, idx = self.parent.mul, self.indices
@@ -561,13 +539,12 @@ class Subgroup:
         as in `coset_ids` and generated by the images of N_G(H)'s generators; and
         the index in Q of every element index, -1 outside N_G(H)."""
         G, N = self.parent, self.parent.normalizer(self)
-        N.generators()  # fills N._gens
         coset, reps = self.coset_ids()
         inner = sorted({reps[coset[i]] for i in N.indices})  # minimal members
         point = {coset[r]: p for p, r in enumerate(inner)}
         images = [tuple(point[coset[G.mul(r, s)]] for s in inner) for r in inner]
-        Q = FiniteGroup(len(inner), [Permutation(images[point[coset[i]]]) for i in N._gens],
-                        max_order=N.order)
+        gens = [Permutation(images[point[coset[i]]]) for i in N._generator_indices()]
+        Q = FiniteGroup(len(inner), gens, max_order=N.order)
         if Q.order * self.order != N.order:
             raise InternalCheckFailed(f"|N_G(H)/H| = {Q.order}, not {N.order}/{self.order}")
         q = {c: Q._index[images[p]] for c, p in point.items()}  # coset id -> index in Q

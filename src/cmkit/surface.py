@@ -2,17 +2,19 @@
 
 A generating vector (g_1, ..., g_r) with product one encodes a Galois cover
 of the sphere branched over r points with local orders equal to the element
-orders.  Everything downstream is combinatorial: genera come from cycle
-counting on the coset numbering of each subgroup (Riemann-Hurwitz, on
-element indices; see `cmkit.group`) and, independently, from
-sum_i m_i dim V_i^H, with irreducible multiplicities m_i produced by the
+orders.  The vector turns its `Permutation` entries into element indices and
+orders once, when it is built; nothing downstream looks them up again.
+Everything downstream is combinatorial: genera come from cycle counting on
+the coset numbering of each subgroup (Riemann-Hurwitz, on element indices;
+see `cmkit.group`) and, independently, from sum_i m_i dim V_i^H, with
+irreducible multiplicities m_i produced by the
 classical eigenvalue bookkeeping of the branch data (Chevalley-Weil) and
 dim V_i^H summed from the table's spectra (`CharacterTable.fixed_dimensions`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -53,29 +55,33 @@ class Signature:
 
 @dataclass(frozen=True)
 class GeneratingVector:
-    """Tuple of group elements with product one that generates the group."""
+    """Tuple of group elements with product one that generates the group;
+    `indices` and `periods` are the entries' element indices and orders."""
 
     group: FiniteGroup
     entries: Tuple[Permutation, ...]
+    indices: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    periods: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        G = self.group
         object.__setattr__(self, "entries", tuple(self.entries))
         if len(self.entries) < 2:
             raise ValueError("a generating vector needs at least two entries")
-        prod = self.group.identity
+        indices, prod = [], 0
         for g in self.entries:
-            self.group.index_of(g)  # membership, raises ElementNotInGroup
-            if g.order() < 2:
+            i = G.index_of(g)  # membership, raises ElementNotInGroup
+            if i == 0:  # the identity
                 raise ValueError("identity entries are not allowed")
-            prod = prod * g
-        if not prod.is_identity():
+            indices.append(i)
+            prod = G.mul(prod, i)
+        if prod != 0:
             raise ValueError("entries do not multiply to the identity")
-        if self.group.generated_order(list(self.entries)) != self.group.order:
+        if len(G.index_closure(indices)) != G.order:
             raise ValueError("entries do not generate the group")
-
-    @property
-    def periods(self) -> Tuple[int, ...]:
-        return tuple(g.order() for g in self.entries)
+        classes, class_of = G.conjugacy_classes(), G.class_ids()
+        object.__setattr__(self, "indices", tuple(indices))
+        object.__setattr__(self, "periods", tuple(classes[class_of[i]].order for i in indices))
 
     def signature(self) -> Signature:
         return Signature(0, self.periods)
@@ -141,6 +147,8 @@ def find_generating_vectors(G: FiniteGroup, sig: Signature,
         raise ValueError("only genus-zero base signatures are searched")
     periods = sig.periods
     r = len(periods)
+    if r < 2:
+        raise ValueError("a generating vector needs at least two entries")
     classes = G.conjugacy_classes()
     orders = [classes[c].order for c in G.class_ids()]
     by_order: Dict[int, List[int]] = {}
@@ -173,14 +181,13 @@ def find_generating_vectors(G: FiniteGroup, sig: Signature,
 
 def quotient_surface(X: QuasiplatonicSurface, H: Subgroup) -> QuotientSurface:
     """X/H with genus from cycle counting on the coset action of H."""
-    G = X.group
     n = H.index
     defect = 0
     branch = []
-    for g in X.vector.entries:
-        lengths = [len(c) for c in cycles_of(H.action_on_cosets(G.index_of(g)))]
+    for i, m in zip(X.vector.indices, X.vector.periods):
+        lengths = [len(c) for c in cycles_of(H.action_on_cosets(i))]
         defect += n - len(lengths)
-        branch.append((g.order(), tuple(sorted(lengths, reverse=True))))
+        branch.append((m, tuple(sorted(lengths, reverse=True))))
     if defect % 2:
         raise NonIntegerGenus(f"odd Riemann-Hurwitz defect {defect} for X/H")
     genus = 1 - n + defect // 2
@@ -197,7 +204,7 @@ def galois_quotient_signature(X: QuasiplatonicSurface, H: Subgroup,
         raise SubgroupMismatch("subgroups of a different group")
     if not set(H.indices) <= set(N.indices):
         raise SubgroupMismatch("H is not contained in N")
-    if not all(H.normalized_by(G.index_of(g)) for g in N.generators()):
+    if not all(H.normalized_by(i) for i in N._generator_indices()):
         raise NotNormalInN("H is not normal in N")
 
     coset_N, _ = N.coset_ids()
@@ -205,13 +212,18 @@ def galois_quotient_signature(X: QuasiplatonicSurface, H: Subgroup,
     proj = [coset_N[r] for r in reps_H]
 
     periods = []
-    for g in X.vector.entries:
-        gi = G.index_of(g)
-        top = {x: len(c) for c in cycles_of(H.action_on_cosets(gi)) for x in c}
-        for cyc in cycles_of(N.action_on_cosets(gi)):
-            l_base = len(cyc)
-            in_fiber = set(cyc)
-            lengths = {top[c] for c, t in enumerate(proj) if t in in_fiber}
+    for i in X.vector.indices:
+        # point[x]: the point of X/N over this branch value, i.e. the cycle of
+        # N-coset x; the H-cosets of one cycle all lie over the same point.
+        point, l_bases = [0] * N.index, []
+        for cyc in cycles_of(N.action_on_cosets(i)):
+            for x in cyc:
+                point[x] = len(l_bases)
+            l_bases.append(len(cyc))
+        tops = [set() for _ in l_bases]
+        for cyc in cycles_of(H.action_on_cosets(i)):
+            tops[point[proj[cyc[0]]]].add(len(cyc))
+        for l_base, lengths in zip(l_bases, tops):
             if len(lengths) != 1:
                 raise InconsistentRamification(
                     f"unequal ramification over one point: {sorted(lengths)}")
@@ -246,7 +258,8 @@ def chevalley_weil_multiplicities(X: QuasiplatonicSurface,
     if key in T._cache:
         return T._cache[key]
     trivial = T.trivial_index
-    branch = [(g.order(), G.class_index(g)) for g in X.vector.entries]
+    class_of = G.class_ids()
+    branch = [(m, class_of[i]) for i, m in zip(X.vector.indices, X.vector.periods)]
 
     mults = []
     for idx, (chi, spectra) in enumerate(zip(T.irreducibles, T.spectra)):

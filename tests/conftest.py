@@ -28,6 +28,7 @@ from cmkit import (
     galois_quotient_signature,
     quotient_surface,
 )
+from cmkit.cyclotomic import prime_factors
 from cmkit.criteria import EXCEPTION_PERIODS, StatementAResult, StatementBResult
 
 
@@ -284,6 +285,59 @@ def quotient_reference(G, N):
     return quotient, action
 
 
+def abelian_invariants_reference(G):
+    """Invariant factors of an abelian G by partitions of the primary parts:
+    the oracle for `FiniteGroup.abelian_invariants`.  The counts of elements
+    of each prime-power order give the conjugate partition of every primary
+    component, which is transposed and recombined across primes."""
+    if not G.is_abelian():
+        raise ValueError("abelian_invariants requires an abelian group")
+    n = G.order
+    if n == 1:
+        return ()
+    primes = prime_factors(n)
+    primary = {}
+    for p in primes:
+        counts = [1]  # number of x with x^(p^j) = 1
+        j = 1
+        while True:
+            q = p ** j
+            c = sum(cls.size for cls in G.conjugacy_classes() if q % cls.order == 0)
+            counts.append(c)
+            if counts[-1] == counts[-2]:
+                counts.pop()
+                break
+            j += 1
+        # counts[j] = p^(sum_i min(lambda_i, j)); successive ratios give the
+        # conjugate partition.
+        exps = []
+        for j in range(1, len(counts)):
+            ratio = counts[j] // counts[j - 1]
+            k = 0
+            while ratio > 1:
+                ratio //= p
+                k += 1
+            exps.append(k)  # number of parts >= j
+        parts = []
+        for j, cnt in enumerate(exps, start=1):
+            while len(parts) < cnt:
+                parts.append(0)
+            for i in range(cnt):
+                parts[i] = j
+        primary[p] = sorted((p ** lam for lam in parts), reverse=True)
+    width = max(len(v) for v in primary.values())
+    factors = []
+    for i in range(width):
+        d = 1
+        for p in primes:
+            comp = primary[p]
+            if i < len(comp):
+                d *= comp[i]
+        factors.append(d)
+    factors.reverse()  # ascending divisibility chain
+    return tuple(factors)
+
+
 def statement_a_reference(G, H):
     """`check_statement_a` with G/H from `quotient_reference`."""
     if H.parent is not G:
@@ -390,6 +444,12 @@ def psl_2_7():
 def elementary_abelian_2(rank):
     """C2^rank on `rank` disjoint transpositions."""
     return _from_cycles(2 * rank, *([(2 * j, 2 * j + 1)] for j in range(rank)))
+
+
+def cyclic_product(*orders):
+    """C_a x C_b x ... on disjoint cycles of lengths a, b, ..."""
+    starts = [sum(orders[:j]) for j in range(len(orders))]
+    return _from_cycles(sum(orders), *([tuple(range(s, s + a))] for s, a in zip(starts, orders)))
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import random
 from pathlib import Path
 
@@ -20,8 +21,10 @@ from cmkit import (
 )
 from cmkit.cli import main
 from conftest import (
+    abelian_invariants_reference,
     alternating_5,
     bfs_closure,
+    cyclic_product,
     cyclic_7_squared,
     elementary_abelian_2,
     gm_bundle,
@@ -365,6 +368,21 @@ def test_abelian_invariants():
     assert klein_4().abelian_invariants() == (2, 2)
     with pytest.raises(ValueError):
         symmetric_3().abelian_invariants()
+
+
+@pytest.mark.parametrize("orders", [(1,), (7,), (2, 2), (4, 6), (2, 2, 2, 2), (3, 9, 27),
+                                    (4, 6, 10), (8, 12), (5, 10, 15), (2, 4, 8, 16)])
+def test_abelian_invariants_match_reference(orders):
+    G = cyclic_product(*orders)
+    assert G.abelian_invariants() == abelian_invariants_reference(G)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+def test_abelian_invariants_of_random_cyclic_products(orders):
+    assume(math.prod(orders) <= 400)
+    G = cyclic_product(*orders)
+    assert G.abelian_invariants() == abelian_invariants_reference(G)
 
 
 SUBGROUP_CHECKS_S4 = """

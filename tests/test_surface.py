@@ -21,7 +21,9 @@ from cmkit import (
     genus_from_branch_data,
     genus_from_vector,
     character_table,
+    cm_verdict,
     quotient_surface,
+    streit_test,
 )
 from cmkit.chartable import _from_root_multiplicities
 from cmkit.criteria import _eichler_values, _invariant_genus
@@ -62,6 +64,12 @@ def test_generating_vector_validation(v4):
         GeneratingVector(v4, (a, a, b))  # product is b, not the identity
     with pytest.raises(ValueError):
         GeneratingVector(v4, (a, a))  # generates only <a>
+
+
+def test_vector_search_needs_two_entries():
+    for periods in ((5,), ()):
+        with pytest.raises(ValueError, match="at least two entries"):
+            find_generating_vectors(alternating_5(), Signature(0, periods))
 
 
 def test_genus_examples():
@@ -231,6 +239,40 @@ def test_quotients_match_permutation_reference(source):
             assert (q.genus, q.branch_data) == permutation_quotient_reference(X, H)
             sig = galois_quotient_signature(X, H, N)
             assert (sig.orbit_genus, sig.periods) == permutation_galois_reference(X, H, N)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("Permutation or element lookup after the surface was built")
+
+
+def test_surface_layers_read_the_vector_indices(monkeypatch):
+    """Once a surface is built, quotient genera, Galois signatures,
+    Chevalley-Weil, the Streit value and a bounded verdict read the vector's
+    element indices and periods: with `Permutation.order`, `__mul__` and the
+    group's element and class lookups refused, each gives what it gives
+    unpatched."""
+    surfaces = [gm_bundle(8)[1]] + [
+        QuasiplatonicSurface.from_vector(find_generating_vectors(build(), Signature(0, periods))[0])
+        for build, periods in ((alternating_5, (2, 5, 5)), (symmetric_4, (3, 4, 4)))]
+
+    def results(X, T):
+        G = X.group
+        quotients = [quotient_surface(X, H) for H in G.all_subgroups()]
+        galois = [galois_quotient_signature(X, H, G.normalizer(H)) for H in G.all_subgroups()]
+        return ([(q.genus, q.branch_data) for q in quotients], galois,
+                chevalley_weil_multiplicities(X, T), streit_test(X),
+                cm_verdict(X, T, search_limit=5))
+
+    for X in surfaces:
+        T = character_table(X.group)
+        expected = results(X, T)
+        T._cache.clear()  # Chevalley-Weil and the fixed dimensions are cached per table
+        with monkeypatch.context() as m:
+            m.setattr(Permutation, "order", _refuse)
+            m.setattr(Permutation, "__mul__", _refuse)
+            m.setattr(FiniteGroup, "index_of", _refuse)
+            m.setattr(FiniteGroup, "class_index", _refuse)
+            assert results(X, T) == expected
 
 
 def test_analytic_character_degree_and_quotient():
