@@ -4,15 +4,18 @@ The table is computed by Dixon's method as revisited by Schneider: the
 class matrices M_i, M_i[j][l] = #{x in C_i : x^-1 z_l in C_j} for the
 representative z_l of class l, commute, and their common eigenvectors over
 F_p, for a prime p = 1 (mod e) above 2|G| with e the group exponent, are
-the irreducibles.  One combination A = sum_i c_i M_i with seeded random c_i
-is built straight from the Cayley table and its characteristic polynomial
-is computed once; for each eigenvalue lambda, (m / (x - lambda))(A) e_0,
-with m the product of x - mu over the distinct eigenvalues and e_0 the
-identity-class indicator, projects onto the lambda-eigenspace, and all
-projections come from one Krylov sequence of e_0.  Eigenspaces that two or
-more irreducibles share (p is small, so eigenvalues can repeat) are split
-the same way by further seeded combinations and, failing those, by each
-class matrix alone.  Degrees are recovered from the orthogonality relation.
+the irreducibles.  Each part of class space still shared by several
+irreducibles is carried only by the projection v of e_0, the
+identity-class indicator, onto it.  Under a combination A = sum_i c_i M_i
+with seeded random c_i, built straight from the Cayley table as one
+Kronecker-packed int per column (`cmkit.modp`), v has an exact minimal
+polynomial mu, the first linear dependency among v, Av, A^2 v, ...; mu has
+distinct roots in F_p, and (mu / (x - lambda))(A) v, read off the same
+Krylov vectors, is the projection onto the lambda-eigenspace.  Parts whose
+irreducibles share an eigenvalue (p is small, so eigenvalues can repeat) are
+split the same way by further seeded combinations and then by each class
+matrix alone, until there are as many parts as classes.  Degrees are
+recovered from the orthogonality relation.
 
 For each irreducible chi and class C of element order o, a discrete Fourier
 transform over the powers of a representative g, taken mod p with a fixed
@@ -42,7 +45,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import itemgetter, mul
@@ -58,7 +60,7 @@ from .errors import (
     SubgroupMismatch,
 )
 from .group import FiniteGroup, Subgroup
-from .modp import charpoly, combine, divide_linear, echelon, matvec, nullspace, restrict, roots
+from .modp import Slots, distinct_roots, divide_linear, minimal_polynomial
 
 DEFAULT_CHARTABLE_BOUND = 2000
 
@@ -244,8 +246,6 @@ def _dixon_rows(G: FiniteGroup) -> List[Tuple[tuple, List[Cyclotomic], Tuple[Tup
     z = _find_root_of_unity(e, p)
 
     vectors = _joint_eigenvectors(G, p)
-    if len(vectors) != k:
-        raise InvalidCharacterTable(f"{len(vectors)} joint eigenvectors for {k} classes")
 
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
     # Per element order o: z^((e/o) t) for t < o, the rows
@@ -377,18 +377,19 @@ _SPLIT_SEED = 1990
 _SEEDED_COMBINATIONS = 4
 
 
-def _class_combination(G: FiniteGroup, coeffs: List[int], p: int) -> List[List[int]]:
-    """sum_i coeffs[i] M_i mod p, with M_i[j][l] = #{x in C_i : x^-1 z_l in C_j}
-    for the representative z_l of class l."""
+def _class_combination(G: FiniteGroup, coeffs: List[int], slots: Slots) -> List[int]:
+    """The packed columns of sum_i coeffs[i] M_i mod p, with
+    M_i[j][l] = #{x in C_i : x^-1 z_l in C_j} for the representative z_l of class l."""
     class_of = G.class_ids()
-    k = len(coeffs)
+    k, p = len(coeffs), slots.p
     weighted = [(G.inv(x), coeffs[c]) for x, c in enumerate(class_of) if coeffs[c]]
-    mat = [[0] * k for _ in range(k)]
-    for l, cls in enumerate(G.conjugacy_classes()):
-        zl = G.index_of(cls.representative)
+    columns = []
+    for zl in G.class_representatives():
+        col = [0] * k
         for xi, c in weighted:
-            mat[class_of[G.mul(xi, zl)]][l] += c
-    return [[x % p for x in row] for row in mat]
+            col[class_of[G.mul(xi, zl)]] += c
+        columns.append(slots.pack([x % p for x in col]))
+    return columns
 
 
 def _joint_eigenvectors(G: FiniteGroup, p: int) -> List[List[int]]:
@@ -397,102 +398,54 @@ def _joint_eigenvectors(G: FiniteGroup, p: int) -> List[List[int]]:
     The matrices act on class space with eigenvectors w_chi, where
     w_chi[l] = |C_l| chi(z_l) / chi(1), and the identity-class indicator is
     e_0 = sum_chi (chi(1)^2 / |G|) w_chi, every coefficient nonzero mod
-    p > 2|G|.  A combination A of class matrices, seeded ones first and then
-    each class matrix alone, splits every subspace still shared by several
-    irreducibles into its eigenspaces.  Each subspace carries the projection
-    of e_0 onto it, which keeps a nonzero coefficient on every w_chi in it,
-    as the start vector of its next split (`_split`).
+    p > 2|G|.  Each part of class space is carried by the projection of e_0
+    onto it, sum_(chi in S) c_chi w_chi with every c_chi nonzero.  A
+    combination A of class matrices, seeded ones first and then each class
+    matrix alone, splits every part by the eigenvalues of A on its w_chi
+    (`_split`).  Every part holds at least one irreducible, so once there are
+    k parts each holds exactly one.
     """
     k = len(G.conjugacy_classes())
     rng = random.Random(_SPLIT_SEED)
     combinations = [[0] + [rng.randrange(p) for _ in range(k - 1)]
                     for _ in range(_SEEDED_COMBINATIONS)]
     combinations += [[int(i == j) for j in range(k)] for i in range(1, k)]
-    found: List[List[int]] = []
-    # (start vector, (rows, pivots) of the subspace in reduced echelon form);
-    # None stands for all of class space.
-    pending: list = [([int(i == 0) for i in range(k)], None)]
-    if k == 1:
-        found, pending = [[1]], []
+    slots = Slots(p, k + 1)
+    parts = [[int(i == 0) for i in range(k)]]
     for coeffs in combinations:
-        if not pending:
+        if len(parts) >= k:
             break
-        mat = _class_combination(G, coeffs, p)
-        still = []
-        for start, space in pending:
-            if space is None:
-                parts = _split(mat, start, p, rng)
-                lift = list
-            else:
-                rows, pivots = space
-                parts = _split(restrict(mat, rows, pivots, p),
-                               [start[c] for c in pivots], p, rng)
-                lift = partial(combine, basis=rows, p=p)
-            if not parts:
-                still.append((start, space))
-            for vec, basis in parts:
-                if len(basis) == 1:
-                    found.append(lift(vec))
-                    continue
-                lifted = [lift(b) for b in basis]
-                sub = echelon(lifted, p)
-                if len(sub[0]) != len(lifted):
-                    raise InvalidCharacterTable("basis vectors are dependent")
-                still.append((lift(vec), sub))
-        pending = still
-    if pending:
-        raise InvalidCharacterTable("class matrices failed to separate")
-    return found
-
-
-def _split(mat, start, p: int, rng: random.Random) -> List[Tuple[List[int], List[List[int]]]]:
-    """(projection of start, basis) of each eigenspace of a diagonalizable
-    matrix over F_p; empty when there is a single eigenvalue.
-
-    With m the product of x - mu over the distinct eigenvalues mu, the
-    projection onto the lambda-eigenspace is a multiple of
-    q(mat) = (m / (x - lambda))(mat), read off one Krylov sequence of the
-    start vector.  A repeated eigenvalue takes its basis from the
-    projections of seeded vectors, or from the nullspace of mat - lambda
-    when those are dependent.
-    """
-    d = len(mat)
-    eigenvalues = roots(charpoly(mat, p), p)
-    if sum(eigenvalues.values()) != d:
-        raise InvalidCharacterTable("characteristic polynomial does not split over F_p")
-    if len(eigenvalues) == 1:
-        return []
-    minimal = [1]
-    for lam in eigenvalues:
-        minimal = [(a - lam * b) % p for a, b in zip([0] + minimal, minimal + [0])]
-    starts = [start] + [[rng.randrange(p) for _ in range(d)]
-                        for _ in range(max(eigenvalues.values()) - 1)]
-    krylov = []
-    for vec in starts:
-        seq = [vec]
-        for _ in range(len(eigenvalues) - 1):
-            seq.append(matvec(mat, seq[-1], p))
-        krylov.append(list(zip(*seq)))
-    parts = []
-    for lam, mult in eigenvalues.items():
-        q, _ = divide_linear(minimal, lam, p)
-        vecs = [[sum(map(mul, q, col)) % p for col in cols] for cols in krylov[:mult]]
-        if not any(vecs[0]):
-            raise InvalidCharacterTable("projection of the start vector vanishes")
-        basis, _ = echelon(vecs, p)
-        if len(basis) < mult:
-            shifted = [[(x - lam * (i == j)) % p for j, x in enumerate(row)]
-                       for i, row in enumerate(mat)]
-            basis, _ = echelon(vecs + nullspace(shifted, p), p)
-        if len(basis) != mult:
-            raise InvalidCharacterTable(
-                f"eigenspace of dimension {len(basis)} for a root of multiplicity {mult}")
-        parts.append((vecs[0], basis))
+        columns = _class_combination(G, coeffs, slots)
+        parts = [part for v in parts for part in _split(columns, v, slots)]
+    if len(parts) != k:
+        raise InvalidCharacterTable(f"class matrices split class space into {len(parts)} "
+                                    f"parts for {k} classes")
     return parts
+
+
+def _split(columns: List[int], start: List[int], slots: Slots) -> List[List[int]]:
+    """The projections of start onto the eigenspaces of the matrix A with
+    packed columns, one per distinct eigenvalue that start meets.
+
+    With mu the exact minimal polynomial of start under A, which must have
+    deg mu distinct roots, (mu / (x - lambda))(A) start is a nonzero multiple
+    of the projection onto the lambda-eigenspace, read off the Krylov vectors
+    that gave mu.
+    """
+    mu, krylov = minimal_polynomial(columns, start, slots)
+    if len(mu) == 2:
+        return [start]
+    p = slots.p
+    return [slots.unpack(sum(map(mul, divide_linear(mu, lam, p)[0], krylov)), len(start))
+            for lam in distinct_roots(mu, p)]
 
 
 def _verify_table(table: CharacterTable) -> None:
     """Class count, degree sum, values against spectra, and norm one.
+
+    A cell holding the value object last found equal to its spectrum's
+    re-lifted value skips the comparison; the table shares one object per
+    spectrum, so each is compared once.
 
     <chi, chi> is summed from the spectra in integers: at a class of element
     order o, chi conj(chi) = sum_d a_d zeta_o^d with a_d the autocorrelation
@@ -509,8 +462,9 @@ def _verify_table(table: CharacterTable) -> None:
     if sum(d * d for d in table.degrees()) != G.order:
         raise InvalidCharacterTable("degree-sum identity failed")
     e = G.exponent()
-    # spectrum -> (its value, autocorrelation as coefficients of zeta_o^d)
-    seen: Dict[Tuple[int, ...], Tuple[Cyclotomic, List[int]]] = {}
+    # spectrum -> [its value, autocorrelation as coefficients of zeta_o^d,
+    #              the value object last found equal to it]
+    seen: Dict[Tuple[int, ...], list] = {}
     for chi, spectra in zip(table.irreducibles, table.spectra):
         acc = [0] * e
         for cls, value, spectrum in zip(classes, chi.values, spectra):
@@ -525,11 +479,13 @@ def _verify_table(table: CharacterTable) -> None:
                 for t, m in support:
                     for t2, m2 in support:
                         autocorrelation[(t - t2) % o] += m * m2
-                seen[spectrum] = (_from_root_multiplicities(e, _spectrum_exponents(e, spectrum)),
-                                  autocorrelation)
-            expected, autocorrelation = seen[spectrum]
-            if expected != value:
-                raise InvalidCharacterTable(f"{chi!r} differs from its spectrum")
-            accumulate(acc, autocorrelation, cls.size)
+                seen[spectrum] = [_from_root_multiplicities(e, _spectrum_exponents(e, spectrum)),
+                                  autocorrelation, None]
+            entry = seen[spectrum]
+            if value is not entry[2]:
+                if entry[0] != value:
+                    raise InvalidCharacterTable(f"{chi!r} differs from its spectrum")
+                entry[2] = value
+            accumulate(acc, entry[1], cls.size)
         if reduced_integer(acc) != G.order:
             raise InvalidCharacterTable(f"{chi!r} is not norm one")

@@ -10,7 +10,8 @@ compositions.  Inverses are read from the table.  Every product is a table
 lookup, so the order bound also bounds the table (|G|^2 entries).
 
 Classes, power classes, closure, normality, normalizers and the subgroup
-lattice work on indices.  There is one closure on indices, Dimino's
+lattice work on indices; a class's element order is read by powering its
+first member in the table.  There is one closure on indices, Dimino's
 algorithm (`_grow`): a known subgroup H grows to <H, g> one left coset eH at
 a time, each read whole from row e of the table, and stops once it holds more
 than half the group, which by Lagrange is then the whole group.
@@ -90,6 +91,7 @@ class FiniteGroup:
         self._gens: Tuple[int, ...] = tuple(rank[y] for y in steps[0])  # s*identity = s
         self._classes: Optional[Tuple[ConjugacyClass, ...]] = None
         self._class_of: Optional[List[int]] = None
+        self._class_reps: Optional[List[int]] = None
         self._power_classes: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._subgroups: Optional[Tuple["Subgroup", ...]] = None
         self._exponent: Optional[int] = None
@@ -223,7 +225,7 @@ class FiniteGroup:
                             nxt.append(y)
                 frontier = nxt
             raw.append(sorted(orbit))
-        keyed = sorted((self.elements[members[0]].order(), len(members),
+        keyed = sorted((self._index_order(members[0]), len(members),
                         self._images[members[0]], members) for members in raw)
         classes = []
         class_of = [0] * n
@@ -234,7 +236,15 @@ class FiniteGroup:
                 class_of[i] = ci
         self._classes = tuple(classes)
         self._class_of = class_of
+        self._class_reps = [members[0] for _, _, _, members in keyed]
         return self._classes
+
+    def _index_order(self, x: int) -> int:
+        """Order of the element with index x, by powering it in the table."""
+        row, y, order = self._table[x], x, 1
+        while y:
+            y, order = row[y], order + 1
+        return order
 
     def class_ids(self) -> List[int]:
         """The class index of every element index."""
@@ -244,14 +254,18 @@ class FiniteGroup:
     def class_index(self, g: Permutation) -> int:
         return self.class_ids()[self.index_of(g)]
 
+    def class_representatives(self) -> List[int]:
+        """The element index of every class's representative."""
+        self.conjugacy_classes()
+        return self._class_reps
+
     def power_classes(self) -> Tuple[Tuple[int, ...], ...]:
         """For each class, the classes of rep^s for s = 0, ..., o - 1, where
         rep is its representative and o its element order."""
         if self._power_classes is None:
             class_of = self.class_ids()
             rows = []
-            for cls in self._classes:
-                rep = self.index_of(cls.representative)
+            for cls, rep in zip(self._classes, self._class_reps):
                 cur, row = 0, []
                 for _ in range(cls.order):
                     row.append(class_of[cur])

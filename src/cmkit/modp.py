@@ -1,133 +1,97 @@
-"""Linear algebra and polynomials over F_p, p prime, on lists of ints.
+"""Linear algebra and polynomials over F_p, p prime, on Kronecker-packed ints.
 
-Vectors are lists of residues in [0, p); matrices are lists of rows;
-polynomials are lists of coefficients in ascending order.  These serve the
-character table (`cmkit.chartable`), which is why a failed invariance check
-raises `InvalidCharacterTable`.
+A vector of residues is packed into one Python int, entry i in the w-bit
+slot at bits [w i, w (i + 1)), little-endian (`Slots`).  Sums of packed
+vectors times residues are then one multiply-add per term, and a slot is
+read by shift and mask; residues are reduced mod p only when a vector is
+unpacked, by `int.to_bytes` and `memoryview.cast`.  Polynomials are lists of
+coefficients in ascending order.  These serve the character table
+(`cmkit.chartable`), which is why a polynomial that does not split raises
+`InvalidCharacterTable`.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+from itertools import count
 from operator import mul
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from .errors import InvalidCharacterTable
-
-
-def matvec(mat, vec, p):
-    return [sum(map(mul, row, vec)) % p for row in mat]
+from .errors import InternalCheckFailed, InvalidCharacterTable
 
 
-def combine(coords, basis, p):
-    """sum_i coords[i] basis[i]."""
-    return [sum(map(mul, coords, col)) % p for col in zip(*basis)]
+class Slots:
+    """Packing of residues mod p in slots of 32 or 64 bits, the narrower one
+    that holds any sum of `terms` products of two residues."""
+
+    def __init__(self, p: int, terms: int):
+        bound = terms * (p - 1) ** 2
+        if bound >> 64:
+            raise InternalCheckFailed(f"{terms} products mod {p} overflow a 64-bit slot")
+        if sys.byteorder != "little":
+            raise InternalCheckFailed("packed slots are read as little-endian machine words")
+        self.p = p
+        self.width, self.code = (32, "I") if bound >> 32 == 0 else (64, "Q")
+        self.mask = (1 << self.width) - 1
+
+    def pack(self, values: List[int]) -> int:
+        return int.from_bytes(struct.pack(f"<{len(values)}{self.code}", *values), "little")
+
+    def unpack(self, x: int, size: int) -> List[int]:
+        """The first `size` slots of x, reduced mod p."""
+        p, raw = self.p, x.to_bytes(size * self.width // 8, "little")
+        return [a % p for a in memoryview(raw).cast(self.code)]
 
 
-def echelon(vectors, p) -> Tuple[List[List[int]], List[int]]:
-    """(rows, pivots): a basis of the span in reduced echelon form, row i
-    with a 1 in column pivots[i], where every other row has a 0."""
-    rows: List[List[int]] = []
-    pivots: List[int] = []
-    for vec in vectors:
-        w = vec
-        for row, c in zip(rows, pivots):
-            f = w[c]
+def minimal_polynomial(columns: List[int], start: List[int],
+                       slots: Slots) -> Tuple[List[int], List[int]]:
+    """(mu, [v, Av, ..., A^(d-1) v] packed) for the minimal polynomial mu of
+    v = start under the matrix A with packed `columns`, d = deg mu.
+
+    mu is the first linear dependency among v, Av, A^2 v, ..., found by
+    forward elimination.  A^d v enters with a 1 in tag slot k + d
+    (k = len(start)), so the tag slots of a reduced vector hold its
+    coefficients on the Krylov vectors; the first one whose k entries reduce
+    to zero gives mu, monic.  Stored rows are reduced mod p with a 1 at their
+    pivot, and each elimination step adds (p - f) times one, so a slot stays
+    below (k + 1)(p - 1)^2.
+    """
+    p, width, mask = slots.p, slots.width, slots.mask
+    k = len(start)
+    vec, krylov, rows = start, [], []
+    for d in count():
+        packed = slots.pack(vec)
+        u = packed + (1 << width * (k + d))
+        for c, row in rows:
+            f = (u >> width * c & mask) % p
             if f:
-                w = [(a - f * b) % p for a, b in zip(w, row)]
-        c = next((i for i, x in enumerate(w) if x), None)
-        if c is None:
-            continue
-        inv = pow(w[c], p - 2, p)
-        w = [(x * inv) % p for x in w]
-        rows = [[(a - row[c] * b) % p for a, b in zip(row, w)] if row[c] else row
-                for row in rows]
-        rows.append(w)
-        pivots.append(c)
-    return rows, pivots
-
-
-def restrict(mat, rows, pivots, p):
-    """The matrix of mat on the span of rows, in reduced echelon form: the
-    coordinates of a vector of the span are its entries at the pivots."""
-    images = [matvec(mat, b, p) for b in rows]
-    for w in images:
-        if combine([w[c] for c in pivots], rows, p) != w:
-            raise InvalidCharacterTable("subspace not invariant")
-    return [[w[c] for w in images] for c in pivots]
-
-
-def nullspace(mat, p) -> List[List[int]]:
-    rows, pivots = echelon(mat, p)
-    basis = []
-    for free in range(len(mat[0])):
-        if free not in pivots:
-            vec = [0] * len(mat[0])
-            vec[free] = 1
-            for row, c in zip(rows, pivots):
-                vec[c] = (-row[free]) % p
-            basis.append(vec)
-    return basis
-
-
-def charpoly(mat, p) -> List[int]:
-    """Characteristic polynomial coefficients (ascending) over F_p."""
-    d = len(mat)
-    h = [row[:] for row in mat]
-    # similarity reduction to upper Hessenberg form
-    for c in range(d - 2):
-        pivot = next((r for r in range(c + 1, d) if h[r][c] % p), None)
+                u += (p - f) * row
+        reduced = slots.unpack(u, k + d + 1)
+        pivot = next(filter(reduced.__getitem__, range(k)), None)
         if pivot is None:
-            continue
-        if pivot != c + 1:
-            h[pivot], h[c + 1] = h[c + 1], h[pivot]
-            for r in range(d):
-                h[r][pivot], h[r][c + 1] = h[r][c + 1], h[r][pivot]
-        inv = pow(h[c + 1][c], p - 2, p)
-        top = h[c + 1]
-        factors = [0] * (c + 2)
-        for r in range(c + 2, d):
-            f = (h[r][c] * inv) % p
-            factors.append(f)
-            if f:
-                h[r] = [(a - f * b) % p for a, b in zip(h[r], top)]
-        # the inverse transformation adds f_r times column r to column c + 1
-        if any(factors):
-            for row in h:
-                row[c + 1] = (row[c + 1] + sum(map(mul, factors, row))) % p
-    # expand det(xI - H) along the last column of each leading block
-    polys: List[List[int]] = [[1]]
-    for m in range(1, d + 1):
-        # (x - H[m-1][m-1]) * f_{m-1}
-        prev = polys[m - 1]
-        diag = h[m - 1][m - 1]
-        cur = [(a - diag * b) % p for a, b in zip([0] + prev, prev + [0])]
-        prod = 1
-        for i in range(1, m):
-            prod = (prod * h[m - i][m - i - 1]) % p
-            if not prod:
-                break
-            coef = (h[m - 1 - i][m - 1] * prod) % p
-            if coef:
-                lower = polys[m - 1 - i]
-                for idx, c in enumerate(lower):
-                    cur[idx] = (cur[idx] - coef * c) % p
-        polys.append(cur)
-    return polys[d]
+            return reduced[k:], krylov
+        inv = pow(reduced[pivot], p - 2, p)
+        rows.append((pivot, slots.pack([(x * inv) % p for x in reduced])))
+        krylov.append(packed)
+        vec = slots.unpack(sum(map(mul, vec, columns)), k)
 
 
-def roots(poly: List[int], p: int) -> Dict[int, int]:
-    """{root: multiplicity} of a polynomial over F_p (ascending coefficients)."""
-    found = {}
+def distinct_roots(poly: List[int], p: int) -> List[int]:
+    """The roots of poly in F_p, which must be deg poly distinct ones."""
+    degree = len(poly) - 1
+    found = []
+    top_down = poly[::-1]
     for lam in range(p):
-        q, mult = poly, 0
-        while len(q) > 1:
-            quotient, remainder = divide_linear(q, lam, p)
-            if remainder:
-                break
-            q, mult = quotient, mult + 1
-        if mult:
-            found[lam] = mult
-    return found
+        acc = 0
+        for c in top_down:
+            acc = (acc * lam + c) % p
+        if not acc:
+            found.append(lam)
+            if len(found) == degree:
+                return found
+    raise InvalidCharacterTable(
+        f"polynomial of degree {degree} has {len(found)} distinct roots mod {p}")
 
 
 def divide_linear(poly: List[int], lam: int, p: int) -> Tuple[List[int], int]:

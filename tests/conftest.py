@@ -1,11 +1,16 @@
 import cmath
 import functools
 import os
+import random
 import subprocess
 import sys
 from collections import deque
 from fractions import Fraction
+from functools import partial
+from operator import itemgetter, mul
 from pathlib import Path
+from typing import Dict, List, Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import assume
@@ -18,6 +23,7 @@ from cmkit import (
     GeneratingVector,
     GenusZeroQuotient,
     GroupMismatch,
+    InvalidCharacterTable,
     NotNormal,
     NotProperNontrivial,
     Permutation,
@@ -28,6 +34,7 @@ from cmkit import (
     galois_quotient_signature,
     quotient_surface,
 )
+from cmkit import chartable
 from cmkit.cyclotomic import prime_factors
 from cmkit.criteria import EXCEPTION_PERIODS, StatementAResult, StatementBResult
 
@@ -336,6 +343,268 @@ def abelian_invariants_reference(G):
         factors.append(d)
     factors.reverse()  # ascending divisibility chain
     return tuple(factors)
+
+
+# -- the Hessenberg route to the joint eigenvectors ------------------------------
+# The oracle for `chartable._joint_eigenvectors`: the route the character table
+# took before the Krylov minimal polynomials, copied verbatim (the F_p linear
+# algebra from `cmkit.modp`, then the split from `cmkit.chartable`).  Each
+# eigenspace is carried with a basis, split by the roots of the characteristic
+# polynomial of the restricted matrix, from its Hessenberg form.
+
+
+def matvec(mat, vec, p):
+    return [sum(map(mul, row, vec)) % p for row in mat]
+
+
+def combine(coords, basis, p):
+    """sum_i coords[i] basis[i]."""
+    return [sum(map(mul, coords, col)) % p for col in zip(*basis)]
+
+
+def echelon(vectors, p) -> Tuple[List[List[int]], List[int]]:
+    """(rows, pivots): a basis of the span in reduced echelon form, row i
+    with a 1 in column pivots[i], where every other row has a 0."""
+    rows: List[List[int]] = []
+    pivots: List[int] = []
+    for vec in vectors:
+        w = vec
+        for row, c in zip(rows, pivots):
+            f = w[c]
+            if f:
+                w = [(a - f * b) % p for a, b in zip(w, row)]
+        c = next((i for i, x in enumerate(w) if x), None)
+        if c is None:
+            continue
+        inv = pow(w[c], p - 2, p)
+        w = [(x * inv) % p for x in w]
+        rows = [[(a - row[c] * b) % p for a, b in zip(row, w)] if row[c] else row
+                for row in rows]
+        rows.append(w)
+        pivots.append(c)
+    return rows, pivots
+
+
+def restrict(mat, rows, pivots, p):
+    """The matrix of mat on the span of rows, in reduced echelon form: the
+    coordinates of a vector of the span are its entries at the pivots."""
+    images = [matvec(mat, b, p) for b in rows]
+    for w in images:
+        if combine([w[c] for c in pivots], rows, p) != w:
+            raise InvalidCharacterTable("subspace not invariant")
+    return [[w[c] for w in images] for c in pivots]
+
+
+def nullspace(mat, p) -> List[List[int]]:
+    rows, pivots = echelon(mat, p)
+    basis = []
+    for free in range(len(mat[0])):
+        if free not in pivots:
+            vec = [0] * len(mat[0])
+            vec[free] = 1
+            for row, c in zip(rows, pivots):
+                vec[c] = (-row[free]) % p
+            basis.append(vec)
+    return basis
+
+
+def charpoly(mat, p) -> List[int]:
+    """Characteristic polynomial coefficients (ascending) over F_p."""
+    d = len(mat)
+    h = [row[:] for row in mat]
+    # similarity reduction to upper Hessenberg form
+    for c in range(d - 2):
+        pivot = next((r for r in range(c + 1, d) if h[r][c] % p), None)
+        if pivot is None:
+            continue
+        if pivot != c + 1:
+            h[pivot], h[c + 1] = h[c + 1], h[pivot]
+            for r in range(d):
+                h[r][pivot], h[r][c + 1] = h[r][c + 1], h[r][pivot]
+        inv = pow(h[c + 1][c], p - 2, p)
+        top = h[c + 1]
+        factors = [0] * (c + 2)
+        for r in range(c + 2, d):
+            f = (h[r][c] * inv) % p
+            factors.append(f)
+            if f:
+                h[r] = [(a - f * b) % p for a, b in zip(h[r], top)]
+        # the inverse transformation adds f_r times column r to column c + 1
+        if any(factors):
+            for row in h:
+                row[c + 1] = (row[c + 1] + sum(map(mul, factors, row))) % p
+    # expand det(xI - H) along the last column of each leading block
+    polys: List[List[int]] = [[1]]
+    for m in range(1, d + 1):
+        # (x - H[m-1][m-1]) * f_{m-1}
+        prev = polys[m - 1]
+        diag = h[m - 1][m - 1]
+        cur = [(a - diag * b) % p for a, b in zip([0] + prev, prev + [0])]
+        prod = 1
+        for i in range(1, m):
+            prod = (prod * h[m - i][m - i - 1]) % p
+            if not prod:
+                break
+            coef = (h[m - 1 - i][m - 1] * prod) % p
+            if coef:
+                lower = polys[m - 1 - i]
+                for idx, c in enumerate(lower):
+                    cur[idx] = (cur[idx] - coef * c) % p
+        polys.append(cur)
+    return polys[d]
+
+
+def roots(poly: List[int], p: int) -> Dict[int, int]:
+    """{root: multiplicity} of a polynomial over F_p (ascending coefficients)."""
+    found = {}
+    for lam in range(p):
+        q, mult = poly, 0
+        while len(q) > 1:
+            quotient, remainder = divide_linear(q, lam, p)
+            if remainder:
+                break
+            q, mult = quotient, mult + 1
+        if mult:
+            found[lam] = mult
+    return found
+
+
+def divide_linear(poly: List[int], lam: int, p: int) -> Tuple[List[int], int]:
+    """(quotient, remainder) of poly by x - lam over F_p, ascending coefficients."""
+    acc = 0
+    out = []
+    for c in reversed(poly):
+        acc = (acc * lam + c) % p
+        out.append(acc)
+    remainder = out.pop()
+    return out[::-1], remainder
+
+
+# The split order never reaches the output: rows are sorted by an exact key.
+_SPLIT_SEED = 1990
+_SEEDED_COMBINATIONS = 4
+
+
+def _class_combination(G: FiniteGroup, coeffs: List[int], p: int) -> List[List[int]]:
+    """sum_i coeffs[i] M_i mod p, with M_i[j][l] = #{x in C_i : x^-1 z_l in C_j}
+    for the representative z_l of class l."""
+    class_of = G.class_ids()
+    k = len(coeffs)
+    weighted = [(G.inv(x), coeffs[c]) for x, c in enumerate(class_of) if coeffs[c]]
+    mat = [[0] * k for _ in range(k)]
+    for l, cls in enumerate(G.conjugacy_classes()):
+        zl = G.index_of(cls.representative)
+        for xi, c in weighted:
+            mat[class_of[G.mul(xi, zl)]][l] += c
+    return [[x % p for x in row] for row in mat]
+
+
+def _joint_eigenvectors(G: FiniteGroup, p: int) -> List[List[int]]:
+    """One common eigenvector of the class matrices for each irreducible.
+
+    The matrices act on class space with eigenvectors w_chi, where
+    w_chi[l] = |C_l| chi(z_l) / chi(1), and the identity-class indicator is
+    e_0 = sum_chi (chi(1)^2 / |G|) w_chi, every coefficient nonzero mod
+    p > 2|G|.  A combination A of class matrices, seeded ones first and then
+    each class matrix alone, splits every subspace still shared by several
+    irreducibles into its eigenspaces.  Each subspace carries the projection
+    of e_0 onto it, which keeps a nonzero coefficient on every w_chi in it,
+    as the start vector of its next split (`_split`).
+    """
+    k = len(G.conjugacy_classes())
+    rng = random.Random(_SPLIT_SEED)
+    combinations = [[0] + [rng.randrange(p) for _ in range(k - 1)]
+                    for _ in range(_SEEDED_COMBINATIONS)]
+    combinations += [[int(i == j) for j in range(k)] for i in range(1, k)]
+    found: List[List[int]] = []
+    # (start vector, (rows, pivots) of the subspace in reduced echelon form);
+    # None stands for all of class space.
+    pending: list = [([int(i == 0) for i in range(k)], None)]
+    if k == 1:
+        found, pending = [[1]], []
+    for coeffs in combinations:
+        if not pending:
+            break
+        mat = _class_combination(G, coeffs, p)
+        still = []
+        for start, space in pending:
+            if space is None:
+                parts = _split(mat, start, p, rng)
+                lift = list
+            else:
+                rows, pivots = space
+                parts = _split(restrict(mat, rows, pivots, p),
+                               [start[c] for c in pivots], p, rng)
+                lift = partial(combine, basis=rows, p=p)
+            if not parts:
+                still.append((start, space))
+            for vec, basis in parts:
+                if len(basis) == 1:
+                    found.append(lift(vec))
+                    continue
+                lifted = [lift(b) for b in basis]
+                sub = echelon(lifted, p)
+                if len(sub[0]) != len(lifted):
+                    raise InvalidCharacterTable("basis vectors are dependent")
+                still.append((lift(vec), sub))
+        pending = still
+    if pending:
+        raise InvalidCharacterTable("class matrices failed to separate")
+    return found
+
+
+def _split(mat, start, p: int, rng: random.Random) -> List[Tuple[List[int], List[List[int]]]]:
+    """(projection of start, basis) of each eigenspace of a diagonalizable
+    matrix over F_p; empty when there is a single eigenvalue.
+
+    With m the product of x - mu over the distinct eigenvalues mu, the
+    projection onto the lambda-eigenspace is a multiple of
+    q(mat) = (m / (x - lambda))(mat), read off one Krylov sequence of the
+    start vector.  A repeated eigenvalue takes its basis from the
+    projections of seeded vectors, or from the nullspace of mat - lambda
+    when those are dependent.
+    """
+    d = len(mat)
+    eigenvalues = roots(charpoly(mat, p), p)
+    if sum(eigenvalues.values()) != d:
+        raise InvalidCharacterTable("characteristic polynomial does not split over F_p")
+    if len(eigenvalues) == 1:
+        return []
+    minimal = [1]
+    for lam in eigenvalues:
+        minimal = [(a - lam * b) % p for a, b in zip([0] + minimal, minimal + [0])]
+    starts = [start] + [[rng.randrange(p) for _ in range(d)]
+                        for _ in range(max(eigenvalues.values()) - 1)]
+    krylov = []
+    for vec in starts:
+        seq = [vec]
+        for _ in range(len(eigenvalues) - 1):
+            seq.append(matvec(mat, seq[-1], p))
+        krylov.append(list(zip(*seq)))
+    parts = []
+    for lam, mult in eigenvalues.items():
+        q, _ = divide_linear(minimal, lam, p)
+        vecs = [[sum(map(mul, q, col)) % p for col in cols] for cols in krylov[:mult]]
+        if not any(vecs[0]):
+            raise InvalidCharacterTable("projection of the start vector vanishes")
+        basis, _ = echelon(vecs, p)
+        if len(basis) < mult:
+            shifted = [[(x - lam * (i == j)) % p for j, x in enumerate(row)]
+                       for i, row in enumerate(mat)]
+            basis, _ = echelon(vecs + nullspace(shifted, p), p)
+        if len(basis) != mult:
+            raise InvalidCharacterTable(
+                f"eigenspace of dimension {len(basis)} for a root of multiplicity {mult}")
+        parts.append((vecs[0], basis))
+    return parts
+
+
+def hessenberg_rows(G):
+    """(values, spectra) of G's irreducibles in table order, lifted from the
+    Hessenberg route's joint eigenvectors by `chartable._dixon_rows`."""
+    with mock.patch.object(chartable, "_joint_eigenvectors", _joint_eigenvectors):
+        rows = sorted(chartable._dixon_rows(G), key=itemgetter(0))
+    return [tuple(values) for _, values, _ in rows], tuple(spectra for _, _, spectra in rows)
 
 
 def statement_a_reference(G, H):

@@ -10,6 +10,8 @@ from cmkit import (
     GroupMismatch,
     InvalidCharacterTable,
     NonIntegralResult,
+    Permutation,
+    build_gm,
     character_table,
     fixed_space_dimension,
     inner_product,
@@ -18,12 +20,15 @@ from cmkit import (
     symmetric_square,
     trivial_character,
 )
-from cmkit.chartable import CharacterTable, _from_root_multiplicities, _split
-from cmkit.modp import echelon, matvec
+from cmkit.chartable import CharacterTable, _from_root_multiplicities, _split, _verify_table
+from cmkit.modp import Slots
 from conftest import (
     alternating_5,
     cyclic_7_squared,
+    cyclic_product,
+    elementary_abelian_2,
     gm_bundle,
+    hessenberg_rows,
     index_table,
     klein_4,
     psl_2_7,
@@ -68,7 +73,7 @@ def _gm_group(m):
 
 # PSL(2,7), C7 x C7 (49 classes, p = 113) and gm:10-20 repeat eigenvalues in
 # the first seeded class combination, so their tables go through the
-# refinement; C7 x C7 and gm:20 also through the nullspace fallback.
+# refinement by later combinations.
 @pytest.mark.parametrize("maker", [
     lambda: FiniteGroup.cyclic(2),
     lambda: FiniteGroup.cyclic(6),
@@ -227,11 +232,11 @@ else:
 """
 
 
-NOT_INVARIANT = """
+NOT_SPLIT = """
 from cmkit import InvalidCharacterTable
-from cmkit.modp import restrict
+from cmkit.modp import distinct_roots
 try:
-    restrict([[0, 1], [1, 0]], [[1, 0]], [0], 7)
+    distinct_roots([1, 0, 1], 7)
 except InvalidCharacterTable as ex:
     print("rejected:", ex)
 else:
@@ -239,10 +244,49 @@ else:
 """
 
 
+SLOT_OVERFLOW = """
+from cmkit import InternalCheckFailed
+from cmkit.modp import Slots
+print(Slots(433, 217).width, Slots(4099, 300).width)
+try:
+    Slots(2 ** 31 - 1, 5)
+except InternalCheckFailed as ex:
+    print("rejected:", ex)
+else:
+    print("accepted")
+"""
+
+
 def test_verify_table_rejects_under_optimize():
-    """The table checks are raises, not asserts: `python -O` keeps them."""
+    """The table checks are raises, not asserts: `python -O` keeps them.
+    x^2 + 1 has no root mod 7, and five products of residues mod 2^31 - 1
+    overflow a 64-bit slot (217 mod 433, C3 x C6 x C12's table, fit 32 bits)."""
     assert run_optimized("-c", ONE_ROW_C3).startswith("rejected: 1 irreducibles for 3 classes")
-    assert run_optimized("-c", NOT_INVARIANT).startswith("rejected: subspace not invariant")
+    assert run_optimized("-c", NOT_SPLIT).startswith(
+        "rejected: polynomial of degree 2 has 0 distinct roots mod 7")
+    widths, overflow = run_optimized("-c", SLOT_OVERFLOW).splitlines()
+    assert widths == "32 64"
+    assert overflow.startswith("rejected: 5 products mod 2147483647 overflow")
+
+
+def test_verify_table_compares_each_value_object():
+    """In C3's trivial row the spectrum (1, 0, 0) fills two cells with one
+    value object, compared once.  A cell holding a different object for the
+    same spectrum is compared again: a wrong one raises, an equal one passes."""
+    G = FiniteGroup.cyclic(3)
+    T = character_table(G)
+    row = T.trivial_index
+    values = T.irreducibles[row].values
+    assert T.spectra[row][1] == T.spectra[row][2] and values[1] is values[2]
+    for other, accepted in ((Cyclotomic.rational(1), True), (Cyclotomic.zero(), False)):
+        doctored = list(T.irreducibles)
+        doctored[row] = Character(G, values[:2] + (other,))
+        table = CharacterTable(G, tuple(doctored), T.spectra)
+        if accepted:
+            _verify_table(table)
+        else:
+            with pytest.raises(InvalidCharacterTable, match="differs from its spectrum"):
+                _verify_table(table)
 
 
 DOCTORED_SPECTRA = """
@@ -277,31 +321,106 @@ def test_missing_trivial_character_is_a_table_error():
         CharacterTable(G, (sign,), ((),)).trivial_index
 
 
-class _FixedDraws:
-    """Stands in for the seeded generator of `_split`."""
-
-    def __init__(self, values):
-        self.values = iter(values)
-
-    def randrange(self, p):
-        return next(self.values)
+def _packed_columns(mat, slots):
+    return [slots.pack([row[l] % slots.p for row in mat]) for l in range(len(mat))]
 
 
-def test_split_falls_back_to_the_nullspace():
-    """Eigenvalue 1 twice, on (1, 1, 0) and (1, 0, 1), and 2 on (-1, -1, -1);
-    e_0 is their sum.  The extra start vector is e_0 itself, so its
-    projection adds nothing and the second basis vector must come from the
-    nullspace of mat - 1."""
+def _apply(mat, vec, p):
+    return [sum(a * x for a, x in zip(row, vec)) % p for row in mat]
+
+
+def _normalized(vec, p):
+    inv = pow(next(x for x in vec if x), p - 2, p)
+    return [(x * inv) % p for x in vec]
+
+
+def test_split_leaves_a_repeated_eigenvalue_to_a_later_combination():
+    """mat has eigenvalue 1 twice, on (1, 1, 0) and (1, 0, 1), and 2 on
+    (-1, -1, -1); e_0 is their sum.  Its minimal polynomial under mat is
+    (x - 1)(x - 2), so it splits into 2 parts.  A later combination, diagonal
+    on the same three vectors with eigenvalues 1, 2, 3, splits the part for
+    1 into its two lines and leaves the part for 2 whole."""
     p = 7
-    mat = [[0, 1, 1], [-1 % p, 2, 1], [-1 % p, 1, 2]]
-    parts = _split(mat, [1, 0, 0], p, _FixedDraws([1, 0, 0]))
-    assert [len(basis) for _, basis in parts] == [2, 1]
-    for lam, (start, basis) in zip((1, 2), parts):
-        assert len(echelon(basis, p)[0]) == len(basis)
-        for vec in [start, *basis]:
-            assert matvec(mat, vec, p) == [(lam * x) % p for x in vec]
-    start = parts[0][0]
-    assert [(x * pow(start[1], p - 2, p)) % p for x in start] == [2, 1, 1]
+    slots = Slots(p, 4)
+    mat = [[0, 1, 1], [-1, 2, 1], [-1, 1, 2]]
+    later = [[0, 1, 2], [-2, 3, 2], [-1, 1, 3]]
+    for vec in ([1, 0, 0], [0, 1, 0], [0, 0, 1]):
+        assert _apply(mat, _apply(later, vec, p), p) == _apply(later, _apply(mat, vec, p), p)
+    parts = _split(_packed_columns(mat, slots), [1, 0, 0], slots)
+    assert len(parts) == 2
+    for lam, part in zip((1, 2), parts):
+        assert _apply(mat, part, p) == [(lam * x) % p for x in part]
+    assert _normalized(parts[0], p) == [1, 4, 4]  # (2, 1, 1) = (1, 1, 0) + (1, 0, 1)
+    assert _normalized(parts[1], p) == [1, 1, 1]
+    lines = _split(_packed_columns(later, slots), parts[0], slots)
+    assert [_normalized(line, p) for line in lines] == [[1, 1, 0], [1, 0, 1]]
+    assert _split(_packed_columns(later, slots), parts[1], slots) == [parts[1]]
+
+
+def _table_groups():
+    groups = [
+        pytest.param(FiniteGroup.trivial, id="C1"),
+        pytest.param(lambda: FiniteGroup.cyclic(2), id="C2"),
+        pytest.param(symmetric_3, id="S3"),
+        pytest.param(klein_4, id="V4"),
+        pytest.param(symmetric_4, id="S4"),
+        pytest.param(alternating_5, id="A5"),
+        pytest.param(symmetric_5, id="S5"),
+        pytest.param(psl_2_7, id="PSL(2,7)"),
+        pytest.param(cyclic_7_squared, id="C7xC7"),
+        pytest.param(lambda: elementary_abelian_2(5), id="C2^5"),
+        pytest.param(lambda: elementary_abelian_2(6), id="C2^6"),
+        pytest.param(lambda: cyclic_product(3, 6, 12), id="C3xC6xC12"),
+    ]
+    return groups + [pytest.param(lambda m=m: gm_bundle(m)[0].group, id=f"gm:{m}")
+                     for m in range(6, 34, 2)]
+
+
+def _rows(T):
+    return [chi.values for chi in T.irreducibles], T.spectra
+
+
+@pytest.mark.parametrize("maker", _table_groups())
+def test_krylov_route_matches_the_hessenberg_route(maker):
+    """The minimal-polynomial split gives the table that the Hessenberg
+    route (`conftest.hessenberg_rows`) gives: the same spectra and values."""
+    G = maker()
+    assert _rows(character_table(G)) == hessenberg_rows(G)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_permutation_groups())
+def test_krylov_route_matches_the_hessenberg_route_on_random_groups(G):
+    assert _rows(character_table(G)) == hessenberg_rows(G)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("Permutation arithmetic or lookup on an index path")
+
+
+def test_tables_and_quotient_invariants_read_the_cayley_table(monkeypatch):
+    """On built groups, the character tables of gm:8, A5 and PSL(2,7)
+    (classes, power classes and class matrices included), and the abelian
+    invariants and cyclic subgroups of a statement-A quotient of gm:8, read
+    element orders and class representatives from the Cayley table: with
+    `Permutation.order`, `__mul__` and `FiniteGroup.index_of` refused, they
+    equal the unpatched results."""
+    fresh = [build_gm(8).group, alternating_5.__wrapped__(), psl_2_7.__wrapped__()]
+    cached = [gm_bundle(8)[0].group, alternating_5(), psl_2_7()]
+    G = fresh[0]
+    H = next(H for H in G.all_subgroups() if H.is_proper_nontrivial() and G.is_normal(H)
+             and H.normalizer_quotient()[0].is_abelian() and H.index > 2)
+    Q, _ = H.normalizer_quotient()
+    Q_ref, _ = cached[0].subgroup(H.elements).normalizer_quotient()
+    expected = (Q_ref.abelian_invariants(), [K.is_cyclic() for K in Q_ref.all_subgroups()])
+    with monkeypatch.context() as m:
+        m.setattr(Permutation, "order", _refuse)
+        m.setattr(Permutation, "__mul__", _refuse)
+        m.setattr(FiniteGroup, "index_of", _refuse)
+        tables = [_rows(character_table(F)) for F in fresh]
+        invariants = (Q.abelian_invariants(), [K.is_cyclic() for K in Q.all_subgroups()])
+    assert tables == [_rows(character_table(F)) for F in cached]
+    assert invariants == expected
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
