@@ -28,30 +28,29 @@ eigenvalue of rho(g), where z stands for zeta_e.  The n_t are integers in
 [0, chi(1)], so their mod-p representatives are exact.  The transform runs
 once per rational class: the class of g^u, u a unit mod o, has the
 spectrum n_(t u^-1), and each such spectrum is checked against the class's
-value mod p.  The spectra are kept as `CharacterTable.spectra`
-(surface.chevalley_weil_multiplicities reads its counts from them), and
-chi(C) = sum_t n_t zeta_o^t is the exact cyclotomic value, summed in
-integers.  The finished table is verified in integer arithmetic: every value
-against its spectrum, the degree sum, and norm one, <chi, chi> summed from
-the spectra in Z[x]/(x^e - 1) and reduced mod Phi_e.  Every failed identity
-raises `InvalidCharacterTable`.  Later class sums read the spectra the
-same way (`fixed_dimensions`), and `conjugate_index` reverses them;
-`Cyclotomic` arithmetic is left to the oracle API (`inner_product`,
-`symmetric_square`, `fixed_space_dimension`).
+value mod p.  The spectra are the table: `CharacterTable` stores nothing
+else, and degrees, Chevalley-Weil counts, class sums (`fixed_dimensions`)
+and `conjugate_index` read them.  The table is verified in integer
+arithmetic: its shape (each spectrum of length o_c, non-negative, summing to
+the degree), norm one, <chi, chi> summed from the spectra in Z[x]/(x^e - 1)
+and reduced mod Phi_e, and the degree sum.  Every failed identity raises
+`InvalidCharacterTable`.  The values chi(C) = sum_t n_t zeta_o^t are built
+as `Cyclotomic`s only on demand (`CharacterTable.irreducibles`), for the
+`table` payload and the oracle API (`inner_product`, `symmetric_square`,
+`fixed_space_dimension`).
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import itemgetter, mul
 from typing import Dict, List, Optional, Tuple
 
-from .cyclotomic import (Cyclotomic, _reduction_rows, accumulate, euler_phi, exact_quotient,
-                         prime_factors, reduced_integer)
+from .cyclotomic import (Cyclotomic, _reduction_rows, accumulate, class_sums, cyclic_product,
+                         euler_phi, prime_factors, reduced_integer)
 from .errors import (
     GroupMismatch,
     GroupTooLarge,
@@ -97,14 +96,13 @@ class Character:
 
 @dataclass(frozen=True, eq=False)
 class CharacterTable:
-    """Irreducible characters with their eigenvalue spectra.
+    """The irreducible characters as eigenvalue spectra.
 
     `spectra[i][c][t]` is the multiplicity of exp(2 pi i t / o) as an
     eigenvalue of rho_i at class c, where o is the element order of class c.
     """
 
     group: FiniteGroup
-    irreducibles: Tuple[Character, ...]
     spectra: Tuple[Tuple[Tuple[int, ...], ...], ...]
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -113,13 +111,25 @@ class CharacterTable:
         return self.group.exponent()
 
     def __len__(self) -> int:
-        return len(self.irreducibles)
+        return len(self.spectra)
+
+    @property
+    def irreducibles(self) -> Tuple[Character, ...]:
+        """The rows as `Character`s, built once from the spectra with one
+        `Cyclotomic` per distinct spectrum: for display and the oracle API."""
+        if "irreducibles" not in self._cache:
+            e = self.conductor
+            values = {s: _from_root_multiplicities(e, _spectrum_exponents(e, s))
+                      for s in {s for spectra in self.spectra for s in spectra}}
+            self._cache["irreducibles"] = tuple(Character(self.group, tuple(map(
+                values.__getitem__, spectra))) for spectra in self.spectra)
+        return self._cache["irreducibles"]
 
     @property
     def trivial_index(self) -> int:
-        one = Cyclotomic.one()
-        for i, chi in enumerate(self.irreducibles):
-            if all(v == one for v in chi.values):
+        """The row whose every spectrum is (1, 0, ..., 0)."""
+        for i, spectra in enumerate(self.spectra):
+            if all(s[0] == 1 and not any(s[1:]) for s in spectra):
                 return i
         raise InvalidCharacterTable("trivial character missing")
 
@@ -141,18 +151,14 @@ class CharacterTable:
             raise SubgroupMismatch("subgroup of a different group")
         key = ("fixed", H)
         if key not in self._cache:
-            weights = Counter(map(self.group.class_ids().__getitem__, H.indices))
-            dims = []
-            for spectra in self.spectra:
-                acc = [0] * self.conductor
-                for c, w in weights.items():
-                    accumulate(acc, spectra[c], w)
-                dims.append(exact_quotient(acc, H.order, "fixed-space dimension sum"))
-            self._cache[key] = tuple(dims)
+            self._cache[key] = tuple(class_sums(
+                self.conductor, self.group.class_ids(), H.indices, self.spectra, H.order,
+                "fixed-space dimension sum"))
         return self._cache[key]
 
     def degrees(self) -> Tuple[int, ...]:
-        return tuple(chi.degree for chi in self.irreducibles)
+        """chi(1), the single entry of each row's identity-class spectrum."""
+        return tuple(spectra[0][0] for spectra in self.spectra)
 
 
 def character_table(G: FiniteGroup, bound: int = DEFAULT_CHARTABLE_BOUND) -> CharacterTable:
@@ -161,8 +167,7 @@ def character_table(G: FiniteGroup, bound: int = DEFAULT_CHARTABLE_BOUND) -> Cha
     if G.order > bound:
         raise GroupTooLarge(f"character table bound {bound} exceeded (order {G.order})")
     rows = sorted(_dixon_rows(G), key=itemgetter(0))
-    table = CharacterTable(G, tuple(Character(G, tuple(values)) for _, values, _ in rows),
-                           tuple(spectra for _, _, spectra in rows))
+    table = CharacterTable(G, tuple(spectra for _, spectra in rows))
     _verify_table(table)
     G._chartable = table
     return table
@@ -227,8 +232,8 @@ def trivial_character(G: FiniteGroup) -> Character:
 # Dixon's method over F_p
 
 
-def _dixon_rows(G: FiniteGroup) -> List[Tuple[tuple, List[Cyclotomic], Tuple[Tuple[int, ...], ...]]]:
-    """(sort key, values, spectra) of each irreducible, in eigenvector order.
+def _dixon_rows(G: FiniteGroup) -> List[Tuple[tuple, Tuple[Tuple[int, ...], ...]]]:
+    """(sort key, spectra) of each irreducible, in eigenvector order.
 
     The sort key is the degree followed by the integer coefficient vector of
     each value on the power basis of Q(zeta_e).
@@ -256,7 +261,7 @@ def _dixon_rows(G: FiniteGroup) -> List[Tuple[tuple, List[Cyclotomic], Tuple[Tup
         dft = [[ztab[(-t * s_) % o] for s_ in range(o)] for t in range(o)]
         per_order[o] = (ztab, dft, pow(o, p - 2, p))
     width = euler_phi(e)
-    lifted: Dict[Tuple[int, ...], Tuple[Cyclotomic, Tuple[int, ...]]] = {}
+    dense: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
     rows_out = []
     for v in vectors:
@@ -277,28 +282,15 @@ def _dixon_rows(G: FiniteGroup) -> List[Tuple[tuple, List[Cyclotomic], Tuple[Tup
             if first == c:
                 seq = [vals[j] for j in power[c]]
                 spectrum = tuple((sum(map(mul, row, seq)) * inv_o) % p for row in dft)
-                if max(spectrum) > degree:
-                    raise InvalidCharacterTable("lifted multiplicity out of range")
-                if sum(spectrum) != degree:
-                    raise InvalidCharacterTable(
-                        "eigenvalue multiplicities do not sum to the degree")
             else:
                 spectrum = tuple(map(spectra[first].__getitem__, reindex))
             if sum(map(mul, spectrum, ztab)) % p != vals[c]:
                 raise InvalidCharacterTable("eigenvalue spectrum does not give the class value")
             spectra.append(spectrum)
-
-        values = []
-        key: List[Tuple[int, ...]] = []
-        for spectrum in spectra:
-            if spectrum not in lifted:
+            if spectrum not in dense:
                 coeffs = _root_sum(e, _spectrum_exponents(e, spectrum))
-                lifted[spectrum] = (_cyclotomic(e, coeffs),
-                                    tuple(coeffs.get(j, 0) for j in range(width)))
-            value, dense = lifted[spectrum]
-            values.append(value)
-            key.append(dense)
-        rows_out.append(((degree, tuple(key)), values, tuple(spectra)))
+                dense[spectrum] = tuple(coeffs.get(j, 0) for j in range(width))
+        rows_out.append(((degree, tuple(map(dense.__getitem__, spectra))), tuple(spectra)))
     return rows_out
 
 
@@ -337,26 +329,17 @@ def _root_sum(e: int, mults: Dict[int, int]) -> Dict[int, int]:
     return {j: c for j, c in acc.items() if c}
 
 
-def _cyclotomic(e: int, coeffs: Dict[int, int]) -> Cyclotomic:
-    return Cyclotomic(e, {j: Fraction(c) for j, c in coeffs.items()})
-
-
 def _from_root_multiplicities(e: int, mults: Dict[int, int]) -> Cyclotomic:
-    return _cyclotomic(e, _root_sum(e, mults))
+    """The `Cyclotomic` sum m zeta_e^k over {k: m} in mults."""
+    return Cyclotomic(e, {j: Fraction(c) for j, c in _root_sum(e, mults).items()})
 
 
 def _find_prime(e: int, minimum: int) -> int:
+    """The least prime p = 1 (mod e) with p >= minimum > 2."""
     p = minimum + ((1 - minimum) % e)
-    if p < minimum:
+    while prime_factors(p) != [p]:
         p += e
-    while True:
-        if p > 2 and _is_prime(p):
-            return p
-        p += e
-
-
-def _is_prime(n: int) -> bool:
-    return prime_factors(n) == [n]
+    return p
 
 
 def _find_root_of_unity(e: int, p: int) -> int:
@@ -441,51 +424,43 @@ def _split(columns: List[int], start: List[int], slots: Slots) -> List[List[int]
 
 
 def _verify_table(table: CharacterTable) -> None:
-    """Class count, degree sum, values against spectra, and norm one.
+    """Shape, norm one and degree sum of the stored spectra.
 
-    A cell holding the value object last found equal to its spectrum's
-    re-lifted value skips the comparison; the table shares one object per
-    spectrum, so each is compared once.
+    The table has k rows of k spectra; the spectrum at class c has length
+    o_c and non-negative entries summing to the row's degree.
 
     <chi, chi> is summed from the spectra in integers: at a class of element
-    order o, chi conj(chi) = sum_d a_d zeta_o^d with a_d the autocorrelation
-    sum_t n_t n_(t-d) of the spectrum.  The autocorrelations, weighted by class
-    size, are accumulated in Z[x]/(x^e - 1) and reduced once mod Phi_e
+    order o, chi conj(chi) is the product of the spectrum n_t and its
+    conjugate n_(-t) in Z[x]/(x^o - 1).  Each distinct spectrum's product,
+    weighted by the total size of the classes it fills in the row, is
+    accumulated in Z[x]/(x^e - 1) and reduced once mod Phi_e
     (`cyclotomic.reduced_integer`); the result must be |G|.
     """
     G = table.group
     classes = G.conjugacy_classes()
     k = len(classes)
-    if len(table.irreducibles) != k:
-        raise InvalidCharacterTable(
-            f"{len(table.irreducibles)} irreducibles for {k} classes")
+    if len(table.spectra) != k:
+        raise InvalidCharacterTable(f"{len(table.spectra)} irreducibles for {k} classes")
+    e = G.exponent()
+    autocorrelations: Dict[Tuple[int, ...], List[int]] = {}
+    for i, spectra in enumerate(table.spectra):
+        if len(spectra) != k:
+            raise InvalidCharacterTable(f"row {i} has {len(spectra)} spectra for {k} classes")
+        weights: Dict[Tuple[int, ...], int] = {}
+        for cls, spectrum in zip(classes, spectra):
+            if len(spectrum) != cls.order:
+                raise InvalidCharacterTable(f"row {i} has a malformed spectrum")
+            weights[spectrum] = weights.get(spectrum, 0) + cls.size
+        acc = [0] * e
+        for spectrum, w in weights.items():
+            if min(spectrum) < 0 or sum(spectrum) != spectra[0][0]:
+                raise InvalidCharacterTable(
+                    f"row {i}: eigenvalue multiplicities are not a partition of the degree")
+            if spectrum not in autocorrelations:
+                conjugate = spectrum[:1] + spectrum[:0:-1]
+                autocorrelations[spectrum] = cyclic_product(spectrum, conjugate)
+            accumulate(acc, autocorrelations[spectrum], w)
+        if reduced_integer(acc) != G.order:
+            raise InvalidCharacterTable(f"row {i} is not norm one")
     if sum(d * d for d in table.degrees()) != G.order:
         raise InvalidCharacterTable("degree-sum identity failed")
-    e = G.exponent()
-    # spectrum -> [its value, autocorrelation as coefficients of zeta_o^d,
-    #              the value object last found equal to it]
-    seen: Dict[Tuple[int, ...], list] = {}
-    for chi, spectra in zip(table.irreducibles, table.spectra):
-        acc = [0] * e
-        for cls, value, spectrum in zip(classes, chi.values, spectra):
-            if len(spectrum) != cls.order:
-                raise InvalidCharacterTable(f"{chi!r} has a malformed spectrum")
-            if spectrum not in seen:
-                o = cls.order
-                if min(spectrum) < 0:
-                    raise InvalidCharacterTable(f"{chi!r} has a negative multiplicity")
-                support = [(t, m) for t, m in enumerate(spectrum) if m]
-                autocorrelation = [0] * o
-                for t, m in support:
-                    for t2, m2 in support:
-                        autocorrelation[(t - t2) % o] += m * m2
-                seen[spectrum] = [_from_root_multiplicities(e, _spectrum_exponents(e, spectrum)),
-                                  autocorrelation, None]
-            entry = seen[spectrum]
-            if value is not entry[2]:
-                if entry[0] != value:
-                    raise InvalidCharacterTable(f"{chi!r} differs from its spectrum")
-                entry[2] = value
-            accumulate(acc, entry[1], cls.size)
-        if reduced_integer(acc) != G.order:
-            raise InvalidCharacterTable(f"{chi!r} is not norm one")

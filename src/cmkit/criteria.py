@@ -16,7 +16,8 @@ The symmetric-square ("Streit") value and the quotient genera need no
 character table.  The analytic character chi_a is read off the branch data
 by the Eichler trace formula, scaled by D = lcm of the branch orders to
 integer coefficients.  Each count is a class sum of these values in
-Z[x]/(x^e - 1), divided by `cyclotomic.exact_quotient` (one reduction mod
+Z[x]/(x^e - 1) (`cyclotomic.class_sums`, which `CharacterTable.fixed_dimensions`
+shares), divided by `cyclotomic.exact_quotient` (one reduction mod
 Phi_e, as in the table's norm-one check), which raises `NonIntegralResult`
 unless the result is a non-negative integer: the value divides by 2|G|D^2,
 the genus of X/H by |H|D.  <chi_a, 1>, the case H = G, must be the orbit
@@ -27,20 +28,19 @@ same reduction; the `Cyclotomic` route (`analytic_character`,
 `symmetric_square`, `inner_product`) is kept as a test oracle.  The
 relation search and `verify_isogeny_relation` read dim V_rho^H
 (`CharacterTable.fixed_dimensions`) and conjugate rows off the spectra: no
-`Cyclotomic` arithmetic runs on a verdict's path.
+`Cyclotomic` value is built on a verdict's path.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .chartable import CharacterTable, _rational_sources, character_table
-from .cyclotomic import accumulate, exact_quotient
+from .cyclotomic import accumulate, class_sums, cyclic_product, exact_quotient
 from .errors import (
     GenusZeroQuotient,
     GroupMismatch,
@@ -366,7 +366,7 @@ def _streit_value(X: QuasiplatonicSurface, scale: int, values: Sequence[Sequence
     sources = _rational_sources(classes, G.power_classes())
     for c, (cls, (first, reindex)) in enumerate(zip(classes, sources)):
         if first not in squares:
-            squares[first] = _cyclic_square(values[first])
+            squares[first] = cyclic_product(values[first], values[first])
         square = squares[first]
         accumulate(quadratic, [square[t] for t in reindex], cls.size)
         accumulate(quadratic, at_squares[c], cls.size)
@@ -377,21 +377,8 @@ def _invariant_genus(G: FiniteGroup, scale: int, values: Sequence[Sequence[int]]
                      elements: Sequence[int]) -> int:
     """The genus of X/H, dim H^0(Omega)^H = (1/|H|) sum_c |H cap C| chi_a(c), for
     H given by its element indices and values[c] = scale * chi_a(c)."""
-    acc = [0] * G.exponent()
-    for c, w in Counter(map(G.class_ids().__getitem__, elements)).items():
-        accumulate(acc, values[c], w)
-    return exact_quotient(acc, scale * len(elements), "invariant-differential sum")
-
-
-def _cyclic_square(vec: Sequence[int]) -> List[int]:
-    """The square of sum_t vec[t] x^t in Z[x]/(x^o - 1), o = len(vec)."""
-    o = len(vec)
-    support = [(t, a) for t, a in enumerate(vec) if a]
-    out = [0] * o
-    for t1, a1 in support:
-        for t2, a2 in support:
-            out[(t1 + t2) % o] += a1 * a2
-    return out
+    return class_sums(G.exponent(), G.class_ids(), elements, (values,), scale * len(elements),
+                      "invariant-differential sum")[0]
 
 
 def cm_verdict(X: QuasiplatonicSurface, T: Optional[CharacterTable] = None,
@@ -439,7 +426,7 @@ def _search_certified_relation(X, T, search_limit, log):
 
     h1 = h1_multiplicities(X, T)
     active = [i for i, m in enumerate(h1) if m > 0]
-    degrees = [T.irreducibles[i].degree for i in active]
+    degrees = list(map(T.degrees().__getitem__, active))
     cert_cache: Dict[Subgroup, Optional[FactorCertificate]] = {}
 
     def certify(H: Subgroup) -> Optional[FactorCertificate]:

@@ -12,9 +12,10 @@ theory never divides by an irrational value.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .errors import InternalCheckFailed, NonIntegralResult
 
@@ -111,6 +112,32 @@ def accumulate(acc: List[int], vec: Sequence[int], weight: int) -> None:
     for t, a in enumerate(vec):
         if a:
             acc[t * f] += weight * a
+
+
+def cyclic_product(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The product of sum_t a[t] x^t and sum_t b[t] x^t in Z[x]/(x^o - 1), o = len(a)."""
+    o = len(a)
+    support = [(t, y) for t, y in enumerate(b) if y]
+    out = [0] * o
+    for t1, x in enumerate(a):
+        if x:
+            for t2, y in support:
+                out[(t1 + t2) % o] += x * y
+    return out
+
+
+def class_sums(e: int, class_of: Sequence[int], elements: Iterable[int],
+               rows: Iterable[Sequence[Sequence[int]]], denominator: int, what: str) -> List[int]:
+    """(1/denominator) sum over x in elements of row[class_of[x]] for each row, with
+    row[c] over zeta_o as in `accumulate`, one term per class; see `exact_quotient`."""
+    weights = Counter(map(class_of.__getitem__, elements)).items()
+    out = []
+    for row in rows:
+        acc = [0] * e
+        for c, w in weights:
+            accumulate(acc, row[c], w)
+        out.append(exact_quotient(acc, denominator, what))
+    return out
 
 
 def reduced_integer(acc: Sequence[int]) -> Optional[int]:

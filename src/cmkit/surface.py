@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .chartable import Character, CharacterTable
@@ -188,17 +189,23 @@ def quotient_surface(X: QuasiplatonicSurface, H: Subgroup) -> QuotientSurface:
         lengths = [len(c) for c in cycles_of(H.action_on_cosets(i))]
         defect += n - len(lengths)
         branch.append((m, tuple(sorted(lengths, reverse=True))))
+    return QuotientSurface(X, H, _riemann_hurwitz(n, defect), tuple(branch))
+
+
+def _riemann_hurwitz(n: int, defect: int) -> int:
+    """The genus of X/H of index n from the defect, sum over branch values of n - #cycles."""
     if defect % 2:
         raise NonIntegerGenus(f"odd Riemann-Hurwitz defect {defect} for X/H")
     genus = 1 - n + defect // 2
     if genus < 0:
         raise NegativeGenus(f"X/H would have genus {genus}")
-    return QuotientSurface(X, H, genus, tuple(branch))
+    return genus
 
 
 def galois_quotient_signature(X: QuasiplatonicSurface, H: Subgroup,
                               N: Subgroup) -> Signature:
-    """Signature of the Galois cover X/H -> X/N (H normal in N)."""
+    """Signature of the Galois cover X/H -> X/N (H normal in N).  The orbit
+    genus, the genus of X/N, is read off the same X/N cycles."""
     G = X.group
     if H.parent is not G or N.parent is not G:
         raise SubgroupMismatch("subgroups of a different group")
@@ -212,6 +219,7 @@ def galois_quotient_signature(X: QuasiplatonicSurface, H: Subgroup,
     proj = [coset_N[r] for r in reps_H]
 
     periods = []
+    defect = 0
     for i in X.vector.indices:
         # point[x]: the point of X/N over this branch value, i.e. the cycle of
         # N-coset x; the H-cosets of one cycle all lie over the same point.
@@ -220,6 +228,7 @@ def galois_quotient_signature(X: QuasiplatonicSurface, H: Subgroup,
             for x in cyc:
                 point[x] = len(l_bases)
             l_bases.append(len(cyc))
+        defect += N.index - len(l_bases)
         tops = [set() for _ in l_bases]
         for cyc in cycles_of(H.action_on_cosets(i)):
             tops[point[proj[cyc[0]]]].add(len(cyc))
@@ -233,8 +242,7 @@ def galois_quotient_signature(X: QuasiplatonicSurface, H: Subgroup,
                     f"cycle length {l_top} not divisible by {l_base}")
             if l_top // l_base > 1:
                 periods.append(l_top // l_base)
-    orbit = quotient_surface(X, N).genus
-    return Signature(orbit, tuple(periods))
+    return Signature(_riemann_hurwitz(N.index, defect), tuple(periods))
 
 
 def chevalley_weil_multiplicities(X: QuasiplatonicSurface,
@@ -262,8 +270,9 @@ def chevalley_weil_multiplicities(X: QuasiplatonicSurface,
     branch = [(m, class_of[i]) for i, m in zip(X.vector.indices, X.vector.periods)]
 
     mults = []
-    for idx, (chi, spectra) in enumerate(zip(T.irreducibles, T.spectra)):
-        total = Fraction(-chi.degree) + (1 if idx == trivial else 0)
+    degrees = T.degrees()
+    for idx, (degree, spectra) in enumerate(zip(degrees, T.spectra)):
+        total = Fraction(-degree) + (1 if idx == trivial else 0)
         for m, c in branch:
             spectrum = spectra[c]
             total += Fraction(sum(spectrum[alpha] * (m - alpha) for alpha in range(1, m)), m)
@@ -274,7 +283,7 @@ def chevalley_weil_multiplicities(X: QuasiplatonicSurface,
     if mults[trivial] != 0:
         raise InvalidCharacterTable(
             f"trivial character occurs {mults[trivial]} times in the 1-forms")
-    genus = sum(n * chi.degree for n, chi in zip(mults, T.irreducibles))
+    genus = sum(map(mul, mults, degrees))
     if genus != X.genus:
         raise InvalidCharacterTable(
             f"Chevalley-Weil dimension {genus} differs from the genus {X.genus}")

@@ -600,11 +600,11 @@ def _split(mat, start, p: int, rng: random.Random) -> List[Tuple[List[int], List
 
 
 def hessenberg_rows(G):
-    """(values, spectra) of G's irreducibles in table order, lifted from the
+    """The spectra of G's irreducibles in table order, lifted from the
     Hessenberg route's joint eigenvectors by `chartable._dixon_rows`."""
     with mock.patch.object(chartable, "_joint_eigenvectors", _joint_eigenvectors):
         rows = sorted(chartable._dixon_rows(G), key=itemgetter(0))
-    return [tuple(values) for _, values, _ in rows], tuple(spectra for _, _, spectra in rows)
+    return tuple(spectra for _, spectra in rows)
 
 
 def statement_a_reference(G, H):

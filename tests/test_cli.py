@@ -441,3 +441,26 @@ def test_verdicts_and_payloads_need_no_cyclotomic_arithmetic(capsys, monkeypatch
     # a nonzero value sends re-verification down the relation route
     certified = CMVerdict(CM_CERTIFIED, 1, relation, certificates, report)
     assert reverify_verdict(X, T, certified)
+
+
+def test_verdicts_and_payloads_build_no_cyclotomic_value(capsys, monkeypatch):
+    """With `Cyclotomic` construction refused, tables, verdicts and their
+    re-verification run on fresh gm:8, gm:10 and gm:12, and every golden
+    request but `table` prints the same bytes: the table is its spectra, and
+    cyclotomic values are built only for the `table` payload and the oracle."""
+    def refused(*args, **kwargs):
+        raise AssertionError("Cyclotomic value built on a verdict path")
+
+    monkeypatch.setattr(Cyclotomic, "__init__", refused)
+    for m in (8, 10, 12):
+        X = QuasiplatonicSurface.from_vector(canonical_vector(build_gm(m)))
+        T = character_table(X.group)
+        verdict = cm_verdict(X, T)
+        assert verdict.status == CM_CERTIFIED
+        assert reverify_verdict(X, T, verdict)
+    monkeypatch.chdir(GOLDEN)
+    for argv, golden in GOLDEN_RUNS.values():
+        if argv[0] != "table":
+            code, out = run(capsys, *argv)
+            assert code == 0
+            assert out.encode() == (GOLDEN / golden).read_bytes()
