@@ -30,14 +30,16 @@ once per rational class: the class of g^u, u a unit mod o, has the
 spectrum n_(t u^-1), and each such spectrum is checked against the class's
 value mod p.  The spectra are the table: `CharacterTable` stores nothing
 else, and degrees, Chevalley-Weil counts, class sums (`fixed_dimensions`)
-and `conjugate_index` read them.  The table is verified in integer
-arithmetic: its shape (each spectrum of length o_c, non-negative, summing to
-the degree), norm one, <chi, chi> summed from the spectra in Z[x]/(x^e - 1)
-and reduced mod Phi_e, and the degree sum.  Every failed identity raises
-`InvalidCharacterTable`.  The values chi(C) = sum_t n_t zeta_o^t are built
-as `Cyclotomic`s only on demand (`CharacterTable.irreducibles`), for the
-`table` payload and the oracle API (`inner_product`, `symmetric_square`,
-`fixed_space_dimension`).
+and `conjugate_index` read them.  Each distinct spectrum's value
+chi(C) = sum_t n_t zeta_o^t is reduced once per table to integer
+coefficients on the power basis of Q(zeta_e) (`value_vectors`); they order
+the rows and are what the `table` payload prints.  The table is verified in
+integer arithmetic: shape (each spectrum of length o_c, non-negative,
+summing to the degree), norm one (<chi, chi> from the spectra in
+Z[x]/(x^e - 1), reduced mod Phi_e), and the regular representation's
+eigenvalue counts; a failed identity raises `InvalidCharacterTable`.
+`Cyclotomic` values are built from the vectors only for the demos and the
+oracle API (`irreducibles`, `inner_product`, `fixed_space_dimension`).
 """
 
 from __future__ import annotations
@@ -46,11 +48,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import itemgetter, mul
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
-from .cyclotomic import (Cyclotomic, _reduction_rows, accumulate, class_sums, cyclic_product,
-                         euler_phi, prime_factors, reduced_integer)
+from .cyclotomic import (Cyclotomic, accumulate, class_sums, cyclic_product, power_basis,
+                         prime_factors, reduced_integer)
 from .errors import (
     GroupMismatch,
     GroupTooLarge,
@@ -113,14 +115,21 @@ class CharacterTable:
     def __len__(self) -> int:
         return len(self.spectra)
 
+    def value_vectors(self) -> Dict[Tuple[int, ...], List[int]]:
+        """The value sum_t n_t zeta_o^t of each distinct spectrum n, as integer
+        coefficients on the power basis of Q(zeta_e), reduced once per table."""
+        if "values" not in self._cache:
+            self._cache["values"] = _value_vectors(self.conductor, self.spectra)
+        return self._cache["values"]
+
     @property
     def irreducibles(self) -> Tuple[Character, ...]:
-        """The rows as `Character`s, built once from the spectra with one
-        `Cyclotomic` per distinct spectrum: for display and the oracle API."""
+        """The rows as `Character`s, one `Cyclotomic` per distinct spectrum built
+        from `value_vectors`: for the demos and the oracle API."""
         if "irreducibles" not in self._cache:
             e = self.conductor
-            values = {s: _from_root_multiplicities(e, _spectrum_exponents(e, s))
-                      for s in {s for spectra in self.spectra for s in spectra}}
+            values = {s: Cyclotomic(e, dict(enumerate(map(Fraction, v))))
+                      for s, v in self.value_vectors().items()}
             self._cache["irreducibles"] = tuple(Character(self.group, tuple(map(
                 values.__getitem__, spectra))) for spectra in self.spectra)
         return self._cache["irreducibles"]
@@ -166,8 +175,8 @@ def character_table(G: FiniteGroup, bound: int = DEFAULT_CHARTABLE_BOUND) -> Cha
         return G._chartable
     if G.order > bound:
         raise GroupTooLarge(f"character table bound {bound} exceeded (order {G.order})")
-    rows = sorted(_dixon_rows(G), key=itemgetter(0))
-    table = CharacterTable(G, tuple(spectra for _, spectra in rows))
+    rows, values = _dixon_rows(G)
+    table = CharacterTable(G, rows, {"values": values})
     _verify_table(table)
     G._chartable = table
     return table
@@ -232,11 +241,11 @@ def trivial_character(G: FiniteGroup) -> Character:
 # Dixon's method over F_p
 
 
-def _dixon_rows(G: FiniteGroup) -> List[Tuple[tuple, Tuple[Tuple[int, ...], ...]]]:
-    """(sort key, spectra) of each irreducible, in eigenvector order.
+def _dixon_rows(G: FiniteGroup) -> Tuple[tuple, Dict[Tuple[int, ...], List[int]]]:
+    """The spectra of the irreducibles in table order, and `_value_vectors`.
 
-    The sort key is the degree followed by the integer coefficient vector of
-    each value on the power basis of Q(zeta_e).
+    The rows are sorted by their values' coefficient vectors, class by class;
+    the identity class comes first, so the degree leads.
     """
     classes = G.conjugacy_classes()
     k = len(classes)
@@ -260,9 +269,6 @@ def _dixon_rows(G: FiniteGroup) -> List[Tuple[tuple, Tuple[Tuple[int, ...], ...]
         ztab = [pow(z, (e // o) * t, p) for t in range(o)]
         dft = [[ztab[(-t * s_) % o] for s_ in range(o)] for t in range(o)]
         per_order[o] = (ztab, dft, pow(o, p - 2, p))
-    width = euler_phi(e)
-    dense: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-
     rows_out = []
     for v in vectors:
         if v[0] % p == 0:
@@ -287,11 +293,10 @@ def _dixon_rows(G: FiniteGroup) -> List[Tuple[tuple, Tuple[Tuple[int, ...], ...]
             if sum(map(mul, spectrum, ztab)) % p != vals[c]:
                 raise InvalidCharacterTable("eigenvalue spectrum does not give the class value")
             spectra.append(spectrum)
-            if spectrum not in dense:
-                coeffs = _root_sum(e, _spectrum_exponents(e, spectrum))
-                dense[spectrum] = tuple(coeffs.get(j, 0) for j in range(width))
-        rows_out.append(((degree, tuple(map(dense.__getitem__, spectra))), tuple(spectra)))
-    return rows_out
+        rows_out.append(tuple(spectra))
+    values = _value_vectors(e, rows_out)
+    rows_out.sort(key=lambda spectra: tuple(map(values.__getitem__, spectra)))
+    return tuple(rows_out), values
 
 
 def _rational_sources(classes, power) -> List[Tuple[int, List[int]]]:
@@ -313,25 +318,14 @@ def _rational_sources(classes, power) -> List[Tuple[int, List[int]]]:
     return source
 
 
-def _spectrum_exponents(e: int, spectrum: Tuple[int, ...]) -> Dict[int, int]:
-    """{exponent of zeta_e: multiplicity} for a spectrum over zeta_o, o | e."""
-    f = e // len(spectrum)
-    return {t * f: m for t, m in enumerate(spectrum) if m}
-
-
-def _root_sum(e: int, mults: Dict[int, int]) -> Dict[int, int]:
-    """Integer coefficients of sum m zeta_e^k on the power basis of Q(zeta_e)."""
-    rows = _reduction_rows(e)
-    acc: Dict[int, int] = {}
-    for k_exp, m in mults.items():
-        for j, t in rows[k_exp % e].items():
-            acc[j] = acc.get(j, 0) + m * t
-    return {j: c for j, c in acc.items() if c}
-
-
-def _from_root_multiplicities(e: int, mults: Dict[int, int]) -> Cyclotomic:
-    """The `Cyclotomic` sum m zeta_e^k over {k: m} in mults."""
-    return Cyclotomic(e, {j: Fraction(c) for j, c in _root_sum(e, mults).items()})
+def _value_vectors(e: int, rows) -> Dict[Tuple[int, ...], List[int]]:
+    """`cyclotomic.power_basis` of each distinct spectrum over zeta_o, o | e."""
+    values = {}
+    for s in {s for spectra in rows for s in spectra}:
+        lifted = [0] * e
+        lifted[::e // len(s)] = s
+        values[s] = power_basis(lifted)
+    return values
 
 
 def _find_prime(e: int, minimum: int) -> int:
@@ -424,7 +418,7 @@ def _split(columns: List[int], start: List[int], slots: Slots) -> List[List[int]
 
 
 def _verify_table(table: CharacterTable) -> None:
-    """Shape, norm one and degree sum of the stored spectra.
+    """Shape, norm one and the regular-representation identity of the stored spectra.
 
     The table has k rows of k spectra; the spectrum at class c has length
     o_c and non-negative entries summing to the row's degree.
@@ -435,6 +429,11 @@ def _verify_table(table: CharacterTable) -> None:
     weighted by the total size of the classes it fills in the row, is
     accumulated in Z[x]/(x^e - 1) and reduced once mod Phi_e
     (`cyclotomic.reduced_integer`); the result must be |G|.
+
+    The regular representation restricted to <g>, g of order o, is |G|/o
+    copies of the regular representation of C_o, so at every class
+    sum_i chi_i(1) n_t(chi_i) = |G|/o for each t < o: at the identity class
+    this is the degree sum, and a repeated row breaks it at some class.
     """
     G = table.group
     classes = G.conjugacy_classes()
@@ -462,5 +461,8 @@ def _verify_table(table: CharacterTable) -> None:
             accumulate(acc, autocorrelations[spectrum], w)
         if reduced_integer(acc) != G.order:
             raise InvalidCharacterTable(f"row {i} is not norm one")
-    if sum(d * d for d in table.degrees()) != G.order:
-        raise InvalidCharacterTable("degree-sum identity failed")
+    degrees = table.degrees()
+    for c, cls in enumerate(classes):
+        column = zip(*[spectra[c] for spectra in table.spectra])
+        if any(sum(map(mul, degrees, counts)) * cls.order != G.order for counts in column):
+            raise InvalidCharacterTable(f"regular-representation identity fails at class {c}")

@@ -1,13 +1,12 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_e) with rational coefficients.
+"""Cyclotomic integers for the package, and exact arithmetic in Q(zeta_e) for its oracle.
 
-A value is stored against a fixed conductor e as a polynomial in zeta_e
-reduced modulo the e-th cyclotomic polynomial, so the coefficient vector on
-the power basis {1, zeta, ..., zeta^(phi(e)-1)} is unique and equality is
-exact.  Rational values are normalized down to conductor 1, values from
-different conductors are compared after lifting to the lcm.
-
-Only ring operations and division by rationals are needed here: character
-theory never divides by an irrational value.
+The package keeps a value of Q(zeta_e) as a list in Z[x]/(x^e - 1), x for
+zeta_e, and `power_basis`, its one reduction mod Phi_e, gives the integer
+coefficients on the power basis {1, zeta, ..., zeta^(phi(e)-1)}: tested for
+an integer by `reduced_integer`, printed by `value_string`.  `Cyclotomic`,
+the independent oracle, keeps rational coefficients on the same basis, so
+equality is exact; rational values have conductor 1, and values of different
+conductors are compared after lifting to the lcm.
 """
 
 from __future__ import annotations
@@ -140,22 +139,35 @@ def class_sums(e: int, class_of: Sequence[int], elements: Iterable[int],
     return out
 
 
-def reduced_integer(acc: Sequence[int]) -> Optional[int]:
-    """The integer sum_i acc[i] zeta_e^i, e = len(acc), or None when the sum
-    is not rational.
-
-    The sum is reduced once mod Phi_e, in integers; it is rational exactly
-    when only the constant coefficient survives.
-    """
+def power_basis(acc: Sequence[int]) -> List[int]:
+    """The integer coefficients of sum_i acc[i] zeta_e^i, e = len(acc), on the
+    power basis {1, zeta_e, ..., zeta_e^(phi(e)-1)}: the one reduction mod
+    Phi_e on the package's integer paths."""
     rows = _reduction_rows(len(acc))
-    reduced: Dict[int, int] = {}
+    out = [0] * (len(cyclotomic_polynomial(len(acc))) - 1)
     for i, a in enumerate(acc):
         if a:
             for j, t in rows[i].items():
-                reduced[j] = reduced.get(j, 0) + a * t
-    if any(c for j, c in reduced.items() if j):
-        return None
-    return reduced.get(0, 0)
+                out[j] += a * t
+    return out
+
+
+def reduced_integer(acc: Sequence[int]) -> Optional[int]:
+    """The integer sum_i acc[i] zeta_e^i, e = len(acc), or None when the sum
+    is not rational: only the constant coefficient of `power_basis` survives."""
+    coeffs = power_basis(acc)
+    return None if any(coeffs[1:]) else coeffs[0]
+
+
+def value_string(coeffs: Sequence, var: str = "z") -> str:
+    """A value from its coefficients on the power basis, as printed in payloads:
+    the nonzero terms c*z^j in ascending j, the constant term bare."""
+    parts = []
+    for exp, c in enumerate(coeffs):
+        if c:
+            term = str(c) if exp == 0 else f"{c}*{var}^{exp}"
+            parts.append(term if not parts or term.startswith("-") else "+" + term)
+    return "".join(parts) or "0"
 
 
 def exact_quotient(acc: Sequence[int], denominator: int, what: str) -> int:
@@ -369,17 +381,8 @@ class Cyclotomic:
     __hash__ = None  # values are compared exactly, never hashed
 
     def to_string(self, var: str = "z") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for exp in sorted(self.coeffs):
-            c = self.coeffs[exp]
-            term = str(c) if exp == 0 else f"{c}*{var}^{exp}"
-            if parts and not term.startswith("-"):
-                parts.append("+" + term)
-            else:
-                parts.append(term)
-        return "".join(parts)
+        coeffs = self.coeffs
+        return value_string([coeffs.get(j, 0) for j in range(max(coeffs, default=0) + 1)], var)
 
     def __repr__(self) -> str:
         return f"Cyclotomic({self.to_string()}, e={self.conductor})"

@@ -18,7 +18,8 @@ from .criteria import (
     _eichler_values,
     _invariant_genus,
 )
-from .errors import InvalidPermutation
+from .cyclotomic import value_string
+from .errors import GroupTooLarge, InvalidPermutation
 from .group import FiniteGroup, Subgroup
 from .perm import Permutation
 from .surface import QuasiplatonicSurface, quotient_surface
@@ -30,15 +31,26 @@ def _is_image_arrays(value) -> bool:
 
 
 def group_from_json(data: dict, max_order: int) -> FiniteGroup:
+    """The group a file describes.  Its elements hold |G| * degree image entries,
+    bounded by the max_order^2 entries the order bound allows the Cayley table."""
     if (not isinstance(data, dict) or type(data.get("degree")) is not int
             or not _is_image_arrays(data.get("generators"))):
         raise InvalidPermutation('group file needs {"degree": int, "generators": [[int,...],...]}')
     degree = data["degree"]
+    limit = min(max_order, max_order * max_order // max(degree, 1))
+    if limit < 1:
+        raise GroupTooLarge(f"degree {degree} exceeds the image bound {max_order}^2")
     gens = [Permutation(images) for images in data["generators"]]
     for g in gens:
         if g.degree != degree:
             raise InvalidPermutation("generator degree does not match the declared degree")
-    return FiniteGroup.from_generators(degree, gens, max_order=max_order)
+    try:
+        return FiniteGroup.from_generators(degree, gens, max_order=limit)
+    except GroupTooLarge:
+        if limit == max_order:
+            raise
+        raise GroupTooLarge(f"order bound {limit} for degree {degree} exceeded "
+                            f"(image bound {max_order}^2)") from None
 
 
 def subgroup_from_generators(G: FiniteGroup, gen_images) -> Subgroup:
@@ -101,6 +113,7 @@ def group_json(G: FiniteGroup) -> dict:
 
 
 def character_table_json(T: CharacterTable) -> dict:
+    strings = {s: value_string(v) for s, v in T.value_vectors().items()}
     classes = [{"representative": cls.representative.cycle_string(),
                 "size": cls.size, "order": cls.order}
                for cls in T.group.conjugacy_classes()]
@@ -108,7 +121,7 @@ def character_table_json(T: CharacterTable) -> dict:
         "conductor": T.conductor,
         "classes": classes,
         "degrees": list(T.degrees()),
-        "irreducibles": [[v.to_string() for v in chi.values] for chi in T.irreducibles],
+        "irreducibles": [list(map(strings.__getitem__, spectra)) for spectra in T.spectra],
     }
 
 

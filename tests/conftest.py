@@ -7,7 +7,7 @@ import sys
 from collections import deque
 from fractions import Fraction
 from functools import partial
-from operator import itemgetter, mul
+from operator import mul
 from pathlib import Path
 from typing import Dict, List, Tuple
 from unittest import mock
@@ -35,7 +35,7 @@ from cmkit import (
     quotient_surface,
 )
 from cmkit import chartable
-from cmkit.cyclotomic import prime_factors
+from cmkit.cyclotomic import euler_phi, prime_factors
 from cmkit.criteria import EXCEPTION_PERIODS, StatementAResult, StatementBResult
 
 
@@ -603,8 +603,18 @@ def hessenberg_rows(G):
     """The spectra of G's irreducibles in table order, lifted from the
     Hessenberg route's joint eigenvectors by `chartable._dixon_rows`."""
     with mock.patch.object(chartable, "_joint_eigenvectors", _joint_eigenvectors):
-        rows = sorted(chartable._dixon_rows(G), key=itemgetter(0))
-    return tuple(spectra for _, spectra in rows)
+        return chartable._dixon_rows(G)[0]
+
+
+def spectrum_coefficients(e, spectrum):
+    """sum_t n_t zeta_o^t, o = len(spectrum), by `Cyclotomic` arithmetic, as its
+    coefficients on the power basis of Q(zeta_e): the oracle of
+    `CharacterTable.value_vectors`."""
+    value = Cyclotomic.zero()
+    for t, n in enumerate(spectrum):
+        value = value + Cyclotomic.zeta(len(spectrum), t) * n
+    lifted = value._lifted(e)
+    return [lifted.get(j, 0) for j in range(euler_phi(e))]
 
 
 def statement_a_reference(G, H):

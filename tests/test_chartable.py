@@ -20,7 +20,7 @@ from cmkit import (
     symmetric_square,
     trivial_character,
 )
-from cmkit.chartable import CharacterTable, _from_root_multiplicities, _split
+from cmkit.chartable import CharacterTable, _split
 from cmkit.modp import Slots
 from conftest import (
     alternating_5,
@@ -35,6 +35,7 @@ from conftest import (
     reference_table,
     run_optimized,
     small_permutation_groups,
+    spectrum_coefficients,
     symmetric_3,
     symmetric_4,
     symmetric_5,
@@ -254,6 +255,30 @@ for doctored in (row[:-1], wrong_sum):
 """
 
 
+# A row copied over another keeps every row's shape and norm one, and the
+# degree sum: on C3 one non-trivial row over the other, on S3 the trivial
+# row over the sign row.
+REPEATED_ROW = """
+from cmkit import FiniteGroup, InvalidCharacterTable, Permutation
+from cmkit.chartable import CharacterTable, _verify_table, character_table
+C3 = FiniteGroup.cyclic(3)
+S3 = FiniteGroup.from_generators(3, [Permutation.from_cycles(3, [(0, 1)]),
+                                     Permutation.from_cycles(3, [(0, 1, 2)])])
+for name, G, copied, replaced in (("C3", C3, (0, 1, 0), (0, 0, 1)),
+                                  ("S3", S3, (1, 0), (0, 1))):
+    rows = list(character_table(G).spectra)
+    i, j = (next(i for i, spectra in enumerate(rows) if spectra[1] == s)
+            for s in (copied, replaced))
+    rows[j] = rows[i]
+    try:
+        _verify_table(CharacterTable(G, tuple(rows)))
+    except InvalidCharacterTable as ex:
+        print(name, "rejected:", ex)
+    else:
+        print(name, "accepted")
+"""
+
+
 NOT_SPLIT = """
 from cmkit import InvalidCharacterTable
 from cmkit.modp import distinct_roots
@@ -287,6 +312,9 @@ def test_verify_table_rejects_under_optimize():
     assert run_optimized("-c", SHORT_ROW_D4).splitlines() == [
         "rejected: row 4 has 4 spectra for 5 classes",
         "rejected: row 4: eigenvalue multiplicities are not a partition of the degree"]
+    assert run_optimized("-c", REPEATED_ROW).splitlines() == [
+        "C3 rejected: regular-representation identity fails at class 1",
+        "S3 rejected: regular-representation identity fails at class 1"]
     assert run_optimized("-c", NOT_SPLIT).startswith(
         "rejected: polynomial of degree 2 has 0 distinct roots mod 7")
     widths, overflow = run_optimized("-c", SLOT_OVERFLOW).splitlines()
@@ -428,18 +456,17 @@ def test_tables_and_quotient_invariants_read_the_cayley_table(monkeypatch):
 @given(small_permutation_groups())
 def test_random_small_groups_have_checked_tables(G):
     """The Cyclotomic norm and degree-sum oracle holds, and every stored
-    spectrum re-lifts to its value."""
+    spectrum's coefficient vector is its value by `Cyclotomic` arithmetic."""
     T = character_table(G)
     assert len(T) == len(G.conjugacy_classes())
     assert sum(d * d for d in T.degrees()) == G.order
     e = G.exponent()
+    vectors = T.value_vectors()
     for chi, spectra in zip(T.irreducibles, T.spectra):
         assert inner_product(chi, chi) == one
-        for cls, value, spectrum in zip(G.conjugacy_classes(), chi.values, spectra):
-            o = cls.order
-            assert len(spectrum) == o and sum(spectrum) == chi.degree
-            mults = {t * (e // o): m for t, m in enumerate(spectrum) if m}
-            assert _from_root_multiplicities(e, mults) == value
+        for cls, spectrum in zip(G.conjugacy_classes(), spectra):
+            assert len(spectrum) == cls.order and sum(spectrum) == chi.degree
+            assert vectors[spectrum] == spectrum_coefficients(e, spectrum)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

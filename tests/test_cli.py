@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from cmkit import (
     CMVerdict,
     Cyclotomic,
     FiniteGroup,
+    GroupTooLarge,
     InvalidCharacterTable,
     NonIntegralResult,
     Permutation,
@@ -27,6 +29,7 @@ from cmkit import (
 )
 from cmkit.cli import EXIT_INTERNAL, main
 from cmkit.criteria import _search_certified_relation
+from cmkit.reports import group_from_json
 from conftest import run_optimized
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -160,6 +163,25 @@ def test_malformed_group_file_is_a_group_file_error(capsys, tmp_path):
     assert code == 1
     assert payload == {"error": "bad_group_file", "detail":
                        'group file needs {"degree": int, "generators": [[int,...],...]}'}
+
+
+def test_group_file_degree_is_bounded(capsys, tmp_path):
+    """A file group's elements hold |G| * degree image entries, bounded by the
+    max_order^2 entries of its Cayley table: under --max-order 16, C8 padded
+    to degree 600 is refused before any image tuple is built, and padded to
+    degree 40 it stops past 256 // 40 = 6 elements.  A degree of 10^12 is
+    refused at once."""
+    path = tmp_path / "c8.json"
+    for degree, detail in ((600, "degree 600 exceeds the image bound 16^2"),
+                           (40, "order bound 6 for degree 40 exceeded (image bound 16^2)")):
+        path.write_text(json.dumps({"degree": degree, "generators": [
+            [(i + 1) % 8 for i in range(8)] + list(range(8, degree))]}))
+        code, payload = run_json(capsys, "table", str(path), "--max-order", "16")
+        assert (code, payload) == (2, {"error": "bound_exceeded", "detail": detail})
+    code, payload = run_json(capsys, "table", str(path), "--max-order", "20")
+    assert code == 0 and payload["group"]["order"] == 8
+    with pytest.raises(GroupTooLarge):
+        group_from_json({"degree": 10 ** 12, "generators": []}, 2048)
 
 
 def test_file_group_with_vector(capsys, tmp_path):
@@ -402,6 +424,21 @@ def test_golden_output(capsys, monkeypatch, name):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+# sha256 of stdout for tables too large to commit as goldens.
+TABLE_DIGESTS = {
+    "gm:32": "c8b176c6959dc77dc0484dc93d47375451a80b92b8806c59676c76fa12a2a66a",
+    "gm:64": "374ef0670989e7fe870e0888ddfda20dd09a66dec19f8fa64314457e7b1967b9",
+}
+
+
+@pytest.mark.parametrize("source", list(TABLE_DIGESTS))
+def test_large_table_digest(capsys, monkeypatch, source):
+    monkeypatch.chdir(GOLDEN)
+    code, out = run(capsys, "table", source)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[source]
+
+
 def test_table_format_output(capsys):
     code, out = run(capsys, "batch", "gm:6", "gm:8", "--format", "table")
     assert code == 0
@@ -446,8 +483,9 @@ def test_verdicts_and_payloads_need_no_cyclotomic_arithmetic(capsys, monkeypatch
 def test_verdicts_and_payloads_build_no_cyclotomic_value(capsys, monkeypatch):
     """With `Cyclotomic` construction refused, tables, verdicts and their
     re-verification run on fresh gm:8, gm:10 and gm:12, and every golden
-    request but `table` prints the same bytes: the table is its spectra, and
-    cyclotomic values are built only for the `table` payload and the oracle."""
+    request prints the same bytes: the table is its spectra, the `table`
+    payload prints their coefficient vectors, and cyclotomic values are built
+    only for the oracle."""
     def refused(*args, **kwargs):
         raise AssertionError("Cyclotomic value built on a verdict path")
 
@@ -460,7 +498,6 @@ def test_verdicts_and_payloads_build_no_cyclotomic_value(capsys, monkeypatch):
         assert reverify_verdict(X, T, verdict)
     monkeypatch.chdir(GOLDEN)
     for argv, golden in GOLDEN_RUNS.values():
-        if argv[0] != "table":
-            code, out = run(capsys, *argv)
-            assert code == 0
-            assert out.encode() == (GOLDEN / golden).read_bytes()
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / golden).read_bytes()

@@ -25,7 +25,6 @@ from cmkit import (
     quotient_surface,
     streit_test,
 )
-from cmkit.chartable import _from_root_multiplicities
 from cmkit.criteria import _eichler_values, _invariant_genus
 from conftest import (
     alternating_5,
@@ -36,6 +35,7 @@ from conftest import (
     permutation_quotient_reference,
     psl_2_7,
     random_surfaces,
+    spectrum_coefficients,
     symmetric_4,
     symmetric_5,
 )
@@ -208,11 +208,11 @@ def test_chevalley_weil_spectra_match_cyclotomic_reference(source):
         assert chevalley_weil_multiplicities(X, T) == cyclotomic_cw_reference(X, T)
     e = T.group.exponent()
     orders = [cls.order for cls in T.group.conjugacy_classes()]
-    for chi, spectra in zip(T.irreducibles, T.spectra):
-        for c, (o, spectrum) in enumerate(zip(orders, spectra)):
+    vectors = T.value_vectors()
+    for spectra in T.spectra:
+        for o, spectrum in zip(orders, spectra):
             assert len(spectrum) == o and all(type(m) is int for m in spectrum)
-            mults = {t * (e // o): m for t, m in enumerate(spectrum) if m}
-            assert _from_root_multiplicities(e, mults) == chi.values[c]
+            assert vectors[spectrum] == spectrum_coefficients(e, spectrum)
 
 
 @pytest.mark.parametrize("source", [f"gm:{m}" for m in range(6, 17, 2)] + list(COVERS))
