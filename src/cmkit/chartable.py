@@ -7,8 +7,8 @@ F_p, for a prime p = 1 (mod e) above 2|G| with e the group exponent, are
 the irreducibles.  Each part of class space still shared by several
 irreducibles is carried only by the projection v of e_0, the
 identity-class indicator, onto it.  Under a combination A = sum_i c_i M_i
-with seeded random c_i, built straight from the Cayley table as one
-Kronecker-packed int per column (`cmkit.modp`), v has an exact minimal
+with seeded random c_i, whose column l is read off the Cayley-table row of
+z_l as one Kronecker-packed int (`cmkit.modp`), v has an exact minimal
 polynomial mu, the first linear dependency among v, Av, A^2 v, ...; mu has
 distinct roots in F_p, and (mu / (x - lambda))(A) v, read off the same
 Krylov vectors, is the projection onto the lambda-eigenspace.  Parts whose
@@ -26,14 +26,20 @@ primitive e-th root z,
 gives the multiplicity n_t of zeta_o^t = exp(2 pi i t / o) as an
 eigenvalue of rho(g), where z stands for zeta_e.  The n_t are integers in
 [0, chi(1)], so their mod-p representatives are exact.  The transform runs
-once per rational class: the class of g^u, u a unit mod o, has the
-spectrum n_(t u^-1), and each such spectrum is checked against the class's
-value mod p.  The spectra are the table: `CharacterTable` stores nothing
-else, and degrees, Chevalley-Weil counts, class sums (`fixed_dimensions`)
-and `conjugate_index` read them.  Each distinct spectrum's value
-chi(C) = sum_t n_t zeta_o^t is reduced once per table to integer
-coefficients on the power basis of Q(zeta_e) (`value_vectors`); they order
-the rows and are what the `table` payload prints.  The table is verified in
+once per rational class, for all irreducibles at once: the values mod p of
+every irreducible at a class are packed into one int, a slot per
+irreducible, and with 1/o folded into the transform's rows each n_t is o
+packed multiply-adds.  The class of g^u, u a unit mod o, has the spectrum
+n_(t u^-1), read by reindexing.  At every class, sum_t n_t z^(t e/o) must
+give back the class's value mod p, one packed sum per class: in exact
+arithmetic an identity of the inverse transform, it guards the slot width
+and the reindexing.  The spectra are the table: `CharacterTable` stores
+nothing else, one tuple per distinct spectrum shared by every cell that
+holds it, and degrees, Chevalley-Weil counts, class sums
+(`fixed_dimensions`) and `conjugate_index` read them.  Each distinct
+spectrum's value chi(C) = sum_t n_t zeta_o^t is reduced once per table to
+integer coefficients on the power basis of Q(zeta_e) (`value_vectors`);
+they order the rows and are what the `table` payload prints.  The table is verified in
 integer arithmetic: shape (each spectrum of length o_c, non-negative,
 summing to the degree), norm one (<chi, chi> from the spectra in
 Z[x]/(x^e - 1), reduced mod Phi_e), and the regular representation's
@@ -48,7 +54,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import mul
+from operator import itemgetter, mul
 from typing import Dict, List, Optional, Tuple
 
 from .cyclotomic import (Cyclotomic, accumulate, class_sums, cyclic_product, power_basis,
@@ -252,6 +258,7 @@ def _dixon_rows(G: FiniteGroup) -> Tuple[tuple, Dict[Tuple[int, ...], List[int]]
     n = G.order
     e = G.exponent()
     sizes = [cls.size for cls in classes]
+    orders = [cls.order for cls in classes]
     inv_class = power_class_map(G, -1)
     power = G.power_classes()
     source = _rational_sources(classes, power)
@@ -259,18 +266,9 @@ def _dixon_rows(G: FiniteGroup) -> Tuple[tuple, Dict[Tuple[int, ...], List[int]]
     p = _find_prime(e, 2 * n + 1)
     z = _find_root_of_unity(e, p)
 
-    vectors = _joint_eigenvectors(G, p)
-
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
-    # Per element order o: z^((e/o) t) for t < o, the rows
-    # (z^(-(e/o) t s))_(s < o) of the discrete Fourier transform, and 1/o.
-    per_order = {}
-    for o in {cls.order for cls in classes}:
-        ztab = [pow(z, (e // o) * t, p) for t in range(o)]
-        dft = [[ztab[(-t * s_) % o] for s_ in range(o)] for t in range(o)]
-        per_order[o] = (ztab, dft, pow(o, p - 2, p))
-    rows_out = []
-    for v in vectors:
+    values_mod_p = []
+    for v in _joint_eigenvectors(G, p):
         if v[0] % p == 0:
             raise InvalidCharacterTable("joint eigenvector vanishes at the identity class")
         norm = pow(v[0], p - 2, p)
@@ -280,20 +278,43 @@ def _dixon_rows(G: FiniteGroup) -> Tuple[tuple, Dict[Tuple[int, ...], List[int]]
         degree = next((d for d in range(1, isqrt(n) + 1) if (d * d) % p == d2), None)
         if degree is None:
             raise InvalidCharacterTable("degree recovery failed")
-        vals = [(degree * omega[j] * inv_sizes[j]) % p for j in range(k)]
+        values_mod_p.append([(degree * omega[j] * inv_sizes[j]) % p for j in range(k)])
+    # Column c holds chi(C_c) mod p for every irreducible chi, one slot each.
+    slots = Slots(p, max(orders))
+    columns = [slots.pack(column) for column in zip(*values_mod_p)]
+    del values_mod_p
 
-        spectra: List[Tuple[int, ...]] = []
-        for c, (cls, (first, reindex)) in enumerate(zip(classes, source)):
-            ztab, dft, inv_o = per_order[cls.order]
-            if first == c:
-                seq = [vals[j] for j in power[c]]
-                spectrum = tuple((sum(map(mul, row, seq)) * inv_o) % p for row in dft)
-            else:
-                spectrum = tuple(map(spectra[first].__getitem__, reindex))
-            if sum(map(mul, spectrum, ztab)) % p != vals[c]:
+    # Per element order o: z^((e/o) t) for t < o, and the rows
+    # (z^(-(e/o) t s) / o)_(s < o) of the discrete Fourier transform.
+    per_order = {}
+    for o in set(orders):
+        ztab = [pow(z, (e // o) * t, p) for t in range(o)]
+        inv_o = pow(o, p - 2, p)
+        per_order[o] = ztab, [[(ztab[(-t * s) % o] * inv_o) % p for s in range(o)]
+                              for t in range(o)]
+    rational: Dict[int, List[int]] = {}
+    for c, (first, _) in enumerate(source):
+        rational.setdefault(first, []).append(c)
+    # Rows share most spectra (61 distinct among gm:16's 1,600 cells), so the
+    # table holds one tuple per distinct spectrum.
+    shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    by_class: List[Optional[list]] = [None] * k
+    for first, members in rational.items():
+        ztab, dft = per_order[orders[first]]
+        seq = [columns[j] for j in power[first]]
+        lifted = [slots.unpack(sum(map(mul, row, seq)), k) for row in dft]
+        packed = [slots.pack(counts) for counts in lifted]
+        spectra = [shared.setdefault(s, s) for s in zip(*lifted)]
+        for c in members:
+            class_spectra, class_packed = spectra, packed
+            if c != first:
+                reindex = itemgetter(*source[c][1])
+                class_spectra = [shared.setdefault(s, s) for s in map(reindex, spectra)]
+                class_packed = reindex(packed)
+            by_class[c] = class_spectra
+            if slots.unpack(sum(map(mul, ztab, class_packed)), k) != slots.unpack(columns[c], k):
                 raise InvalidCharacterTable("eigenvalue spectrum does not give the class value")
-            spectra.append(spectrum)
-        rows_out.append(tuple(spectra))
+    rows_out = list(zip(*by_class))
     values = _value_vectors(e, rows_out)
     rows_out.sort(key=lambda spectra: tuple(map(values.__getitem__, spectra)))
     return tuple(rows_out), values
@@ -356,15 +377,21 @@ _SEEDED_COMBINATIONS = 4
 
 def _class_combination(G: FiniteGroup, coeffs: List[int], slots: Slots) -> List[int]:
     """The packed columns of sum_i coeffs[i] M_i mod p, with
-    M_i[j][l] = #{x in C_i : x^-1 z_l in C_j} for the representative z_l of class l."""
+    M_i[j][l] = #{x in C_i : x^-1 z_l in C_j} for the representative z_l of class l.
+
+    y = x^-1 z_l exactly when x = z_l y^-1, so column l adds
+    coeffs[class(z_l y^-1)] at class(y) for every y, reading the Cayley-table
+    row of z_l at y^-1.
+    """
     class_of = G.class_ids()
     k, p = len(coeffs), slots.p
-    weighted = [(G.inv(x), coeffs[c]) for x, c in enumerate(class_of) if coeffs[c]]
+    weight = [coeffs[c] for c in class_of]
+    class_of_inverse = [class_of[G.inv(u)] for u in range(G.order)]
     columns = []
     for zl in G.class_representatives():
         col = [0] * k
-        for xi, c in weighted:
-            col[class_of[G.mul(xi, zl)]] += c
+        for j, x in zip(class_of_inverse, G.cayley_row(zl)):
+            col[j] += weight[x]
         columns.append(slots.pack([x % p for x in col]))
     return columns
 
@@ -441,28 +468,34 @@ def _verify_table(table: CharacterTable) -> None:
     if len(table.spectra) != k:
         raise InvalidCharacterTable(f"{len(table.spectra)} irreducibles for {k} classes")
     e = G.exponent()
-    autocorrelations: Dict[Tuple[int, ...], List[int]] = {}
+    sizes = [cls.size for cls in classes]
+    orders = [cls.order for cls in classes]
+    # Per distinct spectrum: its entry sum, None if an entry is negative, and
+    # its autocorrelation.
+    checked: Dict[Tuple[int, ...], Tuple[Optional[int], List[int]]] = {}
     for i, spectra in enumerate(table.spectra):
         if len(spectra) != k:
             raise InvalidCharacterTable(f"row {i} has {len(spectra)} spectra for {k} classes")
+        if list(map(len, spectra)) != orders:
+            raise InvalidCharacterTable(f"row {i} has a malformed spectrum")
         weights: Dict[Tuple[int, ...], int] = {}
-        for cls, spectrum in zip(classes, spectra):
-            if len(spectrum) != cls.order:
-                raise InvalidCharacterTable(f"row {i} has a malformed spectrum")
-            weights[spectrum] = weights.get(spectrum, 0) + cls.size
+        for size, spectrum in zip(sizes, spectra):
+            weights[spectrum] = weights.get(spectrum, 0) + size
         acc = [0] * e
         for spectrum, w in weights.items():
-            if min(spectrum) < 0 or sum(spectrum) != spectra[0][0]:
+            if spectrum not in checked:
+                total = sum(spectrum) if min(spectrum) >= 0 else None
+                conjugate = spectrum[:1] + spectrum[:0:-1]
+                checked[spectrum] = total, cyclic_product(spectrum, conjugate)
+            total, autocorrelation = checked[spectrum]
+            if total != spectra[0][0]:
                 raise InvalidCharacterTable(
                     f"row {i}: eigenvalue multiplicities are not a partition of the degree")
-            if spectrum not in autocorrelations:
-                conjugate = spectrum[:1] + spectrum[:0:-1]
-                autocorrelations[spectrum] = cyclic_product(spectrum, conjugate)
-            accumulate(acc, autocorrelations[spectrum], w)
+            accumulate(acc, autocorrelation, w)
         if reduced_integer(acc) != G.order:
             raise InvalidCharacterTable(f"row {i} is not norm one")
     degrees = table.degrees()
-    for c, cls in enumerate(classes):
+    for c, o in enumerate(orders):
         column = zip(*[spectra[c] for spectra in table.spectra])
-        if any(sum(map(mul, degrees, counts)) * cls.order != G.order for counts in column):
+        if any(sum(map(mul, degrees, counts)) * o != G.order for counts in column):
             raise InvalidCharacterTable(f"regular-representation identity fails at class {c}")

@@ -140,6 +140,10 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return self._inv[i]
 
+    def cayley_row(self, i: int) -> List[int]:
+        """The products i*j for every element index j, in index order; read only."""
+        return self._table[i]
+
     def index_closure(self, seed: Iterable[int]) -> FrozenSet[int]:
         """Element indices of the subgroup generated by the given indices."""
         elements, member, gens = [0], bytearray(self.order), []

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
@@ -267,18 +268,22 @@ def chevalley_weil_multiplicities(X: QuasiplatonicSurface,
         return T._cache[key]
     trivial = T.trivial_index
     class_of = G.class_ids()
-    branch = [(m, class_of[i]) for i, m in zip(X.vector.indices, X.vector.periods)]
+    # Scaled by L, the lcm of the periods, each branch point adds
+    # (L/m) sum_alpha n_alpha (m - alpha) in integers.
+    L = lcm(*X.vector.periods)
+    branch = [(L // m, range(m - 1, 0, -1), class_of[i])
+              for i, m in zip(X.vector.indices, X.vector.periods)]
 
     mults = []
     degrees = T.degrees()
     for idx, (degree, spectra) in enumerate(zip(degrees, T.spectra)):
-        total = Fraction(-degree) + (1 if idx == trivial else 0)
-        for m, c in branch:
-            spectrum = spectra[c]
-            total += Fraction(sum(spectrum[alpha] * (m - alpha) for alpha in range(1, m)), m)
-        if total.denominator != 1 or total < 0:
-            raise NonIntegralMultiplicity(f"multiplicity {total} for irreducible {idx}")
-        mults.append(int(total))
+        total = (int(idx == trivial) - degree) * L
+        for scale, weights, c in branch:
+            total += scale * sum(map(mul, spectra[c][1:], weights))
+        if total % L or total < 0:
+            raise NonIntegralMultiplicity(
+                f"multiplicity {Fraction(total, L)} for irreducible {idx}")
+        mults.append(total // L)
 
     if mults[trivial] != 0:
         raise InvalidCharacterTable(

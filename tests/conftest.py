@@ -1,5 +1,6 @@
 import cmath
 import functools
+import math
 import os
 import random
 import subprocess
@@ -604,6 +605,66 @@ def hessenberg_rows(G):
     Hessenberg route's joint eigenvectors by `chartable._dixon_rows`."""
     with mock.patch.object(chartable, "_joint_eigenvectors", _joint_eigenvectors):
         return chartable._dixon_rows(G)[0]
+
+
+# -- the dense per-irreducible lift ------------------------------------------------
+# The oracle for the packed lift in `chartable._dixon_rows`: the lift the character
+# table took before it, copied verbatim.  Each irreducible's values mod p at the
+# powers of each rational class's first class go through a dense discrete Fourier
+# transform of their own, fed by the production `chartable._joint_eigenvectors`.
+
+
+def dense_dft_rows(G):
+    """(spectra in table order, `value_vectors`) by one dense transform per
+    irreducible and rational class."""
+    classes = G.conjugacy_classes()
+    k = len(classes)
+    n = G.order
+    e = G.exponent()
+    sizes = [cls.size for cls in classes]
+    inv_class = chartable.power_class_map(G, -1)
+    power = G.power_classes()
+    source = chartable._rational_sources(classes, power)
+
+    p = chartable._find_prime(e, 2 * n + 1)
+    z = chartable._find_root_of_unity(e, p)
+
+    vectors = chartable._joint_eigenvectors(G, p)
+
+    inv_sizes = [pow(s, p - 2, p) for s in sizes]
+    per_order = {}
+    for o in {cls.order for cls in classes}:
+        ztab = [pow(z, (e // o) * t, p) for t in range(o)]
+        dft = [[ztab[(-t * s_) % o] for s_ in range(o)] for t in range(o)]
+        per_order[o] = (ztab, dft, pow(o, p - 2, p))
+    rows_out = []
+    for v in vectors:
+        if v[0] % p == 0:
+            raise InvalidCharacterTable("joint eigenvector vanishes at the identity class")
+        norm = pow(v[0], p - 2, p)
+        omega = [(x * norm) % p for x in v]
+        s = sum(omega[j] * omega[inv_class[j]] * inv_sizes[j] for j in range(k)) % p
+        d2 = (n * pow(s, p - 2, p)) % p
+        degree = next((d for d in range(1, math.isqrt(n) + 1) if (d * d) % p == d2), None)
+        if degree is None:
+            raise InvalidCharacterTable("degree recovery failed")
+        vals = [(degree * omega[j] * inv_sizes[j]) % p for j in range(k)]
+
+        spectra: List[Tuple[int, ...]] = []
+        for c, (cls, (first, reindex)) in enumerate(zip(classes, source)):
+            ztab, dft, inv_o = per_order[cls.order]
+            if first == c:
+                seq = [vals[j] for j in power[c]]
+                spectrum = tuple((sum(map(mul, row, seq)) * inv_o) % p for row in dft)
+            else:
+                spectrum = tuple(map(spectra[first].__getitem__, reindex))
+            if sum(map(mul, spectrum, ztab)) % p != vals[c]:
+                raise InvalidCharacterTable("eigenvalue spectrum does not give the class value")
+            spectra.append(spectrum)
+        rows_out.append(tuple(spectra))
+    values = chartable._value_vectors(e, rows_out)
+    rows_out.sort(key=lambda spectra: tuple(map(values.__getitem__, spectra)))
+    return tuple(rows_out), values
 
 
 def spectrum_coefficients(e, spectrum):

@@ -20,12 +20,14 @@ from cmkit import (
     symmetric_square,
     trivial_character,
 )
+from cmkit import chartable
 from cmkit.chartable import CharacterTable, _split
 from cmkit.modp import Slots
 from conftest import (
     alternating_5,
     cyclic_7_squared,
     cyclic_product,
+    dense_dft_rows,
     elementary_abelian_2,
     gm_bundle,
     hessenberg_rows,
@@ -421,6 +423,98 @@ def test_krylov_route_matches_the_hessenberg_route(maker):
 @given(small_permutation_groups())
 def test_krylov_route_matches_the_hessenberg_route_on_random_groups(G):
     assert character_table(G).spectra == hessenberg_rows(G)
+
+
+def _lift_groups():
+    groups = [
+        pytest.param(alternating_5, id="A5"),
+        pytest.param(symmetric_5, id="S5"),
+        pytest.param(psl_2_7, id="PSL(2,7)"),
+        pytest.param(cyclic_7_squared, id="C7xC7"),
+    ]
+    return groups + [pytest.param(lambda m=m: gm_bundle(m)[0].group, id=f"gm:{m}")
+                     for m in range(6, 22, 2)]
+
+
+@pytest.mark.parametrize("maker", _lift_groups())
+def test_packed_lift_matches_the_dense_lift(maker):
+    """One packed transform per rational class for all irreducibles gives the
+    spectra and value vectors of a dense transform per irreducible
+    (`conftest.dense_dft_rows`) from the same joint eigenvectors."""
+    G = maker()
+    T = character_table(G)
+    assert (T.spectra, T.value_vectors()) == dense_dft_rows(G)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_permutation_groups())
+def test_packed_lift_matches_the_dense_lift_on_random_groups(G):
+    T = character_table(G)
+    assert (T.spectra, T.value_vectors()) == dense_dft_rows(G)
+
+
+@pytest.mark.parametrize("maker", [pytest.param(psl_2_7, id="PSL(2,7)"),
+                                   pytest.param(lambda: gm_bundle(16)[0].group, id="gm:16")])
+def test_table_holds_one_tuple_per_distinct_spectrum(maker):
+    """Equal spectra are one object: gm:16 has 61 distinct among 1,600 cells."""
+    cells = [s for row in character_table(maker()).spectra for s in row]
+    assert len({id(s) for s in cells}) == len(set(cells)) < len(cells)
+
+
+_FIND_PRIME = chartable._find_prime
+
+
+@pytest.mark.parametrize("make, prime", [
+    pytest.param(lambda: build_gm(12).group, 65557, id="gm:12"),
+    pytest.param(symmetric_5.__wrapped__, 65581, id="S5"),
+    pytest.param(psl_2_7.__wrapped__, 66109, id="PSL(2,7)"),
+])
+def test_primes_above_2_16_pack_64_bit_slots(monkeypatch, make, prime):
+    """With the least prime = 1 (mod e) above 2^16 instead of the least above
+    2|G|, every `Slots` of the table is 64 bits wide, a width no table reaches
+    at its own prime, and the spectra are the same."""
+    expected = character_table(make()).spectra
+    seen = set()
+
+    class RecordedSlots(Slots):
+        def __init__(self, p, terms):
+            super().__init__(p, terms)
+            seen.add((p, self.width))
+
+    monkeypatch.setattr(chartable, "_find_prime", lambda e, minimum: _FIND_PRIME(e, 2**16 + 1))
+    monkeypatch.setattr(chartable, "Slots", RecordedSlots)
+    assert character_table(make()).spectra == expected
+    assert seen == {(prime, 64)}
+
+
+ROTATED_REINDEX = """
+from cmkit import InvalidCharacterTable, build_gm, chartable
+sources = chartable._rational_sources
+def rotated(classes, power):
+    source = sources(classes, power)
+    c = next(c for c, (first, _) in enumerate(source) if first != c)
+    first, reindex = source[c]
+    source[c] = first, reindex[1:] + reindex[:1]
+    return source
+for patched in (sources, rotated):
+    chartable._rational_sources = patched
+    try:
+        chartable.character_table(build_gm(12).group)
+    except InvalidCharacterTable as ex:
+        print("rejected:", ex)
+    else:
+        print("accepted")
+"""
+
+
+def test_class_value_check_catches_a_misread_galois_reindex():
+    """In exact arithmetic mod p the class-value check is an identity of the
+    inverse transform; it guards the packed arithmetic.  Rotating the Galois
+    reindex of the first class that is not its rational class's first by one
+    place makes `character_table(gm:12)`, built unpatched first, raise, also
+    under `python -O`."""
+    assert run_optimized("-c", ROTATED_REINDEX).splitlines() == [
+        "accepted", "rejected: eigenvalue spectrum does not give the class value"]
 
 
 def _refuse(*args, **kwargs):

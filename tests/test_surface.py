@@ -9,6 +9,7 @@ from cmkit import (
     InconsistentRamification,
     NegativeGenus,
     NonIntegerGenus,
+    NonIntegralMultiplicity,
     NotNormalInN,
     Permutation,
     QuasiplatonicSurface,
@@ -25,6 +26,7 @@ from cmkit import (
     quotient_surface,
     streit_test,
 )
+from cmkit.chartable import CharacterTable
 from cmkit.criteria import _eichler_values, _invariant_genus
 from conftest import (
     alternating_5,
@@ -178,6 +180,24 @@ def test_chevalley_weil_conjugation_invariance():
         h = rng.choice(X.group.elements)
         Xc = QuasiplatonicSurface.from_vector(X.vector.conjugate_by(h))
         assert chevalley_weil_multiplicities(Xc, T) == base
+
+
+def test_chevalley_weil_reports_a_non_integral_or_negative_multiplicity():
+    """On C3 with (a, a^2, a, a^2), genus 2, a doctored row reading (0, 0, 1)
+    at both classes gets 4 * 1/3 - 1 = 1/3 from the branch points, and one
+    reading (0, 0, 0) gets -1; each error names the exact multiplicity."""
+    G = FiniteGroup.cyclic(3)
+    a = next(g for g in G.elements if not g.is_identity())
+    X = QuasiplatonicSurface.from_vector(GeneratingVector(G, (a, a * a, a, a * a)))
+    assert X.genus == 2
+    T = character_table(G)
+    i = (T.trivial_index + 1) % 3
+    for spectrum, text in (((0, 0, 1), "1/3"), ((0, 0, 0), "-1")):
+        spectra = list(T.spectra)
+        spectra[i] = ((1,), spectrum, spectrum)
+        with pytest.raises(NonIntegralMultiplicity,
+                           match=f"^multiplicity {text} for irreducible {i}$"):
+            chevalley_weil_multiplicities(X, CharacterTable(G, tuple(spectra)))
 
 
 COVERS = {
