@@ -1,5 +1,7 @@
 """Decision layer: per-factor sufficient conditions, isogeny-relation
 verification, the symmetric-square test, and the combined CM verdict.
+Statement A reads G/H off G's classes and H's coset ids; statement B scans
+the abelian subgroups of N_G(H)/H from `Subgroup.normalizer_quotient`.
 
 A verdict is certificate-based: CM_CERTIFIED carries either an exact zero of
 the symmetric-square inner product, or a verified isotypic-dimension
@@ -161,10 +163,10 @@ def check_statement_a(G: FiniteGroup, H: Subgroup) -> StatementAResult:
         raise NotProperNontrivial("statement A needs a proper non-trivial subgroup")
     if not G.is_normal(H):
         return StatementAResult(False, False, None, None, None)
-    Q, _ = H.normalizer_quotient()  # N_G(H) = G
-    abelian = Q.is_abelian()
-    invariants = Q.abelian_invariants() if abelian else None
-    return StatementAResult(abelian, True, Q.order, abelian, invariants)
+    coset, _ = H.coset_ids()
+    if not G._commute_modulo(G._gens, coset):
+        return StatementAResult(False, True, H.index, False, None)
+    return StatementAResult(True, True, H.index, True, G._invariants_modulo(coset, H.order))
 
 
 def check_statement_b(X: QuasiplatonicSurface, H: Subgroup) -> StatementBResult:
@@ -415,13 +417,9 @@ def _search_certified_relation(X, T, search_limit, log):
     lexicographically, enumerated lazily) and return the first fully
     certified relation."""
     G = X.group
-    candidates = []
-    for H in G.all_subgroups():
-        if not H.is_proper_nontrivial():
-            continue
-        if quotient_surface(X, H).genus >= 1:
-            candidates.append(H)
-    candidates.sort(key=lambda H: (H.index, H.indices))
+    candidates = sorted((H for H in G.all_subgroups()
+                         if H.is_proper_nontrivial() and quotient_surface(X, H).genus >= 1),
+                        key=lambda H: (H.index, H.indices))
     weights = [H.index for H in candidates]
 
     h1 = h1_multiplicities(X, T)
@@ -454,33 +452,28 @@ def _search_certified_relation(X, T, search_limit, log):
             entry = {"stage": "collection",
                      "subgroups": [H.generators()[0].cycle_string() if H.generators()
                                    else "()" for H in collection]}
+            log.append(entry)
             if solution is None:
                 entry["result"] = "no_positive_integer_solution"
-                log.append(entry)
                 continue
             n, mults = solution
             relation = IsogenyRelation(n, tuple(zip(collection, mults)))
             report = verify_isogeny_relation(X, T, relation)
             if not report.holds:
                 entry["result"] = "identity_failed"
-                log.append(entry)
                 continue
             certificates = []
-            failed = None
             for H in collection:
                 cert = certify(H)
                 if cert is None:
-                    failed = H
                     break
                 certificates.append(cert)
-            if failed is not None:
+            if len(certificates) < len(collection):
                 entry["result"] = "factor_not_certified"
-                log.append(entry)
                 continue
             entry["result"] = "certified"
             entry["n"] = n
             entry["multiplicities"] = list(mults)
-            log.append(entry)
             return relation, report, tuple(certificates)
     return None
 
@@ -526,7 +519,6 @@ def _solve_multiplicities(degrees: Sequence[int], dim_columns: Sequence[Sequence
     mat = [[Fraction(dim_columns[i][r]) for i in range(s)] + [Fraction(degrees[r])]
            for r in range(rows)]
     # Gaussian elimination on [W | d]
-    pivot_rows = []
     r = 0
     for c in range(s):
         pr = next((i for i in range(r, rows) if mat[i][c] != 0), None)
@@ -539,7 +531,6 @@ def _solve_multiplicities(degrees: Sequence[int], dim_columns: Sequence[Sequence
             if i != r and mat[i][c] != 0:
                 f = mat[i][c]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivot_rows.append(r)
         r += 1
     for i in range(r, rows):
         if mat[i][s] != 0:

@@ -11,24 +11,27 @@ lookup, so the order bound also bounds the table (|G|^2 entries).
 
 Classes, power classes, closure, normality, normalizers and the subgroup
 lattice work on indices; a class's element order is read by powering its
-first member in the table.  There is one closure on indices, Dimino's
-algorithm (`_grow`): a known subgroup H grows to <H, g> one left coset eH at
-a time, each read whole from row e of the table, and stops once it holds more
-than half the group, which by Lagrange is then the whole group.
-`index_closure`, the greedy `Subgroup.generators` and the lattice share it;
-the lattice grows each join <H, i> from H's elements and stops with
-`GroupTooLarge` once it has found more subgroups than its bound.  It makes
-no join whose result is already known: with K = <H, i>, also <H, x> = K for
-every x in the left coset iH (x lies in K, and i = x*h^-1) and for every
-conjugate g*i*g^-1 by g in H (g lies in K).
-A `Subgroup` holds its sorted element indices and
-numbers its left cosets gH once (coset id of each element index, cosets
-ordered by minimal member); quotient genera and Galois signatures read the
-action of an element as a list of coset ids, as does the one quotient builder,
-`Subgroup.normalizer_quotient` (N_G(H)/H).  The generators' indices are read
-off the closure.  `Permutation`s appear only at I/O: elements, generators,
-class members, `Subgroup.elements`, `FiniteGroup.subgroup`, `coset_action`,
-and `index_of`, which turns one into an element index.  All orderings are deterministic: classes by (element
+first member in the table.  For K normal, G/K is abelian when G's generators
+commute modulo K, and its invariant factors count classes by their power
+classes in K; `is_abelian` and `abelian_invariants` are the case K = 1.
+There is one closure on indices, Dimino's algorithm (`_grow`): a known
+subgroup H grows to <H, g> one left coset eH at a time, each read whole from
+row e of the table, and stops once it holds more than half the group, which
+by Lagrange is then the whole group.  `index_closure`, the greedy
+`Subgroup.generators` and the lattice share it; the lattice grows each join
+<H, i> from H's elements and stops with `GroupTooLarge` once it has found
+more subgroups than its bound.  It makes no join whose result is already
+known: with K = <H, i>, also <H, x> = K for every x in the left coset iH (x
+lies in K, and i = x*h^-1) and for every conjugate g*i*g^-1 by g in H (g
+lies in K).  A `Subgroup` holds its sorted element indices and numbers its
+left cosets gH once (coset id of each element index, cosets ordered by
+minimal member); quotient genera and Galois signatures read the action of an
+element as a list of coset ids, as does the one quotient builder,
+`Subgroup.normalizer_quotient` (N_G(H)/H, for statement B).  The generators'
+indices are read off the closure.  `Permutation`s appear only at I/O:
+elements, generators, class members, `Subgroup.elements`,
+`FiniteGroup.subgroup`, `coset_action`, and `index_of`, which turns one into
+an element index.  All orderings are deterministic: classes by (element
 order, size, minimal member), subgroups by (order, element indices).
 """
 
@@ -189,14 +192,16 @@ class FiniteGroup:
     # -- basic predicates ------------------------------------------------
 
     def is_abelian(self) -> bool:
-        gens = self._gens
-        return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
+        return self._commute_modulo(self._gens, range(self.order))
+
+    def _commute_modulo(self, gens: Sequence[int], coset: Sequence[int]) -> bool:
+        """Whether abK = baK for all a, b in `gens`, K normal given by its coset ids."""
+        table = self._table
+        return all(coset[table[a][b]] == coset[table[b][a]]
+                   for k, a in enumerate(gens) for b in gens[k + 1:])
 
     def element_order(self, g: Permutation) -> int:
-        """Order of g, which equals the lcm of its cycle lengths."""
-        if g not in self:
-            raise ElementNotInGroup(f"{g!r} is not in the group")
-        return g.order()
+        return self._index_order(self.index_of(g))
 
     def exponent(self) -> int:
         if self._exponent is None:
@@ -208,26 +213,20 @@ class FiniteGroup:
     def conjugacy_classes(self) -> Tuple["ConjugacyClass", ...]:
         if self._classes is not None:
             return self._classes
-        n = self.order
-        gen_idx = self._gens
+        n, table, inv, gen_idx = self.order, self._table, self._inv, self._gens
         seen = [False] * n
         raw: List[List[int]] = []
         for start in range(n):
             if seen[start]:
                 continue
-            orbit = {start}
-            frontier = [start]
             seen[start] = True
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for gi in gen_idx:
-                        y = self.mul(self.mul(gi, x), self._inv[gi])
-                        if y not in orbit:
-                            orbit.add(y)
-                            seen[y] = True
-                            nxt.append(y)
-                frontier = nxt
+            orbit = [start]
+            for x in orbit:  # classes are disjoint: a seen conjugate is in this orbit
+                for gi in gen_idx:
+                    y = table[table[gi][x]][inv[gi]]
+                    if not seen[y]:
+                        seen[y] = True
+                        orbit.append(y)
             raw.append(sorted(orbit))
         keyed = sorted((self._index_order(members[0]), len(members),
                         self._images[members[0]], members) for members in raw)
@@ -407,19 +406,32 @@ class FiniteGroup:
         return Q, {g: Q.elements[k] for g, k in zip(self.elements, q)}
 
     def abelian_invariants(self) -> Tuple[int, ...]:
-        """Invariant factors d_1 | d_2 | ... of an abelian group.
-
-        For a prime p, #{x : x^(p^j) = 1} / #{x : x^(p^(j-1)) = 1} = p^k, where
-        k is the number of invariant factors divisible by p^j; in a
-        divisibility chain those are the k largest, so each gains a factor p.
-        """
+        """Invariant factors d_1 | d_2 | ... of an abelian group."""
         if not self.is_abelian():
             raise ValueError("abelian_invariants requires an abelian group")
+        return self._invariants_modulo(range(self.order), 1)
+
+    def _invariants_modulo(self, coset: Sequence[int], size: int) -> Tuple[int, ...]:
+        """Invariant factors d_1 | d_2 | ... of an abelian G/K, K normal of order
+        `size` given by the coset id of every element index (K is coset 0).
+
+        For a prime p, #{xK : x^(p^j) in K} / #{xK : x^(p^(j-1)) in K} = p^k,
+        where k is the number of invariant factors divisible by p^j; in a
+        divisibility chain those are the k largest, so each gains a factor p.
+        K is a union of classes and x^q is conjugate to r^q, r the
+        representative of x's class, so #{x : x^q in K} sums the sizes of the
+        classes whose power class at q lies in K: |K| times the coset count.
+        """
+        classes, power = self.conjugacy_classes(), self.power_classes()
+        in_k = [coset[r] == 0 for r in self._class_reps]
         factors: List[int] = []  # ascending
-        for p in prime_factors(self.order):
+        for p in prime_factors(self.order // size):
             below, q = 1, p
             while True:
-                count = sum(cls.size for cls in self.conjugacy_classes() if q % cls.order == 0)
+                count = sum(cls.size for cls, row in zip(classes, power) if in_k[row[q % cls.order]])
+                if count % size:
+                    raise InternalCheckFailed(f"{count} elements x have x^{q} in K, |K| = {size}")
+                count //= size
                 k, ratio = 0, count // below
                 while ratio > 1:
                     ratio //= p
@@ -519,8 +531,7 @@ class Subgroup:
         return self._gens
 
     def is_abelian(self) -> bool:
-        mul, idx = self.parent.mul, self.indices
-        return all(mul(a, b) == mul(b, a) for k, a in enumerate(idx) for b in idx[k + 1:])
+        return self.parent._commute_modulo(self._generator_indices(), range(self.parent.order))
 
     def is_cyclic(self) -> bool:
         classes, class_of = self.parent.conjugacy_classes(), self.parent.class_ids()

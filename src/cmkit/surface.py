@@ -6,8 +6,9 @@ orders.  The vector turns its `Permutation` entries into element indices and
 orders once, when it is built; nothing downstream looks them up again.
 Everything downstream is combinatorial: genera come from cycle counting on
 the coset numbering of each subgroup (Riemann-Hurwitz, on element indices;
-see `cmkit.group`) and, independently, from sum_i m_i dim V_i^H, with
-irreducible multiplicities m_i produced by the
+see `cmkit.group`), as do Galois signatures X/H -> X/N, by local monodromy
+on N's cycles alone; genera also come, independently, from
+sum_i m_i dim V_i^H, with irreducible multiplicities m_i produced by the
 classical eigenvalue bookkeeping of the branch data (Chevalley-Weil) and
 dim V_i^H summed from the table's spectra (`CharacterTable.fixed_dimensions`).
 """
@@ -156,7 +157,8 @@ def find_generating_vectors(G: FiniteGroup, sig: Signature,
     by_order: Dict[int, List[int]] = {}
     for i, o in enumerate(orders):
         by_order.setdefault(o, []).append(i)
-    firsts = [G.index_of(cls.representative) for cls in classes if cls.order == periods[0]]
+    firsts = [rep for cls, rep in zip(classes, G.class_representatives())
+              if cls.order == periods[0]]
     results: List[GeneratingVector] = []
 
     def extend(prefix: Tuple[int, ...], prod: int) -> None:
@@ -205,8 +207,11 @@ def _riemann_hurwitz(n: int, defect: int) -> int:
 
 def galois_quotient_signature(X: QuasiplatonicSurface, H: Subgroup,
                               N: Subgroup) -> Signature:
-    """Signature of the Galois cover X/H -> X/N (H normal in N).  The orbit
-    genus, the genus of X/N, is read off the same X/N cycles."""
+    """Signature of the Galois cover X/H -> X/N (H normal in N), by local
+    monodromy on N's cosets alone (Breuer 2000): over a vector entry g, the
+    cycle of length l through xN, x its minimal member, is a point of X/N;
+    y = x^-1 g^l x lies in N, and the period there is the least k with y^k
+    in H.  The orbit genus, the genus of X/N, is read off the same cycles."""
     G = X.group
     if H.parent is not G or N.parent is not G:
         raise SubgroupMismatch("subgroups of a different group")
@@ -215,34 +220,26 @@ def galois_quotient_signature(X: QuasiplatonicSurface, H: Subgroup,
     if not all(H.normalized_by(i) for i in N._generator_indices()):
         raise NotNormalInN("H is not normal in N")
 
-    coset_N, _ = N.coset_ids()
-    _, reps_H = H.coset_ids()
-    proj = [coset_N[r] for r in reps_H]
-
+    coset_H, _ = H.coset_ids()
+    coset_N, reps = N.coset_ids()
+    mul, inv = G.mul, G.inv
     periods = []
     defect = 0
-    for i in X.vector.indices:
-        # point[x]: the point of X/N over this branch value, i.e. the cycle of
-        # N-coset x; the H-cosets of one cycle all lie over the same point.
-        point, l_bases = [0] * N.index, []
-        for cyc in cycles_of(N.action_on_cosets(i)):
-            for x in cyc:
-                point[x] = len(l_bases)
-            l_bases.append(len(cyc))
-        defect += N.index - len(l_bases)
-        tops = [set() for _ in l_bases]
-        for cyc in cycles_of(H.action_on_cosets(i)):
-            tops[point[proj[cyc[0]]]].add(len(cyc))
-        for l_base, lengths in zip(l_bases, tops):
-            if len(lengths) != 1:
-                raise InconsistentRamification(
-                    f"unequal ramification over one point: {sorted(lengths)}")
-            l_top = lengths.pop()
-            if l_top % l_base:
-                raise InconsistentRamification(
-                    f"cycle length {l_top} not divisible by {l_base}")
-            if l_top // l_base > 1:
-                periods.append(l_top // l_base)
+    for g in X.vector.indices:
+        cycles, row = cycles_of(N.action_on_cosets(g)), G.cayley_row(g)
+        defect += N.index - len(cycles)
+        for cyc in cycles:
+            x = gx = reps[cyc[0]]
+            for _ in cyc:
+                gx = row[gx]
+            y = mul(inv(x), gx)  # x^-1 g^l x
+            if coset_N[y] != 0:
+                raise InconsistentRamification(f"a cycle of length {len(cyc)} does not close in N")
+            z, k = y, 1
+            while coset_H[z] != 0:
+                z, k = mul(z, y), k + 1
+            if k > 1:
+                periods.append(k)
     return Signature(_riemann_hurwitz(N.index, defect), tuple(periods))
 
 

@@ -50,6 +50,7 @@ from conftest import (
     run_optimized,
     statement_a_reference,
     statement_b_reference,
+    symmetric_4,
     symmetric_5,
 )
 
@@ -170,6 +171,25 @@ def test_statement_b_builds_one_group(monkeypatch):
     res = check_statement_b(X, H)
     assert res.holds and res.quotient_signature is not None
     assert len(built) == 1 and built[0].order * H.order == X.group.normalizer(H).order
+
+
+def test_statement_a_builds_no_group(monkeypatch):
+    """Statement A reads G/H off G's classes and H's coset ids: on every
+    normal proper non-trivial subgroup of gm:8 and S4 it builds no group."""
+    cases = [(G, H) for G in (gm_bundle(8)[0].group, symmetric_4())
+             for H in G.all_subgroups() if H.is_proper_nontrivial() and G.is_normal(H)]
+    assert len(cases) > 3
+    expected = [statement_a_reference(G, H) for G, H in cases]
+    built = []
+    init = FiniteGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    assert [check_statement_a(G, H) for G, H in cases] == expected
+    assert built == []
 
 
 def test_statement_b_genus_zero_quotient():

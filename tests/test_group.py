@@ -13,6 +13,7 @@ from cmkit import (
     ElementNotInGroup,
     FiniteGroup,
     GroupTooLarge,
+    InternalCheckFailed,
     NotNormal,
     Permutation,
     Subgroup,
@@ -368,6 +369,24 @@ def test_abelian_invariants():
     assert klein_4().abelian_invariants() == (2, 2)
     with pytest.raises(ValueError):
         symmetric_3().abelian_invariants()
+
+
+def test_quotient_invariants_are_counted_on_the_parent_classes():
+    """For K normal, whether G/K is abelian and its invariant factors, read off
+    K's coset ids and G's classes, agree with the quotient group; a count not
+    divisible by |K|, as for a non-normal K, raises."""
+    for G in (build_gm(8).group, symmetric_4(), cyclic_product(4, 6)):
+        for K in G.all_subgroups():
+            if G.is_normal(K):
+                coset, Q = K.coset_ids()[0], G.quotient_with_map(K)[0]
+                assert G._commute_modulo(G._gens, coset) == Q.is_abelian()
+                if Q.is_abelian():
+                    assert G._invariants_modulo(coset, K.order) == abelian_invariants_reference(Q)
+    S3 = symmetric_3()
+    transposition = S3.class_representatives()[1]
+    K = next(K for K in S3.all_subgroups() if K.order == 2 and transposition not in K.indices)
+    with pytest.raises(InternalCheckFailed, match="3 elements x have x"):
+        S3._invariants_modulo(K.coset_ids()[0], K.order)
 
 
 @pytest.mark.parametrize("orders", [(1,), (7,), (2, 2), (4, 6), (2, 2, 2, 2), (3, 9, 27),

@@ -14,6 +14,7 @@ from cmkit import (
     Permutation,
     QuasiplatonicSurface,
     Signature,
+    Subgroup,
     analytic_character,
     chevalley_weil_multiplicities,
     find_generating_vectors,
@@ -259,6 +260,40 @@ def test_quotients_match_permutation_reference(source):
             assert (q.genus, q.branch_data) == permutation_quotient_reference(X, H)
             sig = galois_quotient_signature(X, H, N)
             assert (sig.orbit_genus, sig.periods) == permutation_galois_reference(X, H, N)
+
+
+@pytest.mark.parametrize("source", [f"gm:{m}" for m in range(6, 17, 2)] + list(COVERS))
+def test_galois_signatures_match_permutation_reference_below_normalizer(source):
+    """The Galois signature of X/H -> X/K against the `Permutation` route for
+    every K with H normal in K <= N_G(H), the preimages statement B passes."""
+    if source.startswith("gm:"):
+        surfaces = [gm_bundle(int(source[3:]))[1]]
+    else:
+        build, signatures = COVERS[source]
+        G = build()
+        surfaces = [QuasiplatonicSurface.from_vector(
+            find_generating_vectors(G, Signature(0, periods))[0]) for periods in signatures]
+    G = surfaces[0].group
+    subgroups = G.all_subgroups()
+    for H in subgroups:
+        inside = set(G.normalizer(H).indices)
+        for K in subgroups:
+            if set(H.indices) <= set(K.indices) <= inside:
+                for X in surfaces:
+                    sig = galois_quotient_signature(X, H, K)
+                    assert (sig.orbit_genus, sig.periods) == permutation_galois_reference(X, H, K)
+
+
+def test_galois_signature_checks_that_each_cycle_closes_in_n(monkeypatch):
+    """A coset action that fixes a coset g moves is caught: y = x^-1 g x is
+    then not in N, and the signature raises rather than read a period."""
+    inst, X, _ = gm_bundle(8)
+    H = inst.subgroup_b()
+    N = X.group.normalizer(H)
+    assert galois_quotient_signature(X, H, N) == Signature(0, (2, 4, 4))
+    monkeypatch.setattr(Subgroup, "action_on_cosets", lambda self, i: list(range(self.index)))
+    with pytest.raises(InconsistentRamification, match="does not close in N"):
+        galois_quotient_signature(X, H, N)
 
 
 def _refuse(*args, **kwargs):
