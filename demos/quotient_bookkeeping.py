@@ -1,8 +1,9 @@
 """Quotient surfaces two ways, and the per-factor certificates.
 
-The genus of X/H is computed once by counting cycles of the coset action
-(Riemann-Hurwitz) and once as the fixed-space dimension of the analytic
-character; the two must agree exactly for every subgroup.  The same data
+The genus of X/H is computed once by counting cycles of the coset action,
+read off H's class weights (Riemann-Hurwitz), and once as the fixed-space
+dimension of the analytic character; the two must agree exactly for every
+subgroup.  The same data
 feeds the two per-factor tests: a normal subgroup with abelian quotient,
 or a large abelian automorphism group of the quotient surface.
 """

@@ -167,7 +167,7 @@ class CharacterTable:
         key = ("fixed", H)
         if key not in self._cache:
             self._cache[key] = tuple(class_sums(
-                self.conductor, self.group.class_ids(), H.indices, self.spectra, H.order,
+                self.conductor, H.class_weights(), self.spectra, H.order,
                 "fixed-space dimension sum"))
         return self._cache[key]
 
@@ -448,7 +448,9 @@ def _verify_table(table: CharacterTable) -> None:
     """Shape, norm one and the regular-representation identity of the stored spectra.
 
     The table has k rows of k spectra; the spectrum at class c has length
-    o_c and non-negative entries summing to the row's degree.
+    o_c and non-negative entries summing to the row's degree.  Each distinct
+    spectrum is numbered at its first cell, and both identities below sum
+    over distinct spectra, not cells.
 
     <chi, chi> is summed from the spectra in integers: at a class of element
     order o, chi conj(chi) is the product of the spectrum n_t and its
@@ -460,7 +462,9 @@ def _verify_table(table: CharacterTable) -> None:
     The regular representation restricted to <g>, g of order o, is |G|/o
     copies of the regular representation of C_o, so at every class
     sum_i chi_i(1) n_t(chi_i) = |G|/o for each t < o: at the identity class
-    this is the degree sum, and a repeated row breaks it at some class.
+    this is the degree sum, and a repeated row breaks it at some class.  At
+    each class, every distinct spectrum enters once, weighted by the summed
+    degrees of the rows that hold it there.
     """
     G = table.group
     classes = G.conjugacy_classes()
@@ -470,32 +474,44 @@ def _verify_table(table: CharacterTable) -> None:
     e = G.exponent()
     sizes = [cls.size for cls in classes]
     orders = [cls.order for cls in classes]
-    # Per distinct spectrum: its entry sum, None if an entry is negative, and
-    # its autocorrelation.
-    checked: Dict[Tuple[int, ...], Tuple[Optional[int], List[int]]] = {}
+    # The number of each distinct spectrum, and by number its entry sum (None
+    # if an entry is negative) and its autocorrelation.
+    number: Dict[Tuple[int, ...], int] = {}
+    checked: List[Tuple[Optional[int], List[int]]] = []
+    cells: List[List[int]] = []  # the number of every cell, row by row
     for i, spectra in enumerate(table.spectra):
         if len(spectra) != k:
             raise InvalidCharacterTable(f"row {i} has {len(spectra)} spectra for {k} classes")
         if list(map(len, spectra)) != orders:
             raise InvalidCharacterTable(f"row {i} has a malformed spectrum")
-        weights: Dict[Tuple[int, ...], int] = {}
-        for size, spectrum in zip(sizes, spectra):
-            weights[spectrum] = weights.get(spectrum, 0) + size
-        acc = [0] * e
-        for spectrum, w in weights.items():
-            if spectrum not in checked:
+        row = []
+        for spectrum in spectra:
+            s = number.get(spectrum)
+            if s is None:
+                s = number[spectrum] = len(number)
                 total = sum(spectrum) if min(spectrum) >= 0 else None
                 conjugate = spectrum[:1] + spectrum[:0:-1]
-                checked[spectrum] = total, cyclic_product(spectrum, conjugate)
-            total, autocorrelation = checked[spectrum]
+                checked.append((total, cyclic_product(spectrum, conjugate)))
+            row.append(s)
+        cells.append(row)
+        weights: Dict[int, int] = {}
+        for size, s in zip(sizes, row):
+            weights[s] = weights.get(s, 0) + size
+        acc = [0] * e
+        for s, w in weights.items():
+            total, autocorrelation = checked[s]
             if total != spectra[0][0]:
                 raise InvalidCharacterTable(
                     f"row {i}: eigenvalue multiplicities are not a partition of the degree")
             accumulate(acc, autocorrelation, w)
         if reduced_integer(acc) != G.order:
             raise InvalidCharacterTable(f"row {i} is not norm one")
-    degrees = table.degrees()
+    degrees, distinct = table.degrees(), list(number)
     for c, o in enumerate(orders):
-        column = zip(*[spectra[c] for spectra in table.spectra])
-        if any(sum(map(mul, degrees, counts)) * o != G.order for counts in column):
+        weights = {}
+        for degree, row in zip(degrees, cells):
+            s = row[c]
+            weights[s] = weights.get(s, 0) + degree
+        column = zip(*map(distinct.__getitem__, weights))
+        if any(sum(map(mul, weights.values(), counts)) * o != G.order for counts in column):
             raise InvalidCharacterTable(f"regular-representation identity fails at class {c}")

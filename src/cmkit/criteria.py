@@ -18,9 +18,10 @@ The symmetric-square ("Streit") value and the quotient genera need no
 character table.  The analytic character chi_a is read off the branch data
 by the Eichler trace formula, scaled by D = lcm of the branch orders to
 integer coefficients.  Each count is a class sum of these values in
-Z[x]/(x^e - 1) (`cyclotomic.class_sums`, which `CharacterTable.fixed_dimensions`
-shares), divided by `cyclotomic.exact_quotient` (one reduction mod
-Phi_e, as in the table's norm-one check), which raises `NonIntegralResult`
+Z[x]/(x^e - 1), weighted by H's class weights |H cap C|
+(`cyclotomic.class_sums`, which `CharacterTable.fixed_dimensions` shares),
+divided by `cyclotomic.exact_quotient` (one reduction mod Phi_e, as in the
+table's norm-one check), which raises `NonIntegralResult`
 unless the result is a non-negative integer: the value divides by 2|G|D^2,
 the genus of X/H by |H|D.  <chi_a, 1>, the case H = G, must be the orbit
 genus and chi_a(1) the genus (`InternalCheckFailed`).  The table is built
@@ -359,7 +360,7 @@ def _streit_value(X: QuasiplatonicSurface, scale: int, values: Sequence[Sequence
     if list(values[0]) != [scale * genus]:
         raise InternalCheckFailed(
             f"chi_a(1) = {values[0]} / {scale} differs from the genus {genus}")
-    orbit_genus = _invariant_genus(G, scale, values, range(G.order))
+    orbit_genus = _invariant_genus(scale, values, G.full_subgroup())
     if orbit_genus != X.signature.orbit_genus:
         raise InternalCheckFailed(
             f"<chi_a, 1> = {orbit_genus} is not the orbit genus {X.signature.orbit_genus}")
@@ -375,11 +376,10 @@ def _streit_value(X: QuasiplatonicSurface, scale: int, values: Sequence[Sequence
     return exact_quotient(quadratic, 2 * G.order * scale * scale, "symmetric-square sum")
 
 
-def _invariant_genus(G: FiniteGroup, scale: int, values: Sequence[Sequence[int]],
-                     elements: Sequence[int]) -> int:
-    """The genus of X/H, dim H^0(Omega)^H = (1/|H|) sum_c |H cap C| chi_a(c), for
-    H given by its element indices and values[c] = scale * chi_a(c)."""
-    return class_sums(G.exponent(), G.class_ids(), elements, (values,), scale * len(elements),
+def _invariant_genus(scale: int, values: Sequence[Sequence[int]], H: Subgroup) -> int:
+    """The genus of X/H, dim H^0(Omega)^H = (1/|H|) sum_c |H cap C| chi_a(c), from
+    H's class weights and values[c] = scale * chi_a(c)."""
+    return class_sums(H.parent.exponent(), H.class_weights(), (values,), scale * H.order,
                       "invariant-differential sum")[0]
 
 

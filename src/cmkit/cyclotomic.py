@@ -11,7 +11,6 @@ conductors are compared after lifting to the lcm.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -125,15 +124,15 @@ def cyclic_product(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return out
 
 
-def class_sums(e: int, class_of: Sequence[int], elements: Iterable[int],
-               rows: Iterable[Sequence[Sequence[int]]], denominator: int, what: str) -> List[int]:
-    """(1/denominator) sum over x in elements of row[class_of[x]] for each row, with
-    row[c] over zeta_o as in `accumulate`, one term per class; see `exact_quotient`."""
-    weights = Counter(map(class_of.__getitem__, elements)).items()
+def class_sums(e: int, weights: Sequence[int], rows: Iterable[Sequence[Sequence[int]]],
+               denominator: int, what: str) -> List[int]:
+    """(1/denominator) sum over classes c of weights[c] row[c] for each row, with
+    row[c] over zeta_o as in `accumulate`; see `exact_quotient`."""
+    weighted = [(c, w) for c, w in enumerate(weights) if w]
     out = []
     for row in rows:
         acc = [0] * e
-        for c, w in weights:
+        for c, w in weighted:
             accumulate(acc, row[c], w)
         out.append(exact_quotient(acc, denominator, what))
     return out

@@ -23,9 +23,12 @@ by Lagrange is then the whole group.  `index_closure`, the greedy
 more subgroups than its bound.  It makes no join whose result is already
 known: with K = <H, i>, also <H, x> = K for every x in the left coset iH (x
 lies in K, and i = x*h^-1) and for every conjugate g*i*g^-1 by g in H (g
-lies in K).  A `Subgroup` holds its sorted element indices and numbers its
-left cosets gH once (coset id of each element index, cosets ordered by
-minimal member); quotient genera and Galois signatures read the action of an
+lies in K).  A `Subgroup` holds its sorted element indices and counts them
+once by class (`class_weights`, |H cap C| for every class C): H is normal
+when each count is 0 or |C|, and quotient genera and branch data are read
+off the counts (`cmkit.surface`).  It numbers its left cosets gH only when
+asked (coset id of each element index, cosets ordered by minimal member):
+normalizers, statement A and Galois signatures read the action of an
 element as a list of coset ids, as does the one quotient builder,
 `Subgroup.normalizer_quotient` (N_G(H)/H, for statement B).  The generators'
 indices are read off the closure.  `Permutation`s appear only at I/O:
@@ -380,8 +383,10 @@ class FiniteGroup:
             raise SubgroupMismatch("subgroup belongs to a different group")
 
     def is_normal(self, H: "Subgroup") -> bool:
+        """H is normal when it is a union of classes: |H cap C| is 0 or |C| for every C."""
         self._check_subgroup(H)
-        return all(H.normalized_by(i) for i in self._gens)
+        classes = self.conjugacy_classes()
+        return all(w in (0, cls.size) for w, cls in zip(H.class_weights(), classes))
 
     def normalizer(self, H: "Subgroup") -> "Subgroup":
         """N_G(H), a union of left cosets of H: one test per coset."""
@@ -475,6 +480,7 @@ class Subgroup:
                 f"{len(self.indices)} elements cannot form a subgroup of a group of "
                 f"order {parent.order} (Lagrange)")
         self._gens: Optional[Tuple[int, ...]] = None if gens is None else tuple(gens)
+        self._weights: Optional[Tuple[int, ...]] = None
         self._cosets: Optional[Tuple[List[int], List[int]]] = None
 
     @cached_property
@@ -536,6 +542,16 @@ class Subgroup:
     def is_cyclic(self) -> bool:
         classes, class_of = self.parent.conjugacy_classes(), self.parent.class_ids()
         return any(classes[class_of[i]].order == self.order for i in self.indices)
+
+    def class_weights(self) -> Tuple[int, ...]:
+        """|H cap C| for every class C of the parent, in class order."""
+        if self._weights is None:
+            class_of = self.parent.class_ids()
+            weights = [0] * len(self.parent.conjugacy_classes())
+            for i in self.indices:
+                weights[class_of[i]] += 1
+            self._weights = tuple(weights)
+        return self._weights
 
     # -- cosets ------------------------------------------------------------
 

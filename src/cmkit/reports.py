@@ -126,9 +126,10 @@ def character_table_json(T: CharacterTable) -> dict:
 
 
 def quotient_table_json(X: QuasiplatonicSurface) -> list:
-    """Per-subgroup quotient rows, genus by both methods: cycle counting, and
-    genus_by_character = dim H^0(Omega)^H = (1/|H|) sum over h in H of
-    chi_a(h), with chi_a from the Eichler trace formula."""
+    """Per-subgroup quotient rows, genus by both methods: the branch data's
+    cycle counts, read off H's class weights, and genus_by_character =
+    dim H^0(Omega)^H = (1/|H|) sum over h in H of chi_a(h), with chi_a from
+    the Eichler trace formula."""
     scale, values = _eichler_values(X)
     rows = []
     for H in X.group.all_subgroups():
@@ -140,7 +141,7 @@ def quotient_table_json(X: QuasiplatonicSurface) -> list:
             "index": H.index,
             "genus": q.genus,
             "branch_data": [[period, list(lengths)] for period, lengths in q.branch_data],
-            "genus_by_character": _invariant_genus(X.group, scale, values, H.indices),
+            "genus_by_character": _invariant_genus(scale, values, H),
         }
         rows.append(row)
     return rows

@@ -4,10 +4,12 @@ A generating vector (g_1, ..., g_r) with product one encodes a Galois cover
 of the sphere branched over r points with local orders equal to the element
 orders.  The vector turns its `Permutation` entries into element indices and
 orders once, when it is built; nothing downstream looks them up again.
-Everything downstream is combinatorial: genera come from cycle counting on
-the coset numbering of each subgroup (Riemann-Hurwitz, on element indices;
-see `cmkit.group`), as do Galois signatures X/H -> X/N, by local monodromy
-on N's cycles alone; genera also come, independently, from
+Everything downstream is combinatorial: the genus and branch data of X/H
+come from H's class weights |H cap C| (`Subgroup.class_weights`): the cycle
+type of each vector entry on H's cosets is read off the fixed-coset counts
+of its powers (Riemann-Hurwitz; Breuer 2000), with no coset numbered.
+Galois signatures X/H -> X/N come from local monodromy on N's cycles alone,
+on the coset numbering of `cmkit.group`.  Genera also come, independently, from
 sum_i m_i dim V_i^H, with irreducible multiplicities m_i produced by the
 classical eigenvalue bookkeeping of the branch data (Chevalley-Weil) and
 dim V_i^H summed from the table's spectra (`CharacterTable.fixed_dimensions`).
@@ -26,6 +28,7 @@ from .cyclotomic import Cyclotomic
 from .errors import (
     GroupMismatch,
     InconsistentRamification,
+    InternalCheckFailed,
     InvalidCharacterTable,
     NegativeGenus,
     NonIntegerGenus,
@@ -184,15 +187,53 @@ def find_generating_vectors(G: FiniteGroup, sig: Signature,
 
 
 def quotient_surface(X: QuasiplatonicSurface, H: Subgroup) -> QuotientSurface:
-    """X/H with genus from cycle counting on the coset action of H."""
-    n = H.index
-    defect = 0
-    branch = []
-    for i, m in zip(X.vector.indices, X.vector.periods):
-        lengths = [len(c) for c in cycles_of(H.action_on_cosets(i))]
-        defect += n - len(lengths)
-        branch.append((m, tuple(sorted(lengths, reverse=True))))
-    return QuotientSurface(X, H, _riemann_hurwitz(n, defect), tuple(branch))
+    """X/H with its branch data: over each vector entry, its cycles on the
+    left cosets of H, read off H's class weights (`_cycle_type`)."""
+    G = X.group
+    if H.parent is not G:
+        raise SubgroupMismatch("subgroup of a different group")
+    n, class_of = H.index, G.class_ids()
+    branch = tuple((m, _cycle_type(H, class_of[i]))
+                   for i, m in zip(X.vector.indices, X.vector.periods))
+    defect = sum(n - len(lengths) for _, lengths in branch)
+    return QuotientSurface(X, H, _riemann_hurwitz(n, defect), branch)
+
+
+def _cycle_type(H: Subgroup, c: int) -> Tuple[int, ...]:
+    """The cycle lengths, descending, of an element g of class c on the left
+    cosets of H, read off H's class weights (Breuer 2000).
+
+    g^d fixes xH when x^-1 g^d x lies in H: |G| |H cap C_d| / (|C_d| |H|)
+    = [G:H] |H cap C_d| / |C_d| cosets, C_d the class of g^d.  g^d fixes
+    exactly the cosets on g-cycles of length dividing d, so, by Moebius
+    inversion over the divisors l of the order m of g, the cosets on cycles
+    of length exactly l are fix(g^l) less those on cycles of each proper
+    divisor of l.  A fixed count that is not an integer, a count that is not
+    a non-negative multiple of l, or lengths that do not sum to the index
+    raise `InternalCheckFailed`.
+    """
+    G, n = H.parent, H.index
+    classes, weights, row = G.conjugacy_classes(), H.class_weights(), G.power_classes()[c]
+    m = len(row)
+    on_cycles: List[Tuple[int, int]] = []  # (l, cosets on cycles of length exactly l), if any
+    for l in range(1, m + 1):
+        if m % l:
+            continue
+        c_l = row[l % m]
+        if not (weights[c_l] or on_cycles):  # g^l fixes no coset and no shorter cycle was seen
+            continue
+        fixed, rest = divmod(n * weights[c_l], classes[c_l].size)
+        if rest:
+            raise InternalCheckFailed(f"g^{l} fixes {n * weights[c_l]}/{classes[c_l].size} cosets")
+        count = fixed - sum(k for d, k in on_cycles if l % d == 0)
+        if count:
+            if count < 0 or count % l:
+                raise InternalCheckFailed(f"{count} cosets on cycles of length {l}")
+            on_cycles.append((l, count))
+    lengths = tuple(l for l, count in reversed(on_cycles) for _ in range(count // l))
+    if sum(lengths) != n:
+        raise InternalCheckFailed(f"cycle lengths {lengths} do not sum to the index {n}")
+    return lengths
 
 
 def _riemann_hurwitz(n: int, defect: int) -> int:

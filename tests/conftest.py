@@ -256,6 +256,24 @@ def permutation_quotient_reference(X, H):
     return 1 - n + defect // 2, tuple(branch)
 
 
+def move_one_class_weight(class_weights):
+    """A doctored `Subgroup.class_weights`: one element's count moves from the
+    first class H meets to the next class of the same element order, when
+    there is one; the counts still sum to |H|."""
+    def doctored(H):
+        weights = list(class_weights(H))
+        classes = H.parent.conjugacy_classes()
+        for a, (w, cls) in enumerate(zip(weights, classes)):
+            b = next((b for b in range(a + 1, len(classes))
+                      if classes[b].order == cls.order), None)
+            if w and b is not None:
+                weights[a] -= 1
+                weights[b] += 1
+                break
+        return tuple(weights)
+    return doctored
+
+
 def permutation_galois_reference(X, H, N):
     """(orbit genus, sorted periods) of the Galois cover X/H -> X/N (H
     normal in N), from the Permutation actions on the cosets of H and N."""

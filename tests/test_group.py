@@ -21,7 +21,10 @@ from cmkit import (
     build_gm,
 )
 from cmkit.cli import main
+from cmkit.surface import _cycle_type
 from conftest import (
+    _coset_permutation,
+    _permutation_cosets,
     abelian_invariants_reference,
     alternating_5,
     bfs_closure,
@@ -194,6 +197,24 @@ def test_random_lattices_match_the_from_scratch_lattice(G):
     for _ in range(20):
         seed = [rng.randrange(G.order) for _ in range(rng.randint(0, 3))]
         assert G.index_closure(seed) == bfs_closure(G, seed)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_permutation_groups())
+def test_class_weights_and_normality_match_permutation_counts(G):
+    """|H cap C| counted on `Permutation`s (members of each class that lie in
+    H) is `class_weights()`; normality by class weights agrees with the
+    normalizer, which tests each coset of H; and the cycle type of each class
+    on H's cosets is that of its representative's `Permutation` action."""
+    classes = G.conjugacy_classes()
+    for H in G.all_subgroups():
+        assert H.class_weights() == tuple(
+            sum(g in H.element_set for g in cls.members) for cls in classes)
+        assert G.is_normal(H) == (G.normalizer(H).order == G.order)
+        cosets = _permutation_cosets(G, H)
+        assert [_cycle_type(H, c) for c in range(len(classes))] == [
+            tuple(sorted(_coset_permutation(cls.representative, cosets).cycle_lengths(),
+                         reverse=True)) for cls in classes]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

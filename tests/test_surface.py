@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from cmkit import (
     QuasiplatonicSurface,
     Signature,
     Subgroup,
+    SubgroupMismatch,
     analytic_character,
     chevalley_weil_multiplicities,
     find_generating_vectors,
@@ -31,6 +34,7 @@ from cmkit.chartable import CharacterTable
 from cmkit.criteria import _eichler_values, _invariant_genus
 from conftest import (
     alternating_5,
+    cyclic_7_squared,
     cyclotomic_cw_reference,
     gm_bundle,
     klein_4,
@@ -38,6 +42,7 @@ from conftest import (
     permutation_quotient_reference,
     psl_2_7,
     random_surfaces,
+    run_optimized,
     spectrum_coefficients,
     symmetric_4,
     symmetric_5,
@@ -108,6 +113,8 @@ def test_quotient_surface_examples():
     assert quotient_surface(X, X.group.full_subgroup()).genus == 0
     inst8, X8, _ = gm_bundle(8)
     assert quotient_surface(X8, inst8.subgroup_b()).genus == 8 // 4 - 1
+    with pytest.raises(SubgroupMismatch):
+        quotient_surface(X8, inst.subgroup_a())
 
 
 def test_quotient_branch_data_riemann_hurwitz():
@@ -238,9 +245,10 @@ def test_chevalley_weil_spectra_match_cyclotomic_reference(source):
 
 @pytest.mark.parametrize("source", [f"gm:{m}" for m in range(6, 17, 2)] + list(COVERS))
 def test_quotients_match_permutation_reference(source):
-    """Coset numbering on indices against Permutation coset actions: genus,
-    branch data, normalizer and Galois signature for every subgroup H and
-    each pair (H, N_G(H)), on the first vector of each signature."""
+    """Class weights (genus, branch data, normality) and coset numbering on
+    indices (normalizer, Galois signature) against Permutation coset actions,
+    for every subgroup H and each pair (H, N_G(H)), on the first vector of
+    each signature."""
     if source.startswith("gm:"):
         X = gm_bundle(int(source[3:]))[1]
         surfaces = [X]
@@ -282,6 +290,72 @@ def test_galois_signatures_match_permutation_reference_below_normalizer(source):
                 for X in surfaces:
                     sig = galois_quotient_signature(X, H, K)
                     assert (sig.orbit_genus, sig.periods) == permutation_galois_reference(X, H, K)
+
+
+@pytest.mark.parametrize("build, periods", [(psl_2_7, (2, 3, 7)), (cyclic_7_squared, (7, 7, 7))],
+                         ids=["PSL(2,7)", "C7xC7"])
+def test_fixed_covers_quotients_match_permutation_reference(build, periods):
+    """Genus and branch data from class weights against Permutation coset
+    actions, for every subgroup of PSL(2,7) with (2,3,7) and of C7 x C7 with
+    (7,7,7), the Fermat septic, on up to four vectors each."""
+    G = build()
+    vectors = find_generating_vectors(G, Signature(0, periods), limit=4)
+    assert vectors
+    for v in vectors:
+        X = QuasiplatonicSurface.from_vector(v)
+        for H in G.all_subgroups():
+            q = quotient_surface(X, H)
+            assert (q.genus, q.branch_data) == permutation_quotient_reference(X, H)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_surfaces())
+def test_random_quotients_match_permutation_reference(X):
+    """Random 3- and 4-point vectors: genus and branch data of X/H from class
+    weights against Permutation coset actions, for every subgroup H."""
+    for H in X.group.all_subgroups():
+        q = quotient_surface(X, H)
+        assert (q.genus, q.branch_data) == permutation_quotient_reference(X, H)
+
+
+DOCTORED_WEIGHTS = """
+import contextlib, io, json
+from cmkit import (InternalCheckFailed, QuasiplatonicSurface, Signature, Subgroup,
+                   find_generating_vectors, quotient_surface)
+from cmkit.cli import main
+from conftest import alternating_5, move_one_class_weight
+
+G = alternating_5()
+X = QuasiplatonicSurface.from_vector(find_generating_vectors(G, Signature(0, (2, 5, 5)))[0])
+H = G.subgroup_generated([G.elements[X.vector.indices[1]]])
+print(H.order, quotient_surface(X, H).branch_data)
+Subgroup.class_weights = move_one_class_weight(Subgroup.class_weights)
+try:
+    quotient_surface(X, H)
+except InternalCheckFailed as ex:
+    print("rejected:", ex)
+else:
+    print("accepted")
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["quotients", "golden/a5_group.json", "--vector",
+                 "g0^2*g1,g0,g0^-1*g1^-1*g0^-2"])
+print(code, out.getvalue().strip())
+"""
+
+
+def test_doctored_class_weights_are_rejected_under_optimize():
+    """With one element of an order-5 subgroup of A5 counted in the other
+    class of order 5, the cosets on 5-cycles are no multiple of 5:
+    `quotient_surface` raises `InternalCheckFailed` under `python -O`, and
+    `cmkit quotients` exits 3 with `internal_check_failed`."""
+    lines = run_optimized("-c", DOCTORED_WEIGHTS, cwd=Path(__file__).parent).splitlines()
+    assert lines[:2] == ["5 ((2, (2, 2, 2, 2, 2, 2)), (5, (5, 5, 1, 1)), (5, (5, 5, 1, 1)))",
+                         "rejected: 9 cosets on cycles of length 5"]
+    code, payload = lines[2].split(" ", 1)
+    assert code == "3"
+    assert json.loads(payload) == {"error": "internal_check_failed",
+                                   "detail": "11 cosets on cycles of length 5"}
 
 
 def test_galois_signature_checks_that_each_cycle_closes_in_n(monkeypatch):
@@ -373,4 +447,4 @@ def test_random_surfaces_agree_on_class_sums(X):
         dims = T.fixed_dimensions(H)
         assert list(dims) == [fixed_space_dimension(chi, H) for chi in T.irreducibles]
         assert sum(m * d for m, d in zip(mults, dims)) == quotient_surface(X, H).genus
-        assert _invariant_genus(X.group, scale, values, H.indices) == quotient_surface(X, H).genus
+        assert _invariant_genus(scale, values, H) == quotient_surface(X, H).genus
