@@ -18,24 +18,26 @@ There is one closure on indices, Dimino's algorithm (`_grow`): a known
 subgroup H grows to <H, g> one left coset eH at a time, each read whole from
 row e of the table, and stops once it holds more than half the group, which
 by Lagrange is then the whole group.  `index_closure`, the greedy
-`Subgroup.generators` and the lattice share it; the lattice grows each join
-<H, i> from H's elements and stops with `GroupTooLarge` once it has found
-more subgroups than its bound.  It makes no join whose result is already
-known: with K = <H, i>, also <H, x> = K for every x in the left coset iH (x
-lies in K, and i = x*h^-1) and for every conjugate g*i*g^-1 by g in H (g
-lies in K).  A `Subgroup` holds its sorted element indices and counts them
-once by class (`class_weights`, |H cap C| for every class C): H is normal
-when each count is 0 or |C|, and quotient genera and branch data are read
-off the counts (`cmkit.surface`).  It numbers its left cosets gH only when
-asked (coset id of each element index, cosets ordered by minimal member):
-normalizers, statement A and Galois signatures read the action of an
-element as a list of coset ids, as does the one quotient builder,
-`Subgroup.normalizer_quotient` (N_G(H)/H, for statement B).  The generators'
-indices are read off the closure.  `Permutation`s appear only at I/O:
-elements, generators, class members, `Subgroup.elements`,
-`FiniteGroup.subgroup`, `coset_action`, and `index_of`, which turns one into
-an element index.  All orderings are deterministic: classes by (element
-order, size, minimal member), subgroups by (order, element indices).
+`Subgroup.generators` and the subgroup lattice share it.  The lattice
+(`all_subgroups`, in `cmkit.lattice`) takes two passes: one join by `_grow`
+per class representative and cyclic subgroup, up to the representative's
+left cosets and normalizer, with each new class added whole by conjugation;
+then a replay of the traversal that joins every subgroup with every cyclic
+subgroup, read off containment bitsets, which gives each subgroup the
+generators under which that traversal first finds it.  A `Subgroup` holds
+its sorted element indices and counts them once by class (`class_weights`,
+|H cap C| for every class C): H is normal when each count is 0 or |C|, and
+quotient genera and branch data are read off the counts (`cmkit.surface`).
+It numbers its left cosets gH only when asked (coset id of each element
+index, cosets ordered by minimal member): normalizers, statement A and
+Galois signatures read the action of an element as a list of coset ids, as
+does the one quotient builder, `Subgroup.normalizer_quotient` (N_G(H)/H, for
+statement B).  The generators' indices are read off the closure.
+`Permutation`s appear only at I/O: elements, generators, class members,
+`Subgroup.elements`, `FiniteGroup.subgroup`, `coset_action`, and `index_of`,
+which turns one into an element index.  All orderings are deterministic:
+classes by (element order, size, minimal member), subgroups by (order,
+element indices).
 """
 
 from __future__ import annotations
@@ -306,75 +308,32 @@ class FiniteGroup:
         return Subgroup(self, range(self.order), self._gens)
 
     def all_subgroups(self, bound: int = DEFAULT_SUBGROUP_BOUND) -> Tuple["Subgroup", ...]:
-        """Every subgroup, found by joining subgroups with cyclic subgroups.
+        """Every subgroup, ordered by (order, element indices), each with the
+        generators that the LIFO traversal of joins records first.
 
-        Starting from the trivial and the cyclic subgroups (by first
-        generating element index), a LIFO queue takes each subgroup H and
-        joins it with every cyclic <i> not inside it, in that order; a new
-        join K = <H, i> is recorded with generators H's plus i.  A cyclic
-        <c> is skipped when <H, c> equals a join already made from H, by two
-        identities: <H, x> = K for every x in iH, since x lies in K and
-        i = x*h^-1 lies in <H, x>; and <H, g*i*g^-1> = K for every g in H,
-        since g lies in K.  A skipped join would only find a subgroup
-        already recorded, so the result and its generators do not depend on
-        the skip.
+        Two passes (`cmkit.lattice`).  The first joins one representative H0
+        of each class of subgroups with the cyclic subgroups, by `_grow`,
+        skipping <H0, c> when c lies in the left coset of an element already
+        joined or is its N_G(H0)-conjugate; a new join adds its whole class
+        at once.  The second replays the traversal that joins every subgroup
+        H with every cyclic <i> (the trivial and the cyclic subgroups first,
+        on a LIFO queue) to give each subgroup the generator tuple, H's plus
+        i, under which it is first found; each join is read off bitsets of
+        the subgroups that contain each cyclic generator, not grown.  A
+        replay that misses a known subgroup, or a lattice that is not closed
+        under conjugation, raises `InternalCheckFailed`.
 
         Raises `GroupTooLarge` as soon as more than `bound` subgroups are
-        found.
+        known.
         """
         if self._subgroups is not None:
             if len(self._subgroups) > bound:
                 raise GroupTooLarge(f"subgroup enumeration bound {bound} exceeded")
             return self._subgroups
 
-        n, table, inv = self.order, self._table, self._inv
-        first: Dict[FrozenSet[int], int] = {}
-        canon = [0] * n  # element -> first index generating its cyclic subgroup
-        for i in range(n):
-            canon[i] = first.setdefault(self.index_closure((i,)), i)
-        cyclics = list(first.values())
-
-        gensets: Dict[FrozenSet[int], Tuple[int, ...]] = {frozenset([0]): ()}
-        for c, i in first.items():
-            gensets.setdefault(c, (i,))
-        whole = frozenset(range(n))
-        queue = list(gensets.keys())
-        while queue:
-            if len(gensets) > bound:
-                raise GroupTooLarge(f"subgroup enumeration bound {bound} exceeded")
-            h = queue.pop()
-            h_gens, h_list = gensets[h], list(h)
-            h_member = bytearray(n)
-            for x in h_list:
-                h_member[x] = 1
-            done = bytearray(n)  # cyclics c with <H, c> equal to a join already made
-            for i in cyclics:
-                if h_member[i] or done[i]:  # <i> lies in H, or the join is known
-                    continue
-                new_gens = h_gens + (i,)
-                elements = h_list.copy()
-                k = (frozenset(elements) if self._grow(elements, h_member.copy(), new_gens)
-                     else whole)
-                if k not in gensets:
-                    gensets[k] = new_gens
-                    queue.append(k)
-                    if len(gensets) > bound:
-                        break  # raised at the top of the loop
-                # <H, c> = k for c conjugate to <i> under H, and for c in iH.
-                done[i] = 1
-                orbit = [i]
-                for c in orbit:
-                    for g in h_gens:
-                        d = canon[table[table[g][c]][inv[g]]]
-                        if not done[d]:
-                            done[d] = 1
-                            orbit.append(d)
-                row = table[i]
-                for x in h_list:
-                    done[canon[row[x]]] = 1
-
-        subs = [Subgroup(self, idxset, gens) for idxset, gens in
-                sorted(gensets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
+        from .lattice import subgroup_lattice
+        subs = [Subgroup(self, indices, gens) for indices, gens in
+                subgroup_lattice(self._table, self._inv, self._gens, self._grow, bound)]
         self._subgroups = tuple(subs)
         return self._subgroups
 

@@ -1,0 +1,220 @@
+"""The subgroup lattice of a finite group, computed on element indices.
+
+The group is given by its Cayley table (`table[a][b]` is the index of a*b,
+the identity is 0), its inverses, its generators' indices and its one
+closure routine, `grow` (`FiniteGroup._grow`: Dimino's extension of a known
+subgroup H to the subgroup generated by H's generators and one more element).
+The lattice is found in two passes.
+
+1. Classes (`subgroup_classes`).  Every subgroup K > 1 is a join <H, c> of a
+   maximal subgroup H of K with a cyclic <c>, and if H = x*H0*x^-1 then
+   x^-1*K*x = <H0, x^-1*c*x>.  So it is enough to join one representative
+   H0 of each class of subgroups with the cyclic subgroups.  Representatives
+   are taken first in, first out, from the trivial subgroup; a join that is
+   new adds its whole class at once (its orbit under conjugation by G's
+   generators) and becomes a representative.  A join is not made when it
+   gives a subgroup conjugate to one already made from H0: with
+   K = <H0, i>, also <H0, x> = K for every x in the left coset iH0, and
+   <H0, g*x*g^-1> = g*K*g^-1 for every g in N_G(H0).
+2. Replay (`replay_lattice`).  Each subgroup takes the generator tuple that
+   the plain traversal finds first: the trivial subgroup and the cyclic
+   subgroups (by least generating index) on a LIFO queue, each subgroup H
+   popped and joined with every cyclic <i> in index order, a new join
+   recorded with H's generators plus i.  The joins are read, not grown:
+   subgroups are numbered in output order, (order, sorted indices), and
+   every cyclic generator c keeps the bitset of the subgroups that contain
+   it.  The subgroups that contain H and i are then the AND of those bitsets
+   over H's generators and i, and the lowest set bit is <H, i>, the smallest
+   of them.  The known subgroups must all be recorded and must be closed
+   under conjugation (G's generators map each one's generators into a known
+   subgroup of the same order); `InternalCheckFailed` says which failed.
+"""
+
+from __future__ import annotations
+
+from math import gcd
+from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
+
+from .errors import GroupTooLarge, InternalCheckFailed
+
+Grow = Callable[[List[int], bytearray, Sequence[int]], bool]
+
+
+def subgroup_lattice(table: Sequence[Sequence[int]], inv: Sequence[int],
+                     gens: Sequence[int], grow: Grow,
+                     bound: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """(sorted element indices, generator indices) of every subgroup, ordered
+    by (order, indices).  Raises `GroupTooLarge` as soon as more than `bound`
+    subgroups are known."""
+    n = len(table)
+    canon = cyclic_generators(table)
+    conj = [[table[table[s][x]][inv[s]] for x in range(n)] for s in gens]
+    classes = subgroup_classes(table, inv, conj, canon, grow, bound)
+    return replay_lattice(canon, conj, classes)
+
+
+def cyclic_generators(table: Sequence[Sequence[int]]) -> List[int]:
+    """For every element index x, the least index that generates <x>.
+
+    Walking the indices upward, the first member of a cyclic subgroup met is
+    its least generator i; the other generators are its powers i^k with k
+    prime to the order of i."""
+    canon = [-1] * len(table)
+    for i, row in enumerate(table):
+        if canon[i] >= 0:
+            continue
+        powers, y = [i], i
+        while y:
+            y = row[y]
+            powers.append(y)
+        o = len(powers)
+        for k, y in enumerate(powers, 1):
+            if gcd(k, o) == 1:
+                canon[y] = i
+    return canon
+
+
+def subgroup_classes(table: Sequence[Sequence[int]], inv: Sequence[int],
+                     conj: Sequence[Sequence[int]], canon: Sequence[int], grow: Grow,
+                     bound: int) -> List[List[Tuple[int, ...]]]:
+    """Every class of subgroups, as the sorted element indices of its members
+    with the representative first, representatives in the order found.
+
+    `conj[s][x]` is the index of s*x*s^-1 for each generator s of G, and
+    `canon` the least generator of every element's cyclic subgroup."""
+    n = len(table)
+    whole = frozenset(range(n))
+    cyclics = sorted(set(canon))
+    conjugates: List[Optional[List[int]]] = [None] * n  # the conjugacy class of every element
+    for x in range(n):
+        if conjugates[x] is None:
+            orbit = conjugates[x] = [x]
+            for y in orbit:
+                for c in conj:
+                    if conjugates[c[y]] is None:
+                        conjugates[c[y]] = orbit
+                        orbit.append(c[y])
+    known: Set[FrozenSet[int]] = set()
+    classes: List[List[Tuple[int, ...]]] = []
+    reps: List[Tuple[List[int], Tuple[int, ...], bool]] = []  # elements, generators, normal
+
+    def add_class(k: FrozenSet[int], k_gens: Tuple[int, ...]) -> None:
+        members = _conjugates(k, k_gens, conj)
+        known.update(members)
+        if len(known) > bound:
+            raise GroupTooLarge(f"subgroup enumeration bound {bound} exceeded")
+        classes.append([tuple(sorted(c)) for c in members])
+        reps.append((list(classes[-1][0]), k_gens, len(members) == 1))
+
+    add_class(frozenset((0,)), ())
+    for h_list, h_gens, normal in reps:  # grows while it is read: first in, first out
+        member = bytearray(n)
+        for x in h_list:
+            member[x] = 1
+        if not normal:
+            normalizer: List[int] = []  # one test per left coset xH0
+            seen = bytearray(n)
+            for x in range(n):
+                if seen[x]:
+                    continue
+                row, x_inv = table[x], inv[x]
+                coset = [row[h] for h in h_list]
+                for y in coset:
+                    seen[y] = 1
+                if all(member[table[row[g]][x_inv]] for g in h_gens):
+                    normalizer += coset
+        done = bytearray(n)  # cyclics c with <H0, c> conjugate to a join already made
+        for i in cyclics:
+            if member[i] or done[i]:
+                continue
+            k_gens = h_gens + (i,)
+            elements = h_list.copy()
+            k = frozenset(elements) if grow(elements, member.copy(), k_gens) else whole
+            if k not in known:
+                add_class(k, k_gens)
+            orbit = (conjugates[i] if normal else
+                     {table[table[x][i]][inv[x]] for x in normalizer})
+            for y in orbit:
+                row = table[y]
+                for h in h_list:
+                    done[canon[row[h]]] = 1
+    return classes
+
+
+def _conjugates(k: FrozenSet[int], k_gens: Sequence[int],
+                conj: Sequence[Sequence[int]]) -> List[FrozenSet[int]]:
+    """The class of K = <k_gens>, K first: its orbit under conjugation by G's
+    generators, or K alone when they map its generators into K."""
+    if all(c[g] in k for c in conj for g in k_gens):
+        return [k]
+    orbit, seen = [k], {k}
+    for h in orbit:
+        for c in conj:
+            x = frozenset(map(c.__getitem__, h))
+            if x not in seen:
+                seen.add(x)
+                orbit.append(x)
+    return orbit
+
+
+def replay_lattice(canon: Sequence[int], conj: Sequence[Sequence[int]],
+                   classes: Sequence[Sequence[Tuple[int, ...]]]
+                   ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """The subgroups of `classes` in output order, each with the generator
+    tuple the LIFO traversal records first, read from containment bitsets."""
+    subs = sorted((sub for members in classes for sub in members), key=lambda s: (len(s), s))
+    count = len(subs)
+    cyclics = sorted(set(canon))
+    bits = {c: bytearray((count + 7) >> 3) for c in cyclics}
+    for sid, sub in enumerate(subs):
+        byte, bit = sid >> 3, 1 << (sid & 7)
+        for x in sub:
+            if canon[x] == x:
+                bits[x][byte] |= bit
+    contain = {c: int.from_bytes(b, "little") for c, b in bits.items()}
+    everything = (1 << count) - 1
+
+    def smallest(seq: Sequence[int]) -> int:
+        """Number of the smallest known subgroup holding every cyclic in seq."""
+        m = everything
+        for c in seq:
+            m &= contain[c]
+        return (m & -m).bit_length() - 1
+
+    gens: List[Optional[Tuple[int, ...]]] = [None] * count
+    gens[0] = ()
+    queue = [0]
+    unrecorded = everything ^ 1
+    for c in cyclics[1:]:
+        k = smallest((c,))
+        if gens[k] is None:
+            gens[k] = (c,)
+            queue.append(k)
+            unrecorded ^= 1 << k
+    while queue and unrecorded:  # once every subgroup is recorded, no join adds one
+        h = queue.pop()
+        h_gens = gens[h]
+        above = everything  # the subgroups that contain H
+        for g in h_gens:
+            above &= contain[g]
+        if not above & unrecorded:
+            continue
+        for i in cyclics:
+            m = above & contain[i]
+            if m & unrecorded:
+                low = m & -m  # <H, i>
+                if low & unrecorded:
+                    k = low.bit_length() - 1
+                    gens[k] = h_gens + (i,)
+                    queue.append(k)
+                    unrecorded ^= low
+    if unrecorded:
+        raise InternalCheckFailed(f"the lattice replay reached {count - bin(unrecorded).count('1')} "
+                                  f"of {count} subgroups")
+    for sub, k_gens in zip(subs, gens):
+        for c in conj:
+            images = tuple(c[g] for g in k_gens)
+            if images != k_gens and len(subs[smallest([canon[y] for y in images])]) != len(sub):
+                raise InternalCheckFailed(
+                    f"a conjugate of the subgroup of order {len(sub)} generated by {k_gens} is missing")
+    return list(zip(subs, gens))

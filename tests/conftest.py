@@ -205,6 +205,61 @@ def reference_subgroups(G):
             for k, gens in sorted(gensets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
 
 
+def dimino_lattice_reference(G):
+    """[(indices, generators)] of every subgroup by the LIFO traversal itself.
+
+    The oracle for `all_subgroups`' two passes: the trivial and the cyclic
+    subgroups (by first generating element index) on a LIFO queue, each
+    subgroup H popped and joined with every cyclic <i> not inside it, in
+    that order, each join grown from H's elements by `G._grow`; a new join
+    is recorded with H's generators plus i.  A join is not made when it
+    equals one already made from H: <H, x> = <H, i> for x in iH and for
+    every conjugate of i by H's generators.
+    """
+    n, table, inv = G.order, G._table, G._inv
+    first = {}
+    canon = [0] * n  # element -> first index generating its cyclic subgroup
+    for i in range(n):
+        canon[i] = first.setdefault(G.index_closure((i,)), i)
+    cyclics = list(first.values())
+
+    gensets = {frozenset([0]): ()}
+    for c, i in first.items():
+        gensets.setdefault(c, (i,))
+    whole = frozenset(range(n))
+    queue = list(gensets.keys())
+    while queue:
+        h = queue.pop()
+        h_gens, h_list = gensets[h], list(h)
+        h_member = bytearray(n)
+        for x in h_list:
+            h_member[x] = 1
+        done = bytearray(n)  # cyclics c with <H, c> equal to a join already made
+        for i in cyclics:
+            if h_member[i] or done[i]:
+                continue
+            new_gens = h_gens + (i,)
+            elements = h_list.copy()
+            k = (frozenset(elements) if G._grow(elements, h_member.copy(), new_gens)
+                 else whole)
+            if k not in gensets:
+                gensets[k] = new_gens
+                queue.append(k)
+            done[i] = 1
+            orbit = [i]
+            for c in orbit:
+                for g in h_gens:
+                    d = canon[table[table[g][c]][inv[g]]]
+                    if not done[d]:
+                        done[d] = 1
+                        orbit.append(d)
+            row = table[i]
+            for x in h_list:
+                done[canon[row[x]]] = 1
+    return [(tuple(sorted(k)), gens)
+            for k, gens in sorted(gensets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
+
+
 def reference_generators(G, indices):
     """The greedy generating set of `Subgroup.generators`, each step closed
     from scratch by `bfs_closure`: every element of `indices`, in order, not
@@ -797,6 +852,31 @@ def cyclic_7_squared():
 def psl_2_7():
     """x -> x + 1 and x -> -1/x on the projective line over F_7 (7 is infinity)."""
     return _from_cycles(8, [(0, 1, 2, 3, 4, 5, 6)], [(0, 7), (1, 6), (2, 3), (4, 5)])
+
+
+@functools.lru_cache(maxsize=None)
+def psl_2_8():
+    """x -> x + 1, x -> a*x and x -> 1/x on the projective line over
+    F_8 = F_2[a]/(a^3 + a + 1): points 0..7 are the field elements as bit
+    vectors in the basis 1, a, a^2, and 8 is infinity.  Order 504."""
+    def times_a(x):
+        x <<= 1
+        return x ^ 0b1011 if x & 0b1000 else x
+
+    def product(x, y):
+        z = 0
+        while y:
+            if y & 1:
+                z ^= x
+            x, y = times_a(x), y >> 1
+        return z
+
+    inverse = {x: y for x in range(1, 8) for y in range(1, 8) if product(x, y) == 1}
+    shift = [x ^ 1 for x in range(8)] + [8]
+    scale = [times_a(x) for x in range(8)] + [8]
+    invert = [8] + [inverse[x] for x in range(1, 8)] + [0]
+    return FiniteGroup.from_generators(9, [Permutation(shift), Permutation(scale),
+                                           Permutation(invert)])
 
 
 def elementary_abelian_2(rank):

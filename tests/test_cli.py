@@ -7,6 +7,7 @@ import pytest
 import cmkit.chartable
 import cmkit.cli
 import cmkit.criteria
+import cmkit.lattice
 import cmkit.surface
 from cmkit import (
     CM_CERTIFIED,
@@ -319,6 +320,24 @@ def test_failed_internal_identity_is_not_bad_input(capsys, monkeypatch):
     assert payload["results"] == [{"source": "gm:6", "error": "internal_check_failed",
                                    "detail": "symmetric-square sum is not rational"}]
     assert payload["summary"] == ["gm:6: error internal_check_failed"]
+
+
+def test_dropped_conjugate_is_an_internal_failure(capsys, monkeypatch):
+    """A subgroup lattice that is not closed under conjugation stops
+    `quotients` with exit 3, not with a payload that misses a quotient."""
+    classes = cmkit.lattice.subgroup_classes
+
+    def dropping(*args):
+        found = classes(*args)
+        next(members for members in found if len(members) > 1).pop()
+        return found
+
+    monkeypatch.setattr(cmkit.lattice, "subgroup_classes", dropping)
+    monkeypatch.chdir(GOLDEN)
+    code, payload = run_json(capsys, "quotients", "a5_group.json", "--vector",
+                             "g0^2*g1,g0,g0^-1*g1^-1*g0^-2")
+    assert code == EXIT_INTERNAL
+    assert payload["error"] == "internal_check_failed"
 
 
 class TableBuilt(Exception):
