@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, isqrt
 from operator import itemgetter, mul
 from typing import Dict, List, Optional, Tuple
@@ -133,9 +132,7 @@ class CharacterTable:
         """The rows as `Character`s, one `Cyclotomic` per distinct spectrum built
         from `value_vectors`: for the demos and the oracle API."""
         if "irreducibles" not in self._cache:
-            e = self.conductor
-            values = {s: Cyclotomic(e, dict(enumerate(map(Fraction, v))))
-                      for s, v in self.value_vectors().items()}
+            values = {s: Cyclotomic(self.conductor, v) for s, v in self.value_vectors().items()}
             self._cache["irreducibles"] = tuple(Character(self.group, tuple(map(
                 values.__getitem__, spectra))) for spectra in self.spectra)
         return self._cache["irreducibles"]

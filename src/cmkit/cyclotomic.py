@@ -3,17 +3,23 @@
 The package keeps a value of Q(zeta_e) as a list in Z[x]/(x^e - 1), x for
 zeta_e, and `power_basis`, its one reduction mod Phi_e, gives the integer
 coefficients on the power basis {1, zeta, ..., zeta^(phi(e)-1)}: tested for
-an integer by `reduced_integer`, printed by `value_string`.  `Cyclotomic`,
-the independent oracle, keeps rational coefficients on the same basis, so
-equality is exact; rational values have conductor 1, and values of different
-conductors are compared after lifting to the lcm.
+an integer by `reduced_integer`, printed by `value_string`.
+
+`Cyclotomic`, the independent oracle, holds integer numerators on the same
+basis, an integral basis of Z[zeta_e], over one positive denominator in lowest
+terms, so equality is exact.  Its arithmetic has one reduction loop, `_reduce`,
+which turns sum c zeta_e^k into power-basis coefficients for products, Galois
+images and lifts to a multiple of the conductor; it shares only the rows
+x^j mod Phi_e (`_reduction_rows`) with `power_basis`.  Rational values have
+conductor 1, and values of different conductors are compared after lifting
+to the lcm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckFailed, NonIntegralResult
 
@@ -78,30 +84,18 @@ def cyclotomic_polynomial(e: int) -> list:
 
 
 def _reduction_rows(e: int) -> list:
-    """x^j mod Phi_e as {exponent: int} for j in range(e)."""
-    if e in _ROW_CACHE:
-        return _ROW_CACHE[e]
-    poly = cyclotomic_polynomial(e)
-    phi = len(poly) - 1
-    top = {i: -poly[i] for i in range(phi) if poly[i] != 0}
-    rows = [{j: 1} for j in range(phi)]
-    for _ in range(phi, e):
-        prev = rows[-1]
-        nxt: Dict[int, int] = {}
-        for exp, c in prev.items():
-            ne = exp + 1
-            if ne < phi:
-                nxt[ne] = nxt.get(ne, 0) + c
-            else:
-                for k, t in top.items():
-                    v = nxt.get(k, 0) + c * t
-                    if v:
-                        nxt[k] = v
-                    elif k in nxt:
-                        del nxt[k]
-        rows.append(nxt)
-    _ROW_CACHE[e] = rows
-    return rows
+    """x^j mod Phi_e as {exponent: nonzero int} for j in range(e): each row is
+    the previous one times x, less its top coefficient times the monic Phi_e."""
+    if e not in _ROW_CACHE:
+        poly = cyclotomic_polynomial(e)
+        row = [1] + [0] * (len(poly) - 2)
+        rows = []
+        for _ in range(e):
+            rows.append({j: c for j, c in enumerate(row) if c})
+            top = row[-1]
+            row = [c - top * t for c, t in zip([0] + row[:-1], poly)]
+        _ROW_CACHE[e] = rows
+    return _ROW_CACHE[e]
 
 
 def accumulate(acc: List[int], vec: Sequence[int], weight: int) -> None:
@@ -183,16 +177,42 @@ def exact_quotient(acc: Sequence[int], denominator: int, what: str) -> int:
     return total // denominator
 
 
-class Cyclotomic:
-    __slots__ = ("conductor", "coeffs")
+def _reduce(e: int, terms: Iterable[Tuple[int, int]]) -> List[int]:
+    """The integer coefficients of sum c zeta_e^k over the pairs (k, c), on the
+    power basis of Q(zeta_e): the oracle's one reduction loop."""
+    rows = _reduction_rows(e)
+    out = [0] * (len(cyclotomic_polynomial(e)) - 1)
+    for k, c in terms:
+        for j, t in rows[k % e].items():
+            out[j] += c * t
+    return out
 
-    def __init__(self, conductor: int, coeffs: Dict[int, Fraction]):
+
+class Cyclotomic:
+    """An exact value of Q(zeta_e): integer numerators on the power basis
+    {1, zeta_e, ..., zeta_e^(phi(e)-1)} over one positive denominator.
+
+    The constructor keeps the value in lowest terms and gives a rational value
+    conductor 1, so equal values of one conductor have equal fields.  Products,
+    Galois images and lifts to a multiple of the conductor go through `_reduce`.
+    """
+
+    __slots__ = ("conductor", "numerators", "denominator")
+
+    def __init__(self, conductor: int, numerators: Sequence[int], denominator: int = 1):
         """Internal; use rational(), zeta(), or arithmetic to build values."""
-        clean = {k: v for k, v in coeffs.items() if v != 0}
-        if not clean or set(clean) == {0}:
-            conductor = 1
+        numerators = tuple(numerators)
+        if denominator != 1:
+            g = gcd(denominator, *numerators)
+            if denominator < 0:
+                g = -g
+            numerators = tuple(c // g for c in numerators)
+            denominator //= g
+        if not any(numerators[1:]):
+            conductor, numerators = 1, numerators[:1]
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic is immutable")
@@ -202,52 +222,42 @@ class Cyclotomic:
     @classmethod
     def rational(cls, q) -> "Cyclotomic":
         q = Fraction(q)
-        return cls(1, {0: q} if q else {})
+        return cls(1, (q.numerator,), q.denominator)
 
     @classmethod
     def zero(cls) -> "Cyclotomic":
-        return cls(1, {})
+        return cls(1, (0,))
 
     @classmethod
     def one(cls) -> "Cyclotomic":
-        return cls(1, {0: Fraction(1)})
+        return cls(1, (1,))
 
     @classmethod
     def zeta(cls, e: int, k: int = 1) -> "Cyclotomic":
         """The root of unity zeta_e^k."""
         if e <= 0:
             raise ValueError("conductor must be positive")
-        rows = _reduction_rows(e)
-        row = rows[k % e]
-        return cls(e, {exp: Fraction(c) for exp, c in row.items()})
+        return cls(e, _reduce(e, ((k, 1),)))
 
     # -- representation helpers ---------------------------------------------
 
-    def _lifted(self, e2: int) -> Dict[int, Fraction]:
+    def _lifted(self, e2: int) -> Sequence[int]:
+        """The numerators on the power basis of Q(zeta_e2), e2 a multiple of the conductor."""
         e = self.conductor
         if e == e2:
-            return dict(self.coeffs)
+            return self.numerators
         if e2 % e:
             raise InternalCheckFailed(f"conductor {e} does not divide {e2}")
         f = e2 // e
-        rows = _reduction_rows(e2)
-        out: Dict[int, Fraction] = {}
-        for exp, c in self.coeffs.items():
-            for k, t in rows[(exp * f) % e2].items():
-                v = out.get(k, Fraction(0)) + c * t
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-        return out
+        return _reduce(e2, ((k * f, c) for k, c in enumerate(self.numerators) if c))
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.numerators)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return any(self.numerators)
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -255,13 +265,12 @@ class Cyclotomic:
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs.get(0, Fraction(0))
+        return Fraction(self.numerators[0], self.denominator)
 
     def integer_value(self) -> int:
-        q = self.rational_value()
-        if q.denominator != 1:
+        if not self.is_rational() or self.denominator != 1:
             raise ValueError(f"{self!r} is not a rational integer")
-        return q.numerator
+        return self.numerators[0]
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -278,19 +287,14 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         e = lcm(self.conductor, other.conductor)
-        a = self._lifted(e)
-        for k, v in other._lifted(e).items():
-            s = a.get(k, Fraction(0)) + v
-            if s:
-                a[k] = s
-            elif k in a:
-                del a[k]
-        return Cyclotomic(e, a)
+        da, db = self.denominator, other.denominator
+        return Cyclotomic(e, [a * db + b * da for a, b in zip(self._lifted(e), other._lifted(e))],
+                          da * db)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.conductor, {k: -v for k, v in self.coeffs.items()})
+        return Cyclotomic(self.conductor, [-c for c in self.numerators], self.denominator)
 
     def __sub__(self, other) -> "Cyclotomic":
         other = self._coerce(other)
@@ -303,27 +307,15 @@ class Cyclotomic:
 
     def __mul__(self, other) -> "Cyclotomic":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                return Cyclotomic.zero()
-            return Cyclotomic(self.conductor, {k: v * q for k, v in self.coeffs.items()})
+            return Cyclotomic(self.conductor, [c * other.numerator for c in self.numerators],
+                              self.denominator * other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         e = lcm(self.conductor, other.conductor)
-        a = self._lifted(e)
-        b = other._lifted(e)
-        rows = _reduction_rows(e)
-        out: Dict[int, Fraction] = {}
-        for i, ci in a.items():
-            for j, cj in b.items():
-                c = ci * cj
-                for k, t in rows[(i + j) % e].items():
-                    v = out.get(k, Fraction(0)) + c * t
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
-        return Cyclotomic(e, out)
+        a = [(i, c) for i, c in enumerate(self._lifted(e)) if c]
+        b = [(j, c) for j, c in enumerate(other._lifted(e)) if c]
+        return Cyclotomic(e, _reduce(e, ((i + j, x * y) for i, x in a for j, y in b)),
+                          self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -352,16 +344,8 @@ class Cyclotomic:
             return self
         if gcd(k, e) != 1:
             raise ValueError(f"galois exponent {k} not coprime to conductor {e}")
-        rows = _reduction_rows(e)
-        out: Dict[int, Fraction] = {}
-        for exp, c in self.coeffs.items():
-            for j, t in rows[(exp * k) % e].items():
-                v = out.get(j, Fraction(0)) + c * t
-                if v:
-                    out[j] = v
-                elif j in out:
-                    del out[j]
-        return Cyclotomic(e, out)
+        return Cyclotomic(e, _reduce(e, ((i * k, c) for i, c in enumerate(self.numerators) if c)),
+                          self.denominator)
 
     def conjugate(self) -> "Cyclotomic":
         return self.galois(self.conductor - 1) if self.conductor > 1 else self
@@ -372,16 +356,15 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.conductor == other.conductor:
-            return self.coeffs == other.coeffs
+        if self.denominator != other.denominator:
+            return False
         e = lcm(self.conductor, other.conductor)
-        return self._lifted(e) == other._lifted(e)
+        return list(self._lifted(e)) == list(other._lifted(e))
 
     __hash__ = None  # values are compared exactly, never hashed
 
     def to_string(self, var: str = "z") -> str:
-        coeffs = self.coeffs
-        return value_string([coeffs.get(j, 0) for j in range(max(coeffs, default=0) + 1)], var)
+        return value_string([Fraction(c, self.denominator) for c in self.numerators], var)
 
     def __repr__(self) -> str:
         return f"Cyclotomic({self.to_string()}, e={self.conductor})"

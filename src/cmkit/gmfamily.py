@@ -16,7 +16,6 @@ from .group import DEFAULT_MAX_ORDER, FiniteGroup, Subgroup
 from .perm import Permutation
 from .surface import (
     GeneratingVector,
-    QuasiplatonicSurface,
     Signature,
     find_generating_vectors,
 )
@@ -69,9 +68,6 @@ class GmInstance:
 
     def subgroup_b(self) -> Subgroup:
         return self.group.subgroup_generated([self.b])
-
-    def surface(self) -> QuasiplatonicSurface:
-        return QuasiplatonicSurface.from_vector(canonical_vector(self))
 
     def __repr__(self) -> str:
         return f"<gm({self.m}): order {self.group.order}>"

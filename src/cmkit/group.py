@@ -205,9 +205,6 @@ class FiniteGroup:
         return all(coset[table[a][b]] == coset[table[b][a]]
                    for k, a in enumerate(gens) for b in gens[k + 1:])
 
-    def element_order(self, g: Permutation) -> int:
-        return self._index_order(self.index_of(g))
-
     def exponent(self) -> int:
         if self._exponent is None:
             self._exponent = lcm(*(cls.order for cls in self.conjugacy_classes()))
@@ -320,8 +317,10 @@ class FiniteGroup:
         on a LIFO queue) to give each subgroup the generator tuple, H's plus
         i, under which it is first found; each join is read off bitsets of
         the subgroups that contain each cyclic generator, not grown.  A
-        replay that misses a known subgroup, or a lattice that is not closed
-        under conjugation, raises `InternalCheckFailed`.
+        replay that misses a known subgroup, a lattice that is not closed
+        under conjugation or does not run from the trivial subgroup to G,
+        and a generator tuple that does not grow to its subgroup raise
+        `InternalCheckFailed`.
 
         Raises `GroupTooLarge` as soon as more than `bound` subgroups are
         known.

@@ -27,7 +27,11 @@ The lattice is found in two passes.
    over H's generators and i, and the lowest set bit is <H, i>, the smallest
    of them.  The known subgroups must all be recorded and must be closed
    under conjugation (G's generators map each one's generators into a known
-   subgroup of the same order); `InternalCheckFailed` says which failed.
+   subgroup of the same order).
+
+The lattice must then run from the trivial subgroup to G, and each recorded
+generator tuple must grow, from the trivial subgroup, to exactly its
+subgroup; `InternalCheckFailed` says which check failed.
 """
 
 from __future__ import annotations
@@ -50,7 +54,17 @@ def subgroup_lattice(table: Sequence[Sequence[int]], inv: Sequence[int],
     canon = cyclic_generators(table)
     conj = [[table[table[s][x]][inv[s]] for x in range(n)] for s in gens]
     classes = subgroup_classes(table, inv, conj, canon, grow, bound)
-    return replay_lattice(canon, conj, classes)
+    lattice = replay_lattice(canon, conj, classes)
+    if lattice[0][0] != (0,) or len(lattice[-1][0]) != n:
+        raise InternalCheckFailed("the lattice does not run from the trivial subgroup to the group")
+    for sub, k_gens in lattice:
+        elements, member = [0], bytearray(n)
+        member[0] = 1
+        grown = sorted(elements) if grow(elements, member, k_gens) else range(n)
+        if tuple(grown) != sub:
+            raise InternalCheckFailed(
+                f"the generators {k_gens} do not generate the subgroup of order {len(sub)}")
+    return lattice
 
 
 def cyclic_generators(table: Sequence[Sequence[int]]) -> List[int]:

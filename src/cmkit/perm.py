@@ -96,10 +96,6 @@ class Permutation:
         """Nontrivial cycles only."""
         return [c for c in self.all_cycles() if len(c) > 1]
 
-    def cycle_lengths(self) -> list[int]:
-        """All cycle lengths including fixed points."""
-        return [len(c) for c in self.all_cycles()]
-
     def cycle_string(self) -> str:
         cyc = self.cycles()
         if not cyc:

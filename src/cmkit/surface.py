@@ -54,10 +54,6 @@ class Signature:
             raise ValueError("periods must be at least 2")
         object.__setattr__(self, "periods", tuple(sorted(self.periods)))
 
-    def is_hyperbolic(self) -> bool:
-        measure = 2 * self.orbit_genus - 2 + sum(1 - Fraction(1, m) for m in self.periods)
-        return measure > 0
-
 
 @dataclass(frozen=True)
 class GeneratingVector:

@@ -304,7 +304,7 @@ def permutation_quotient_reference(X, H):
     n = len(cosets[1])
     defect, branch = 0, []
     for g in X.vector.entries:
-        lengths = _coset_permutation(g, cosets).cycle_lengths()
+        lengths = [len(c) for c in _coset_permutation(g, cosets).all_cycles()]
         defect += n - len(lengths)
         branch.append((g.order(), tuple(sorted(lengths, reverse=True))))
     assert defect % 2 == 0
@@ -747,8 +747,7 @@ def spectrum_coefficients(e, spectrum):
     value = Cyclotomic.zero()
     for t, n in enumerate(spectrum):
         value = value + Cyclotomic.zeta(len(spectrum), t) * n
-    lifted = value._lifted(e)
-    return [lifted.get(j, 0) for j in range(euler_phi(e))]
+    return list(value._lifted(e))
 
 
 def statement_a_reference(G, H):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,16 +12,22 @@ from cmkit import (
     InvalidCharacterTable,
     NonIntegralResult,
     Permutation,
+    QuasiplatonicSurface,
+    Signature,
+    analytic_character,
     build_gm,
     character_table,
+    chevalley_weil_multiplicities,
+    find_generating_vectors,
     fixed_space_dimension,
     inner_product,
     power_class_map,
     regular_character,
+    streit_test,
     symmetric_square,
     trivial_character,
 )
-from cmkit import chartable
+from cmkit import chartable, cyclotomic
 from cmkit.chartable import CharacterTable, _split
 from cmkit.modp import Slots
 from conftest import (
@@ -113,6 +120,59 @@ def test_row_and_column_orthogonality(maker):
                 total = total + chi.values[ci] * bar.values[cj]
             expected = G.order // classes[ci].size if ci == cj else 0
             assert total == Cyclotomic.rational(expected)
+
+
+INTEGER_ROUTES = ("power_basis", "reduced_integer", "cyclic_product", "accumulate",
+                  "class_sums", "exact_quotient")
+
+
+def _surface(G, periods):
+    return QuasiplatonicSurface.from_vector(find_generating_vectors(G, Signature(0, periods))[0])
+
+
+@pytest.mark.parametrize("make_surface", [
+    pytest.param(lambda: _surface(symmetric_3(), (2, 2, 3, 3)), id="S3"),
+    pytest.param(lambda: gm_bundle(8)[1], id="gm:8"),
+    pytest.param(lambda: _surface(cyclic_7_squared(), (7, 7, 7)), id="C7xC7"),
+])
+def test_oracle_api_runs_without_the_integer_routes(monkeypatch, make_surface):
+    """`inner_product`, `fixed_space_dimension`, `symmetric_square` and
+    `analytic_character` give the same values when every integer route of
+    `cmkit.cyclotomic` raises, wherever it is imported: the oracle computes in
+    `Cyclotomic` arithmetic alone.  The table's rows and the Chevalley-Weil
+    multiplicities are its inputs, built before the routes are cut."""
+    X = make_surface()
+    G = X.group
+    T = table_of(G)
+    irr = T.irreducibles
+    chevalley_weil_multiplicities(X, T)
+    subgroups = G.all_subgroups()
+
+    def oracle_values():
+        T._cache.pop(("analytic", X), None)
+        chi_a = analytic_character(X, T)
+        rows = irr + (chi_a,)
+        return (list(chi_a.values),
+                [inner_product(a, b) for a in rows for b in (irr[0], irr[-1], chi_a)],
+                [fixed_space_dimension(chi, H) for chi in rows for H in subgroups],
+                [list(symmetric_square(chi).values) for chi in rows])
+
+    before = oracle_values()
+
+    def cut(*args):
+        raise RuntimeError("integer route called")
+
+    routes = {route: getattr(cyclotomic, route) for route in INTEGER_ROUTES}
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        for route, function in routes.items():
+            if getattr(module, route, None) is function:
+                monkeypatch.setattr(module, route, cut)
+                patched.add(name)
+    assert {"cmkit.cyclotomic", "cmkit.chartable", "cmkit.criteria"} <= patched
+    with pytest.raises(RuntimeError, match="integer route called"):
+        streit_test(X)
+    assert oracle_values() == before
 
 
 def test_inner_product_examples(s3):

@@ -1,4 +1,6 @@
+import cmath
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -109,3 +111,38 @@ def test_conjugation_is_a_ring_map(x, y):
 def test_subtraction_inverts_addition(x):
     assert (x - x).is_zero()
     assert x + Cyclotomic.zero() == x
+
+
+def as_complex(v):
+    """sum_k c_k exp(2 pi i k/e) / d over the numerators c_k and denominator d."""
+    return sum(c * cmath.exp(2j * cmath.pi * k / v.conductor)
+               for k, c in enumerate(v.numerators)) / v.denominator
+
+
+def assert_normal_form(v):
+    """Numerators on the power basis over a positive denominator, in lowest
+    terms; a value with no irrational coefficient has conductor 1."""
+    assert v.denominator > 0 and gcd(v.denominator, *v.numerators) == 1
+    assert len(v.numerators) == euler_phi(v.conductor)
+    assert (v.conductor == 1) == (not any(v.numerators[1:]))
+
+
+@given(small_values, small_values,
+       st.fractions(-20, 20, max_denominator=50).filter(bool),
+       st.sampled_from([1, 5, 7, 11, 13, 17, 19, 23]))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_arithmetic_agrees_with_complex_evaluation(x, y, q, k):
+    """Sums, differences, products, quotients by rationals, Galois images and
+    conjugates agree with the same operations on complex numbers, evaluated
+    in `cmath` from the numerators alone (k is prime to every conductor the
+    strategy draws, all of which divide 24)."""
+    a, b = as_complex(x), as_complex(y)
+    expected = [
+        (x, a), (y, b), (x + y, a + b), (x - y, a - b), (x * y, a * b),
+        (x / q, a / complex(q)), (x.conjugate(), a.conjugate()),
+        (x.galois(k), sum(c * cmath.exp(2j * cmath.pi * j * k / x.conductor)
+                          for j, c in enumerate(x.numerators)) / x.denominator),
+    ]
+    for value, want in expected:
+        assert_normal_form(value)
+        assert abs(as_complex(value) - want) <= 1e-9 * max(1.0, abs(want))

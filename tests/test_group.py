@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import cmkit
 from cmkit import (
-    ElementNotInGroup,
     FiniteGroup,
     GroupTooLarge,
     InternalCheckFailed,
@@ -295,6 +294,40 @@ def test_dropped_conjugate_fails_the_lattice_check_under_optimize():
     ]
 
 
+EVERY_DROP = """
+from cmkit import FiniteGroup, InternalCheckFailed, lattice
+from conftest import alternating_5, symmetric_5
+classes = lattice.subgroup_classes
+for name, maker in (("A5", alternating_5), ("S5", symmetric_5)):
+    G = maker()
+    found = []
+    lattice.subgroup_classes = lambda *args: found.append(classes(*args)) or found[-1]
+    FiniteGroup(G.degree, G.generators).all_subgroups()
+    drops = [(c, m) for c, members in enumerate(found[0]) for m in range(len(members))]
+    rejected = 0
+    for c, m in drops:
+        dropped = [list(members) for members in found[0]]
+        del dropped[c][m]
+        lattice.subgroup_classes = lambda *args: dropped
+        try:
+            FiniteGroup(G.degree, G.generators).all_subgroups()
+        except InternalCheckFailed:
+            rejected += 1
+    print(f"{name}: {rejected} of {len(drops)} drops rejected")
+"""
+
+
+def test_every_dropped_subgroup_fails_the_lattice_checks_under_optimize():
+    """A class pass that loses any one subgroup of A5 or S5, normal ones and
+    whole classes included, is rejected: the lattice must run from the
+    trivial subgroup to G, and each recorded generator tuple must grow to its
+    subgroup.  The checks are raises, so they survive `python -O`."""
+    assert run_optimized("-c", EVERY_DROP, cwd=Path(__file__).parent).splitlines() == [
+        "A5: 59 of 59 drops rejected",
+        "S5: 156 of 156 drops rejected",
+    ]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(small_permutation_groups())
 def test_class_weights_and_normality_match_permutation_counts(G):
@@ -308,9 +341,9 @@ def test_class_weights_and_normality_match_permutation_counts(G):
             sum(g in H.element_set for g in cls.members) for cls in classes)
         assert G.is_normal(H) == (G.normalizer(H).order == G.order)
         cosets = _permutation_cosets(G, H)
+        actions = [_coset_permutation(cls.representative, cosets) for cls in classes]
         assert [_cycle_type(H, c) for c in range(len(classes))] == [
-            tuple(sorted(_coset_permutation(cls.representative, cosets).cycle_lengths(),
-                         reverse=True)) for cls in classes]
+            tuple(sorted((len(c) for c in p.all_cycles()), reverse=True)) for p in actions]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -337,25 +370,35 @@ def test_joins_agree_on_the_left_coset_and_the_conjugates(G, data):
     pytest.param(psl_2_7, 400, id="PSL(2,7)"),
     pytest.param(lambda: elementary_abelian_2(6), 25_000, id="C2^6"),
 ])
-def test_all_subgroups_skips_known_joins(maker, most):
+def test_all_subgroups_skips_known_joins(monkeypatch, maker, most):
     """Only class representatives are joined, each cyclic subgroup at most
     once up to the representative's left cosets and normalizer: S5 makes 83
     `_grow` calls and PSL(2,7) 59, against 2,652 and 3,845 when every
     subgroup was joined up to its own left cosets and conjugates, and 9,680
     and 13,286 when every subgroup was joined with every cyclic subgroup.
-    C2^6 makes 23,562, since each of its 2,825 classes has one member."""
+    C2^6 makes 23,562, since each of its 2,825 classes has one member.
+    After the class pass, checking the generator tuples takes one more
+    `_grow` call per subgroup."""
     G = maker()
     G = FiniteGroup(G.degree, G.generators)  # a fresh group: no cached lattice
-    calls, grow = 0, G._grow
+    calls, joins, grow, classes = 0, None, G._grow, lattice.subgroup_classes
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return grow(*args)
 
+    def class_pass(*args):
+        nonlocal joins
+        found = classes(*args)
+        joins = calls
+        return found
+
     G._grow = counted
-    G.all_subgroups()
-    assert calls <= most
+    monkeypatch.setattr(lattice, "subgroup_classes", class_pass)
+    subgroups = G.all_subgroups()
+    assert joins <= most
+    assert calls == joins + len(subgroups)
 
 
 def test_subgroup_count_bound():
@@ -463,15 +506,6 @@ def test_coset_action_is_homomorphism_exhaustively(s3):
         for x in G.elements:
             for y in G.elements:
                 assert act[x * y] == act[x] * act[y]
-
-
-def test_element_order_examples():
-    inst6, inst8 = build_gm(6), build_gm(8)
-    assert inst6.group.element_order(inst6.group.identity) == 1
-    assert inst6.group.element_order(inst6.b * inst6.t) == 12
-    assert inst8.group.element_order(inst8.b * inst8.t) == 8
-    with pytest.raises(ElementNotInGroup):
-        inst6.group.element_order(Permutation.identity(3))
 
 
 def test_is_cyclic_reads_class_orders():

@@ -53,7 +53,7 @@ def test_composition_is_function_composition():
 def test_order_is_lcm_of_cycle_lengths():
     p = Permutation.from_cycles(5, [(0, 1), (2, 3, 4)])
     assert p.order() == 6
-    assert sorted(p.cycle_lengths()) == [2, 3]
+    assert sorted(len(c) for c in p.all_cycles()) == [2, 3]
 
 
 def test_cycle_string():

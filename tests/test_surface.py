@@ -55,11 +55,9 @@ def hyperelliptic(half_periods):
     return QuasiplatonicSurface.from_vector(GeneratingVector(C2, (s,) * half_periods))
 
 
-def test_signature_sorting_and_hyperbolicity():
+def test_signature_sorting_and_validation():
     sig = Signature(0, (12, 2, 6))
     assert sig.periods == (2, 6, 12)
-    assert sig.is_hyperbolic()
-    assert not Signature(0, (2, 2, 2)).is_hyperbolic()
     with pytest.raises(ValueError):
         Signature(0, (1, 2))
 
