@@ -149,7 +149,7 @@ class CharacterTable:
         """The row of conj(chi_i), whose spectra are t -> n_(-t mod o)."""
         key = ("conj", i)
         if key not in self._cache:
-            conj = tuple(tuple(s[-t] for t in range(len(s))) for s in self.spectra[i])
+            conj = tuple(s[:1] + s[:0:-1] for s in self.spectra[i])
             try:
                 self._cache[key] = self.spectra.index(conj)
             except ValueError:
@@ -158,10 +158,11 @@ class CharacterTable:
 
     def fixed_dimensions(self, H: Subgroup) -> Tuple[int, ...]:
         """dim V_i^H = (1/|H|) sum_c |H cap C| chi_i(C) for every irreducible,
-        from the spectra in Z[x]/(x^e - 1) reduced once mod Phi_e."""
+        from the spectra in Z[x]/(x^e - 1) reduced once mod Phi_e.  Cached by
+        H's class weights, which fix the sum and |H|, their total."""
         if H.parent is not self.group:
             raise SubgroupMismatch("subgroup of a different group")
-        key = ("fixed", H)
+        key = ("fixed", H.class_weights())
         if key not in self._cache:
             self._cache[key] = tuple(class_sums(
                 self.conductor, H.class_weights(), self.spectra, H.order,

@@ -415,17 +415,45 @@ def cm_verdict(X: QuasiplatonicSurface, T: Optional[CharacterTable] = None,
 def _search_certified_relation(X, T, search_limit, log):
     """Try candidate collections (smallest first, by total index, then
     lexicographically, enumerated lazily) and return the first fully
-    certified relation."""
+    certified relation.
+
+    Each answer is computed once per key that determines it, in dicts that
+    live for this call; the candidates, the collections tried and the log
+    are those of a search that answers once per subgroup.  The genus of
+    X/H, H's column dim V^H, a collection's multiplicities and its identity
+    check are keyed by class weights |H cap C| (the permutation character
+    1_H^G): the genus and the column are class sums of the weights (and |H|
+    is their total), and the solve and the check read only columns, H^1 and
+    genera, so a collection is keyed by its weight vectors in collection
+    order.
+    Whether statement A or B holds is keyed by H's class of subgroups
+    (`Subgroup._class`, numbered by `all_subgroups`), not by weights: X/H
+    and X/gHg^-1 are isomorphic, but a Gassmann pair (equal weights, not
+    conjugate, as PSL(2,7)'s two classes each of V4, A4 and S4) may have
+    different N_G(H)/H.  Only the outcome is shared: each factor of a
+    certified relation carries its own certificate, and a subgroup with no
+    class number is certified on its own.
+    """
     G = X.group
+    genera = {}  # class weights -> genus of the quotient
+
+    def genus(H: Subgroup) -> int:
+        weights = H.class_weights()
+        if weights not in genera:
+            genera[weights] = quotient_surface(X, H).genus
+        return genera[weights]
+
     candidates = sorted((H for H in G.all_subgroups()
-                         if H.is_proper_nontrivial() and quotient_surface(X, H).genus >= 1),
+                         if H.is_proper_nontrivial() and genus(H) >= 1),
                         key=lambda H: (H.index, H.indices))
     weights = [H.index for H in candidates]
 
     h1 = h1_multiplicities(X, T)
     active = [i for i, m in enumerate(h1) if m > 0]
     degrees = list(map(T.degrees().__getitem__, active))
+    checked = {}  # a collection's weight vectors -> (solution, report)
     cert_cache: Dict[Subgroup, Optional[FactorCertificate]] = {}
+    holds = {}  # class number, or H itself outside the lattice -> whether A or B holds
 
     def certify(H: Subgroup) -> Optional[FactorCertificate]:
         if H not in cert_cache:
@@ -438,6 +466,12 @@ def _search_certified_relation(X, T, search_limit, log):
                                  if res_b.holds else None)
         return cert_cache[H]
 
+    def certifiable(H: Subgroup) -> bool:
+        key = H if H._class is None else H._class
+        if key not in holds:
+            holds[key] = certify(H) is not None
+        return holds[key]
+
     tried = 0
     for size in range(1, len(candidates) + 1):
         if tried >= search_limit:
@@ -447,34 +481,36 @@ def _search_certified_relation(X, T, search_limit, log):
                 break
             tried += 1
             collection = [candidates[i] for i in combo]
-            columns = [[dims[i] for i in active] for dims in map(T.fixed_dimensions, collection)]
-            solution = _solve_multiplicities(degrees, columns, G.order)
             entry = {"stage": "collection",
                      "subgroups": [H.generators()[0].cycle_string() if H.generators()
                                    else "()" for H in collection]}
             log.append(entry)
+            key = tuple(H.class_weights() for H in collection)
+            if key not in checked:
+                columns = [[dims[i] for i in active]
+                           for dims in map(T.fixed_dimensions, collection)]
+                solution = _solve_multiplicities(degrees, columns, G.order)
+                report = None if solution is None else verify_isogeny_relation(
+                    X, T, IsogenyRelation(solution[0], tuple(zip(collection, solution[1]))))
+                checked[key] = solution, report
+            solution, report = checked[key]
             if solution is None:
                 entry["result"] = "no_positive_integer_solution"
                 continue
-            n, mults = solution
-            relation = IsogenyRelation(n, tuple(zip(collection, mults)))
-            report = verify_isogeny_relation(X, T, relation)
             if not report.holds:
                 entry["result"] = "identity_failed"
                 continue
-            certificates = []
-            for H in collection:
-                cert = certify(H)
-                if cert is None:
-                    break
-                certificates.append(cert)
-            if len(certificates) < len(collection):
+            if not all(map(certifiable, collection)):
                 entry["result"] = "factor_not_certified"
                 continue
+            certificates = tuple(map(certify, collection))
+            if not all(certificates):
+                raise InternalCheckFailed("conjugate subgroups disagree on statements A and B")
+            n, mults = solution
             entry["result"] = "certified"
             entry["n"] = n
             entry["multiplicities"] = list(mults)
-            return relation, report, tuple(certificates)
+            return IsogenyRelation(n, tuple(zip(collection, mults))), report, certificates
     return None
 
 

@@ -320,7 +320,8 @@ class FiniteGroup:
         replay that misses a known subgroup, a lattice that is not closed
         under conjugation or does not run from the trivial subgroup to G,
         and a generator tuple that does not grow to its subgroup raise
-        `InternalCheckFailed`.
+        `InternalCheckFailed`.  Each subgroup keeps the number of its class
+        of subgroups, in the first pass's order, as `_class`.
 
         Raises `GroupTooLarge` as soon as more than `bound` subgroups are
         known.
@@ -331,8 +332,11 @@ class FiniteGroup:
             return self._subgroups
 
         from .lattice import subgroup_lattice
-        subs = [Subgroup(self, indices, gens) for indices, gens in
-                subgroup_lattice(self._table, self._inv, self._gens, self._grow, bound)]
+        subs = []
+        for indices, gens, number in subgroup_lattice(self._table, self._inv, self._gens,
+                                                      self._grow, bound):
+            subs.append(Subgroup(self, indices, gens))
+            subs[-1]._class = number
         self._subgroups = tuple(subs)
         return self._subgroups
 
@@ -440,6 +444,7 @@ class Subgroup:
         self._gens: Optional[Tuple[int, ...]] = None if gens is None else tuple(gens)
         self._weights: Optional[Tuple[int, ...]] = None
         self._cosets: Optional[Tuple[List[int], List[int]]] = None
+        self._class: Optional[int] = None  # its class of subgroups, numbered by `all_subgroups`
 
     @cached_property
     def elements(self) -> Tuple[Permutation, ...]:

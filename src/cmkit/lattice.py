@@ -46,10 +46,11 @@ Grow = Callable[[List[int], bytearray, Sequence[int]], bool]
 
 def subgroup_lattice(table: Sequence[Sequence[int]], inv: Sequence[int],
                      gens: Sequence[int], grow: Grow,
-                     bound: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """(sorted element indices, generator indices) of every subgroup, ordered
-    by (order, indices).  Raises `GroupTooLarge` as soon as more than `bound`
-    subgroups are known."""
+                     bound: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
+    """(sorted element indices, generator indices, class number) of every
+    subgroup, ordered by (order, indices); the class number is the position
+    of its class of subgroups in `subgroup_classes`.  Raises `GroupTooLarge`
+    as soon as more than `bound` subgroups are known."""
     n = len(table)
     canon = cyclic_generators(table)
     conj = [[table[table[s][x]][inv[s]] for x in range(n)] for s in gens]
@@ -57,7 +58,7 @@ def subgroup_lattice(table: Sequence[Sequence[int]], inv: Sequence[int],
     lattice = replay_lattice(canon, conj, classes)
     if lattice[0][0] != (0,) or len(lattice[-1][0]) != n:
         raise InternalCheckFailed("the lattice does not run from the trivial subgroup to the group")
-    for sub, k_gens in lattice:
+    for sub, k_gens, _ in lattice:
         elements, member = [0], bytearray(n)
         member[0] = 1
         grown = sorted(elements) if grow(elements, member, k_gens) else range(n)
@@ -173,9 +174,10 @@ def _conjugates(k: FrozenSet[int], k_gens: Sequence[int],
 
 def replay_lattice(canon: Sequence[int], conj: Sequence[Sequence[int]],
                    classes: Sequence[Sequence[Tuple[int, ...]]]
-                   ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+                   ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
     """The subgroups of `classes` in output order, each with the generator
-    tuple the LIFO traversal records first, read from containment bitsets."""
+    tuple the LIFO traversal records first, read from containment bitsets,
+    and the number of its class in `classes`."""
     subs = sorted((sub for members in classes for sub in members), key=lambda s: (len(s), s))
     count = len(subs)
     cyclics = sorted(set(canon))
@@ -231,4 +233,5 @@ def replay_lattice(canon: Sequence[int], conj: Sequence[Sequence[int]],
             if images != k_gens and len(subs[smallest([canon[y] for y in images])]) != len(sub):
                 raise InternalCheckFailed(
                     f"a conjugate of the subgroup of order {len(sub)} generated by {k_gens} is missing")
-    return list(zip(subs, gens))
+    class_of = {sub: c for c, members in enumerate(classes) for sub in members}
+    return [(sub, k_gens, class_of[sub]) for sub, k_gens in zip(subs, gens)]

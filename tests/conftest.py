@@ -37,7 +37,21 @@ from cmkit import (
 )
 from cmkit import chartable
 from cmkit.cyclotomic import euler_phi, prime_factors
-from cmkit.criteria import EXCEPTION_PERIODS, StatementAResult, StatementBResult
+from cmkit.criteria import (
+    EXCEPTION_PERIODS,
+    ROUTE_A,
+    ROUTE_B,
+    FactorCertificate,
+    IsogenyRelation,
+    StatementAResult,
+    StatementBResult,
+    _combinations_by_weight,
+    _solve_multiplicities,
+    check_statement_a,
+    check_statement_b,
+    h1_multiplicities,
+    verify_isogeny_relation,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -809,6 +823,72 @@ def statement_b_reference(X, H):
         holds=False, genus=genus, bound=bound, group_order=None,
         group_generators=(), group_is_cyclic6=False, bound_satisfied=False,
         exception_matched=False, quotient_signature=None, searched=searched)
+
+
+def uncached_search_reference(X, T, search_limit, log):
+    """`_search_certified_relation` answering once per subgroup: the genus of
+    every candidate's quotient, every collection's columns, multiplicities
+    and identity check, and statements A and B for every subgroup met."""
+    G = X.group
+    candidates = sorted((H for H in G.all_subgroups()
+                         if H.is_proper_nontrivial() and quotient_surface(X, H).genus >= 1),
+                        key=lambda H: (H.index, H.indices))
+    weights = [H.index for H in candidates]
+
+    h1 = h1_multiplicities(X, T)
+    active = [i for i, m in enumerate(h1) if m > 0]
+    degrees = list(map(T.degrees().__getitem__, active))
+    cert_cache = {}
+
+    def certify(H):
+        if H not in cert_cache:
+            res_a = check_statement_a(G, H)
+            if res_a.holds:
+                cert_cache[H] = FactorCertificate(H, ROUTE_A, res_a)
+            else:
+                res_b = check_statement_b(X, H)
+                cert_cache[H] = (FactorCertificate(H, ROUTE_B, res_b)
+                                 if res_b.holds else None)
+        return cert_cache[H]
+
+    tried = 0
+    for size in range(1, len(candidates) + 1):
+        if tried >= search_limit:
+            break
+        for combo in _combinations_by_weight(weights, size):
+            if tried >= search_limit:
+                break
+            tried += 1
+            collection = [candidates[i] for i in combo]
+            columns = [[dims[i] for i in active] for dims in map(T.fixed_dimensions, collection)]
+            solution = _solve_multiplicities(degrees, columns, G.order)
+            entry = {"stage": "collection",
+                     "subgroups": [H.generators()[0].cycle_string() if H.generators()
+                                   else "()" for H in collection]}
+            log.append(entry)
+            if solution is None:
+                entry["result"] = "no_positive_integer_solution"
+                continue
+            n, mults = solution
+            relation = IsogenyRelation(n, tuple(zip(collection, mults)))
+            report = verify_isogeny_relation(X, T, relation)
+            if not report.holds:
+                entry["result"] = "identity_failed"
+                continue
+            certificates = []
+            for H in collection:
+                cert = certify(H)
+                if cert is None:
+                    break
+                certificates.append(cert)
+            if len(certificates) < len(collection):
+                entry["result"] = "factor_not_certified"
+                continue
+            entry["result"] = "certified"
+            entry["n"] = n
+            entry["multiplicities"] = list(mults)
+            return relation, report, tuple(certificates)
+    return None
 
 
 @functools.lru_cache(maxsize=None)

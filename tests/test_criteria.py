@@ -4,8 +4,9 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
+from cmkit import criteria
 from cmkit import (
     CM_CERTIFIED,
     INCONCLUSIVE,
@@ -18,6 +19,7 @@ from cmkit import (
     Permutation,
     QuasiplatonicSurface,
     Signature,
+    Subgroup,
     analytic_character,
     character_table,
     check_statement_a,
@@ -34,6 +36,7 @@ from cmkit import (
     verify_isogeny_relation,
 )
 from cmkit.criteria import (
+    RelationReport,
     _combinations_by_weight,
     _search_certified_relation,
     _spectra_streit_value,
@@ -52,6 +55,7 @@ from conftest import (
     statement_b_reference,
     symmetric_4,
     symmetric_5,
+    uncached_search_reference,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -350,6 +354,134 @@ def test_search_respects_limit():
     log = []
     assert _search_certified_relation(X, T, 0, log) is None
     assert log == []
+
+
+def _search_matches_reference(X, T, limit):
+    """The search and `uncached_search_reference` return the same relation,
+    report and certificates, evidence included, and write the same log."""
+    log, reference_log = [], []
+    found = _search_certified_relation(X, T, limit, log)
+    assert found == uncached_search_reference(X, T, limit, reference_log)
+    assert log == reference_log
+    return found
+
+
+RELATION_SEARCH_COVERS = {
+    "S5 (2,4,5)": (symmetric_5, (2, 4, 5)),
+    "A5 (2,5,5)": (alternating_5, (2, 5, 5)),
+    "A5 (3,3,5)": (alternating_5, (3, 3, 5)),
+    "A5 (3,5,5)": (alternating_5, (3, 5, 5)),
+    "A5 (5,5,5)": (alternating_5, (5, 5, 5)),
+    "S4 (3,4,4)": (symmetric_4, (3, 4, 4)),
+    "gm:12 (4,6,12)": (lambda: gm_bundle(12)[0].group, (4, 6, 12)),
+    "PSL(2,7) (3,3,4)": (psl_2_7, (3, 3, 4)),
+    "PSL(2,7) (2,4,7)": (psl_2_7, (2, 4, 7)),
+}
+
+
+@pytest.mark.parametrize("name", list(RELATION_SEARCH_COVERS))
+def test_search_matches_uncached_reference(name):
+    """Answers read once per weight vector or class of subgroups give the
+    search of one answer per subgroup, at the default limit of 1000."""
+    X = _three_point_cover(*RELATION_SEARCH_COVERS[name])
+    T = character_table(X.group)
+    found = _search_matches_reference(X, T, 1000)
+    assert (found is None) == (cm_verdict(X, T).status == INCONCLUSIVE)
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_certified_search_matches_uncached_reference(m):
+    """The searches behind `relation_gm8.json` and `relation_gm12.json`."""
+    _, X, T = gm_bundle(m)
+    assert _search_matches_reference(X, T, 1000) is not None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_surfaces())
+def test_random_searches_match_uncached_reference(X):
+    """Random three-point covers, every subgroup from the lattice."""
+    assume(len(X.vector.entries) == 3)
+    _search_matches_reference(X, character_table(X.group), 20)
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each named `cmkit.criteria` function to record its calls; the
+    record of `quotient_surface` keeps only the calls made outside statement
+    B and the identity check, which read their own genera."""
+    calls = {name: [] for name in names}
+    inside = []
+
+    def wrap(name, original):
+        def counted(*args):
+            if name != "quotient_surface" or not inside:
+                calls[name].append(args)
+            inside.append(name)
+            try:
+                return original(*args)
+            finally:
+                inside.pop()
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(criteria, name, wrap(name, getattr(criteria, name)))
+    return calls
+
+
+def test_search_answers_once_per_weight_vector_and_class(monkeypatch):
+    """A5 (2,5,5) at limit 5 tries five conjugates of one subgroup: one
+    identity check, one statement A and one statement B, and one quotient
+    genus per weight vector in the candidate filter."""
+    X = _three_point_cover(alternating_5, (2, 5, 5))
+    T = character_table(X.group)
+    subgroups = [H for H in X.group.all_subgroups() if H.is_proper_nontrivial()]
+    calls = _count_calls(monkeypatch, ("quotient_surface", "check_statement_a",
+                                       "check_statement_b", "verify_isogeny_relation"))
+    log = []
+    assert _search_certified_relation(X, T, 5, log) is None
+    assert [e["result"] for e in log] == ["factor_not_certified"] * 5
+    assert len(calls["check_statement_a"]) == 1
+    assert len(calls["check_statement_b"]) == 1
+    assert len(calls["verify_isogeny_relation"]) == 1
+    filtered = [H.class_weights() for _, H in calls["quotient_surface"]]
+    assert len(filtered) == len(set(filtered)) == len({H.class_weights() for H in subgroups})
+
+
+def test_search_without_class_numbers_certifies_each_subgroup(monkeypatch):
+    """A subgroup that carries no class number gets no shared outcome: the
+    five conjugates each run statement B, and the search is unchanged."""
+    G = alternating_5.__wrapped__()  # a group of its own: its lattice is replaced
+    X = _three_point_cover(lambda: G, (2, 5, 5))
+    T = character_table(G)
+    bare = tuple(Subgroup(G, H.indices, H._generator_indices()) for H in G.all_subgroups())
+    monkeypatch.setattr(G, "all_subgroups", lambda: bare)
+    calls = _count_calls(monkeypatch, ("check_statement_b",))
+    _search_matches_reference(X, T, 5)
+    assert len(calls["check_statement_b"]) == 5  # the reference binds its own names
+
+
+def test_gassmann_pairs_are_certified_per_class(monkeypatch):
+    """PSL(2,7)'s Gassmann pairs share class weights but are not conjugate,
+    so each of their classes gets its own statement B outcome.  With every
+    collection accepted, each singleton reaches certification."""
+    X = _three_point_cover(psl_2_7, (3, 3, 4))
+    T = character_table(X.group)
+    candidates = [H for H in X.group.all_subgroups()
+                  if H.is_proper_nontrivial() and quotient_surface(X, H).genus >= 1]
+    monkeypatch.setattr(criteria, "_solve_multiplicities",
+                        lambda degrees, columns, order: (1, (1,) * len(columns)))
+    monkeypatch.setattr(criteria, "verify_isogeny_relation",
+                        lambda X, T, R: RelationReport(True, R.n, (), (), 0, 0))
+    calls = _count_calls(monkeypatch, ("check_statement_b",))
+    log = []
+    assert _search_certified_relation(X, T, len(candidates), log) is None
+    assert len(log) == len(candidates)
+    classes = {}
+    for _, H in calls["check_statement_b"]:
+        classes.setdefault(H.class_weights(), []).append(H._class)
+    assert all(len(set(numbers)) == len(numbers) for numbers in classes.values())
+    assert len(classes) == len({H.class_weights() for H in candidates})
+    pairs = [numbers for numbers in classes.values() if len(numbers) > 1]
+    assert pairs and all(len(numbers) == 2 for numbers in pairs)
 
 
 def test_streit_is_conjugation_invariant():

@@ -241,7 +241,7 @@ def _spy_on_classes(monkeypatch):
 def test_class_pass_finds_each_class_once(monkeypatch, maker, count):
     """The class pass lists each class of subgroups once and whole: its
     classes are the lattice's orbits under conjugation by G's generators,
-    computed on `Permutation`s."""
+    computed on `Permutation`s, and each subgroup carries its class's number."""
     G = maker()
     G = FiniteGroup(G.degree, G.generators)
     found = _spy_on_classes(monkeypatch)
@@ -262,6 +262,7 @@ def test_class_pass_finds_each_class_once(monkeypatch, maker, count):
                     orbit.append(image)
         orbits.append(sorted(tuple(sorted(map(G.index_of, members))) for members in orbit))
     assert sorted(sorted(members) for members in classes) == sorted(orbits)
+    assert all(H.indices in classes[H._class] for H in subgroups)
 
 
 DROPPED_CONJUGATE = """
