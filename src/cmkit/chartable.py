@@ -174,11 +174,12 @@ class CharacterTable:
         return tuple(spectra[0][0] for spectra in self.spectra)
 
 
-def character_table(G: FiniteGroup, bound: int = DEFAULT_CHARTABLE_BOUND) -> CharacterTable:
+def character_table(G: FiniteGroup) -> CharacterTable:
     if G._chartable is not None:
         return G._chartable
-    if G.order > bound:
-        raise GroupTooLarge(f"character table bound {bound} exceeded (order {G.order})")
+    if G.order > DEFAULT_CHARTABLE_BOUND:
+        raise GroupTooLarge(
+            f"character table bound {DEFAULT_CHARTABLE_BOUND} exceeded (order {G.order})")
     rows, values = _dixon_rows(G)
     table = CharacterTable(G, rows, {"values": values})
     _verify_table(table)

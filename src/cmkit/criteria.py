@@ -1,6 +1,6 @@
 """Decision layer: per-factor sufficient conditions, isogeny-relation
 verification, the symmetric-square test, and the combined CM verdict.
-Statement A reads G/H off G's classes and H's coset ids; statement B scans
+Statement A reads G/H off G's classes and H's elements; statement B scans
 the abelian subgroups of N_G(H)/H from `Subgroup.normalizer_quotient`.
 
 A verdict is certificate-based: CM_CERTIFIED carries either an exact zero of
@@ -164,10 +164,10 @@ def check_statement_a(G: FiniteGroup, H: Subgroup) -> StatementAResult:
         raise NotProperNontrivial("statement A needs a proper non-trivial subgroup")
     if not G.is_normal(H):
         return StatementAResult(False, False, None, None, None)
-    coset, _ = H.coset_ids()
-    if not G._commute_modulo(G._gens, coset):
+    K = frozenset(H.indices)
+    if not G._commute_modulo(G._gens, K):
         return StatementAResult(False, True, H.index, False, None)
-    return StatementAResult(True, True, H.index, True, G._invariants_modulo(coset, H.order))
+    return StatementAResult(True, True, H.index, True, G._invariants_modulo(K, H.order))
 
 
 def check_statement_b(X: QuasiplatonicSurface, H: Subgroup) -> StatementBResult:
@@ -430,9 +430,9 @@ def _search_certified_relation(X, T, search_limit, log):
     (`Subgroup._class`, numbered by `all_subgroups`), not by weights: X/H
     and X/gHg^-1 are isomorphic, but a Gassmann pair (equal weights, not
     conjugate, as PSL(2,7)'s two classes each of V4, A4 and S4) may have
-    different N_G(H)/H.  Only the outcome is shared: each factor of a
-    certified relation carries its own certificate, and a subgroup with no
-    class number is certified on its own.
+    different N_G(H)/H.  Only the outcome is shared: each factor of the one
+    collection that certifies is certified again for its own certificate,
+    and a subgroup with no class number is certified on its own.
     """
     G = X.group
     genera = {}  # class weights -> genus of the quotient
@@ -452,19 +452,14 @@ def _search_certified_relation(X, T, search_limit, log):
     active = [i for i, m in enumerate(h1) if m > 0]
     degrees = list(map(T.degrees().__getitem__, active))
     checked = {}  # a collection's weight vectors -> (solution, report)
-    cert_cache: Dict[Subgroup, Optional[FactorCertificate]] = {}
     holds = {}  # class number, or H itself outside the lattice -> whether A or B holds
 
     def certify(H: Subgroup) -> Optional[FactorCertificate]:
-        if H not in cert_cache:
-            res_a = check_statement_a(G, H)
-            if res_a.holds:
-                cert_cache[H] = FactorCertificate(H, ROUTE_A, res_a)
-            else:
-                res_b = check_statement_b(X, H)
-                cert_cache[H] = (FactorCertificate(H, ROUTE_B, res_b)
-                                 if res_b.holds else None)
-        return cert_cache[H]
+        res_a = check_statement_a(G, H)
+        if res_a.holds:
+            return FactorCertificate(H, ROUTE_A, res_a)
+        res_b = check_statement_b(X, H)
+        return FactorCertificate(H, ROUTE_B, res_b) if res_b.holds else None
 
     def certifiable(H: Subgroup) -> bool:
         key = H if H._class is None else H._class

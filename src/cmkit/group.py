@@ -11,28 +11,33 @@ lookup, so the order bound also bounds the table (|G|^2 entries).
 
 Classes, power classes, closure, normality, normalizers and the subgroup
 lattice work on indices; a class's element order is read by powering its
-first member in the table.  For K normal, G/K is abelian when G's generators
-commute modulo K, and its invariant factors count classes by their power
-classes in K; `is_abelian` and `abelian_invariants` are the case K = 1.
-There is one closure on indices, Dimino's algorithm (`_grow`): a known
-subgroup H grows to <H, g> one left coset eH at a time, each read whole from
-row e of the table, and stops once it holds more than half the group, which
-by Lagrange is then the whole group.  `index_closure`, the greedy
-`Subgroup.generators` and the subgroup lattice share it.  The lattice
-(`all_subgroups`, in `cmkit.lattice`) takes two passes: one join by `_grow`
-per class representative and cyclic subgroup, up to the representative's
-left cosets and normalizer, with each new class added whole by conjugation;
-then a replay of the traversal that joins every subgroup with every cyclic
+first member in the table, and each class keeps its sorted indices, from
+which the lattice reads every element's class.  For K normal, given by its
+element indices, G/K is abelian when G's generators commute modulo K, and
+its invariant factors count classes by their power classes in K;
+`is_abelian` and `abelian_invariants` are the case K = 1.  There is one
+closure on indices, Dimino's algorithm (`_grow`): a known subgroup H grows
+to <H, g> one left coset eH at a time, each read whole from row e of the
+table, and stops once it holds more than half the group, which by Lagrange
+is then the whole group.  The subgroup lattice and one greedy loop from the
+trivial subgroup (`_grow_greedily`, for `index_closure` and the greedy
+`Subgroup.generators`) share it.  There is one normalizer,
+`lattice.normalizer`, one test per left coset of H on H's generators, for
+the lattice and `FiniteGroup.normalizer`.  The lattice (`all_subgroups`, in
+`cmkit.lattice`) takes two passes: one join by `_grow` per class
+representative and cyclic subgroup, up to the representative's left cosets
+and normalizer, with each new class added whole by conjugation; then a
+replay of the traversal that joins every subgroup with every cyclic
 subgroup, read off containment bitsets, which gives each subgroup the
 generators under which that traversal first finds it.  A `Subgroup` holds
 its sorted element indices and counts them once by class (`class_weights`,
 |H cap C| for every class C): H is normal when each count is 0 or |C|, and
 quotient genera and branch data are read off the counts (`cmkit.surface`).
 It numbers its left cosets gH only when asked (coset id of each element
-index, cosets ordered by minimal member): normalizers, statement A and
-Galois signatures read the action of an element as a list of coset ids, as
-does the one quotient builder, `Subgroup.normalizer_quotient` (N_G(H)/H, for
-statement B).  The generators' indices are read off the closure.
+index, cosets ordered by minimal member): Galois signatures read the action
+of an element as a list of coset ids, as does the one quotient builder,
+`Subgroup.normalizer_quotient` (N_G(H)/H, for statement B).  The
+generators' indices are read off the closure.
 `Permutation`s appear only at I/O: elements, generators, class members,
 `Subgroup.elements`, `FiniteGroup.subgroup`, `coset_action`, and `index_of`,
 which turns one into an element index.  All orderings are deterministic:
@@ -45,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Container, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import prime_factors
 from .errors import (
@@ -99,6 +104,7 @@ class FiniteGroup:
         self._gens: Tuple[int, ...] = tuple(rank[y] for y in steps[0])  # s*identity = s
         self._classes: Optional[Tuple[ConjugacyClass, ...]] = None
         self._class_of: Optional[List[int]] = None
+        self._class_members: Optional[List[List[int]]] = None  # sorted indices per class
         self._class_reps: Optional[List[int]] = None
         self._power_classes: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._subgroups: Optional[Tuple["Subgroup", ...]] = None
@@ -154,6 +160,15 @@ class FiniteGroup:
 
     def index_closure(self, seed: Iterable[int]) -> FrozenSet[int]:
         """Element indices of the subgroup generated by the given indices."""
+        elements, _ = self._grow_greedily(seed, self.order)
+        return frozenset(range(self.order) if elements is None else elements)
+
+    def _grow_greedily(self, seed: Iterable[int],
+                       size: int) -> Tuple[Optional[List[int]], List[int]]:
+        """From the trivial subgroup, each index of `seed` not yet inside becomes
+        a generator and is grown in by `_grow`, until the subgroup has `size`
+        elements.  Returns its elements (None once it is the whole group) and
+        the generators taken."""
         elements, member, gens = [0], bytearray(self.order), []
         member[0] = 1
         for g in seed:
@@ -161,8 +176,10 @@ class FiniteGroup:
                 continue
             gens.append(g)
             if not self._grow(elements, member, gens):
-                return frozenset(range(self.order))
-        return frozenset(elements)
+                return None, gens
+            if len(elements) == size:
+                break
+        return elements, gens
 
     def _grow(self, elements: List[int], member: bytearray, gens: Sequence[int]) -> bool:
         """Grow the subgroup H listed in `elements` and marked in `member`, in
@@ -197,12 +214,13 @@ class FiniteGroup:
     # -- basic predicates ------------------------------------------------
 
     def is_abelian(self) -> bool:
-        return self._commute_modulo(self._gens, range(self.order))
+        return self._commute_modulo(self._gens, {0})
 
-    def _commute_modulo(self, gens: Sequence[int], coset: Sequence[int]) -> bool:
-        """Whether abK = baK for all a, b in `gens`, K normal given by its coset ids."""
-        table = self._table
-        return all(coset[table[a][b]] == coset[table[b][a]]
+    def _commute_modulo(self, gens: Sequence[int], K: Container[int]) -> bool:
+        """Whether abK = baK, that is (ba)^-1 ab in K, for all a, b in `gens`;
+        K normal, given by its element indices."""
+        table, inv = self._table, self._inv
+        return all(table[inv[table[b][a]]][table[a][b]] in K
                    for k, a in enumerate(gens) for b in gens[k + 1:])
 
     def exponent(self) -> int:
@@ -241,7 +259,8 @@ class FiniteGroup:
                 class_of[i] = ci
         self._classes = tuple(classes)
         self._class_of = class_of
-        self._class_reps = [members[0] for _, _, _, members in keyed]
+        self._class_members = [members for _, _, _, members in keyed]
+        self._class_reps = [members[0] for members in self._class_members]
         return self._classes
 
     def _index_order(self, x: int) -> int:
@@ -332,9 +351,10 @@ class FiniteGroup:
             return self._subgroups
 
         from .lattice import subgroup_lattice
+        conjugates = [self._class_members[c] for c in self.class_ids()]
         subs = []
         for indices, gens, number in subgroup_lattice(self._table, self._inv, self._gens,
-                                                      self._grow, bound):
+                                                      conjugates, self._grow, bound):
             subs.append(Subgroup(self, indices, gens))
             subs[-1]._class = number
         self._subgroups = tuple(subs)
@@ -351,11 +371,10 @@ class FiniteGroup:
         return all(w in (0, cls.size) for w, cls in zip(H.class_weights(), classes))
 
     def normalizer(self, H: "Subgroup") -> "Subgroup":
-        """N_G(H), a union of left cosets of H: one test per coset."""
+        """N_G(H), by `lattice.normalizer`: one test per left coset of H."""
+        from .lattice import normalizer
         self._check_subgroup(H)
-        _, reps = H.coset_ids()
-        mul = self.mul
-        return Subgroup(self, [mul(r, h) for r in reps if H.normalized_by(r) for h in H.indices])
+        return Subgroup(self, normalizer(self._table, self._inv, H.indices, H._generator_indices()))
 
     # -- cosets and quotients ----------------------------------------------
 
@@ -376,21 +395,22 @@ class FiniteGroup:
         """Invariant factors d_1 | d_2 | ... of an abelian group."""
         if not self.is_abelian():
             raise ValueError("abelian_invariants requires an abelian group")
-        return self._invariants_modulo(range(self.order), 1)
+        return self._invariants_modulo({0}, 1)
 
-    def _invariants_modulo(self, coset: Sequence[int], size: int) -> Tuple[int, ...]:
+    def _invariants_modulo(self, K: Container[int], size: int) -> Tuple[int, ...]:
         """Invariant factors d_1 | d_2 | ... of an abelian G/K, K normal of order
-        `size` given by the coset id of every element index (K is coset 0).
+        `size` given by its element indices.
 
         For a prime p, #{xK : x^(p^j) in K} / #{xK : x^(p^(j-1)) in K} = p^k,
         where k is the number of invariant factors divisible by p^j; in a
         divisibility chain those are the k largest, so each gains a factor p.
         K is a union of classes and x^q is conjugate to r^q, r the
         representative of x's class, so #{x : x^q in K} sums the sizes of the
-        classes whose power class at q lies in K: |K| times the coset count.
+        classes whose power class at q lies in K: |K| times the coset count.  A
+        class lies in K when its representative does.
         """
         classes, power = self.conjugacy_classes(), self.power_classes()
-        in_k = [coset[r] == 0 for r in self._class_reps]
+        in_k = [r in K for r in self._class_reps]
         factors: List[int] = []  # ascending
         for p in prime_factors(self.order // size):
             below, q = 1, p
@@ -487,20 +507,11 @@ class Subgroup:
     def _generator_indices(self) -> Tuple[int, ...]:
         """Element indices of `generators()`."""
         if self._gens is None:
-            G = self.parent
-            have, member, gens = [0], bytearray(G.order), []
-            member[0] = 1
-            for i in self.indices:
-                if member[i]:
-                    continue
-                gens.append(i)
-                if not G._grow(have, member, gens) or len(have) == self.order:
-                    break
-            self._gens = tuple(gens)
+            self._gens = tuple(self.parent._grow_greedily(self.indices, self.order)[1])
         return self._gens
 
     def is_abelian(self) -> bool:
-        return self.parent._commute_modulo(self._generator_indices(), range(self.parent.order))
+        return self.parent._commute_modulo(self._generator_indices(), {0})
 
     def is_cyclic(self) -> bool:
         classes, class_of = self.parent.conjugacy_classes(), self.parent.class_ids()
@@ -557,12 +568,6 @@ class Subgroup:
             raise InternalCheckFailed(f"|N_G(H)/H| = {Q.order}, not {N.order}/{self.order}")
         q = {c: Q._index[images[p]] for c, p in point.items()}  # coset id -> index in Q
         return Q, [q.get(c, -1) for c in coset]
-
-    def normalized_by(self, i: int) -> bool:
-        """Whether element index i normalizes H: h i H = i H for every h in H."""
-        coset, _ = self.coset_ids()
-        mul, home = self.parent.mul, coset[i]
-        return all(coset[mul(h, i)] == home for h in self.indices)
 
 
 def _close(degree: int, gens: Tuple[Permutation, ...], max_order: int):

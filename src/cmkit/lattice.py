@@ -1,9 +1,10 @@
 """The subgroup lattice of a finite group, computed on element indices.
 
 The group is given by its Cayley table (`table[a][b]` is the index of a*b,
-the identity is 0), its inverses, its generators' indices and its one
-closure routine, `grow` (`FiniteGroup._grow`: Dimino's extension of a known
-subgroup H to the subgroup generated by H's generators and one more element).
+the identity is 0), its inverses, its generators' indices, the conjugacy
+class of every element index and its one closure routine, `grow`
+(`FiniteGroup._grow`: Dimino's extension of a known subgroup H to the
+subgroup generated by H's generators and one more element).
 The lattice is found in two passes.
 
 1. Classes (`subgroup_classes`).  Every subgroup K > 1 is a join <H, c> of a
@@ -15,7 +16,10 @@ The lattice is found in two passes.
    generators) and becomes a representative.  A join is not made when it
    gives a subgroup conjugate to one already made from H0: with
    K = <H0, i>, also <H0, x> = K for every x in the left coset iH0, and
-   <H0, g*x*g^-1> = g*K*g^-1 for every g in N_G(H0).
+   <H0, g*x*g^-1> = g*K*g^-1 for every g in N_G(H0).  N_G(H0) comes from
+   `normalizer`, the one normalizer routine, which `FiniteGroup.normalizer`
+   also calls; for H0 normal it is G, and the conjugates of i are its
+   conjugacy class, which the caller passes in for every element.
 2. Replay (`replay_lattice`).  Each subgroup takes the generator tuple that
    the plain traversal finds first: the trivial subgroup and the cyclic
    subgroups (by least generating index) on a LIFO queue, each subgroup H
@@ -42,19 +46,20 @@ from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 from .errors import GroupTooLarge, InternalCheckFailed
 
 Grow = Callable[[List[int], bytearray, Sequence[int]], bool]
+Rows = Sequence[Sequence[int]]  # a Cayley table, or one index list per element or generator
 
 
-def subgroup_lattice(table: Sequence[Sequence[int]], inv: Sequence[int],
-                     gens: Sequence[int], grow: Grow,
-                     bound: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
+def subgroup_lattice(table: Rows, inv: Sequence[int], gens: Sequence[int], conjugates: Rows,
+                     grow: Grow, bound: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
     """(sorted element indices, generator indices, class number) of every
     subgroup, ordered by (order, indices); the class number is the position
-    of its class of subgroups in `subgroup_classes`.  Raises `GroupTooLarge`
-    as soon as more than `bound` subgroups are known."""
+    of its class of subgroups in `subgroup_classes`.  `conjugates[x]` is the
+    conjugacy class of element index x.  Raises `GroupTooLarge` as soon as
+    more than `bound` subgroups are known."""
     n = len(table)
     canon = cyclic_generators(table)
     conj = [[table[table[s][x]][inv[s]] for x in range(n)] for s in gens]
-    classes = subgroup_classes(table, inv, conj, canon, grow, bound)
+    classes = subgroup_classes(table, inv, conj, canon, conjugates, grow, bound)
     lattice = replay_lattice(canon, conj, classes)
     if lattice[0][0] != (0,) or len(lattice[-1][0]) != n:
         raise InternalCheckFailed("the lattice does not run from the trivial subgroup to the group")
@@ -68,7 +73,7 @@ def subgroup_lattice(table: Sequence[Sequence[int]], inv: Sequence[int],
     return lattice
 
 
-def cyclic_generators(table: Sequence[Sequence[int]]) -> List[int]:
+def cyclic_generators(table: Rows) -> List[int]:
     """For every element index x, the least index that generates <x>.
 
     Walking the indices upward, the first member of a cyclic subgroup met is
@@ -89,26 +94,17 @@ def cyclic_generators(table: Sequence[Sequence[int]]) -> List[int]:
     return canon
 
 
-def subgroup_classes(table: Sequence[Sequence[int]], inv: Sequence[int],
-                     conj: Sequence[Sequence[int]], canon: Sequence[int], grow: Grow,
-                     bound: int) -> List[List[Tuple[int, ...]]]:
+def subgroup_classes(table: Rows, inv: Sequence[int], conj: Rows, canon: Sequence[int],
+                     conjugates: Rows, grow: Grow, bound: int) -> List[List[Tuple[int, ...]]]:
     """Every class of subgroups, as the sorted element indices of its members
     with the representative first, representatives in the order found.
 
-    `conj[s][x]` is the index of s*x*s^-1 for each generator s of G, and
-    `canon` the least generator of every element's cyclic subgroup."""
+    `conj[s][x]` is the index of s*x*s^-1 for each generator s of G, `canon`
+    the least generator of every element's cyclic subgroup, and
+    `conjugates[x]` the conjugacy class of x."""
     n = len(table)
     whole = frozenset(range(n))
     cyclics = sorted(set(canon))
-    conjugates: List[Optional[List[int]]] = [None] * n  # the conjugacy class of every element
-    for x in range(n):
-        if conjugates[x] is None:
-            orbit = conjugates[x] = [x]
-            for y in orbit:
-                for c in conj:
-                    if conjugates[c[y]] is None:
-                        conjugates[c[y]] = orbit
-                        orbit.append(c[y])
     known: Set[FrozenSet[int]] = set()
     classes: List[List[Tuple[int, ...]]] = []
     reps: List[Tuple[List[int], Tuple[int, ...], bool]] = []  # elements, generators, normal
@@ -127,17 +123,7 @@ def subgroup_classes(table: Sequence[Sequence[int]], inv: Sequence[int],
         for x in h_list:
             member[x] = 1
         if not normal:
-            normalizer: List[int] = []  # one test per left coset xH0
-            seen = bytearray(n)
-            for x in range(n):
-                if seen[x]:
-                    continue
-                row, x_inv = table[x], inv[x]
-                coset = [row[h] for h in h_list]
-                for y in coset:
-                    seen[y] = 1
-                if all(member[table[row[g]][x_inv]] for g in h_gens):
-                    normalizer += coset
+            n_h0 = normalizer(table, inv, h_list, h_gens)  # N_G(H0)
         done = bytearray(n)  # cyclics c with <H0, c> conjugate to a join already made
         for i in cyclics:
             if member[i] or done[i]:
@@ -148,7 +134,7 @@ def subgroup_classes(table: Sequence[Sequence[int]], inv: Sequence[int],
             if k not in known:
                 add_class(k, k_gens)
             orbit = (conjugates[i] if normal else
-                     {table[table[x][i]][inv[x]] for x in normalizer})
+                     {table[table[x][i]][inv[x]] for x in n_h0})
             for y in orbit:
                 row = table[y]
                 for h in h_list:
@@ -156,8 +142,28 @@ def subgroup_classes(table: Sequence[Sequence[int]], inv: Sequence[int],
     return classes
 
 
-def _conjugates(k: FrozenSet[int], k_gens: Sequence[int],
-                conj: Sequence[Sequence[int]]) -> List[FrozenSet[int]]:
+def normalizer(table: Rows, inv: Sequence[int],
+               h_list: Sequence[int], h_gens: Sequence[int]) -> List[int]:
+    """Element indices of N_G(H), H given by its element indices and its
+    generators' indices: the union of the left cosets xH, one test per coset,
+    whose x conjugates every generator g of H into H (x*g*x^-1 in H)."""
+    n = len(table)
+    member, seen, found = bytearray(n), bytearray(n), []
+    for h in h_list:
+        member[h] = 1
+    for x in range(n):
+        if seen[x]:
+            continue
+        row, x_inv = table[x], inv[x]
+        coset = [row[h] for h in h_list]
+        for y in coset:
+            seen[y] = 1
+        if all(member[table[row[g]][x_inv]] for g in h_gens):
+            found += coset
+    return found
+
+
+def _conjugates(k: FrozenSet[int], k_gens: Sequence[int], conj: Rows) -> List[FrozenSet[int]]:
     """The class of K = <k_gens>, K first: its orbit under conjugation by G's
     generators, or K alone when they map its generators into K."""
     if all(c[g] in k for c in conj for g in k_gens):
@@ -172,7 +178,7 @@ def _conjugates(k: FrozenSet[int], k_gens: Sequence[int],
     return orbit
 
 
-def replay_lattice(canon: Sequence[int], conj: Sequence[Sequence[int]],
+def replay_lattice(canon: Sequence[int], conj: Rows,
                    classes: Sequence[Sequence[Tuple[int, ...]]]
                    ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
     """The subgroups of `classes` in output order, each with the generator

@@ -7,6 +7,8 @@ values are only printed; quotient genera come from the Eichler values.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from .chartable import CharacterTable
 from .criteria import (
     CMVerdict,
@@ -80,30 +82,13 @@ def signature_json(sig) -> dict:
 
 
 def _evidence_json(evidence) -> dict:
-    """A factor certificate's evidence: statement A or B, or a plain dict."""
-    if isinstance(evidence, StatementAResult):
-        return {
-            "holds": evidence.holds,
-            "normal": evidence.is_normal,
-            "quotient_order": evidence.quotient_order,
-            "quotient_abelian": evidence.quotient_abelian,
-            "abelian_invariants": None if evidence.abelian_invariants is None
-            else list(evidence.abelian_invariants),
-        }
-    if isinstance(evidence, StatementBResult):
-        sig = evidence.quotient_signature
-        return {
-            "holds": evidence.holds,
-            "genus": evidence.genus,
-            "bound": evidence.bound,
-            "group_order": evidence.group_order,
-            "group_generators": list(evidence.group_generators),
-            "group_is_cyclic6": evidence.group_is_cyclic6,
-            "bound_satisfied": evidence.bound_satisfied,
-            "exception_matched": evidence.exception_matched,
-            "quotient_signature": None if sig is None else signature_json(sig),
-            "searched": evidence.searched,
-        }
+    """A factor certificate's evidence: the fields of statement A or B, with
+    `is_normal` under "normal", or a plain dict."""
+    if isinstance(evidence, (StatementAResult, StatementBResult)):
+        fields = asdict(evidence)
+        if "is_normal" in fields:
+            fields["normal"] = fields.pop("is_normal")
+        return fields
     return evidence
 
 

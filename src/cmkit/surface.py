@@ -252,14 +252,15 @@ def galois_quotient_signature(X: QuasiplatonicSurface, H: Subgroup,
     G = X.group
     if H.parent is not G or N.parent is not G:
         raise SubgroupMismatch("subgroups of a different group")
-    if not set(H.indices) <= set(N.indices):
-        raise SubgroupMismatch("H is not contained in N")
-    if not all(H.normalized_by(i) for i in N._generator_indices()):
-        raise NotNormalInN("H is not normal in N")
-
     coset_H, _ = H.coset_ids()
     coset_N, reps = N.coset_ids()
     mul, inv = G.mul, G.inv
+    if any(coset_N[h] for h in H.indices):
+        raise SubgroupMismatch("H is not contained in N")
+    if any(coset_H[mul(mul(x, g), inv(x))] for x in N._generator_indices()
+           for g in H._generator_indices()):
+        raise NotNormalInN("H is not normal in N")
+
     periods = []
     defect = 0
     for g in X.vector.indices:

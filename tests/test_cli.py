@@ -250,6 +250,15 @@ def test_bound_exceeded_exit_code(capsys):
                            f"argument --max-order: '{bound}' is not a positive integer"}
 
 
+def test_character_table_bound_exits_2(capsys, monkeypatch):
+    """`character_table` reads `DEFAULT_CHARTABLE_BOUND` when it is called:
+    lowered below the group order, `table` exits 2 with `bound_exceeded`."""
+    monkeypatch.setattr(cmkit.chartable, "DEFAULT_CHARTABLE_BOUND", 10)
+    code, payload = run_json(capsys, "table", "gm:6")
+    assert (code, payload) == (2, {"error": "bound_exceeded",
+                                   "detail": "character table bound 10 exceeded (order 24)"})
+
+
 def test_env_bound(capsys, monkeypatch):
     monkeypatch.setenv("CMKIT_MAX_ORDER", "10")
     code, payload = run_json(capsys, "analyze", "gm:6")

@@ -21,6 +21,7 @@ from cmkit import (
 )
 from cmkit import lattice
 from cmkit.cli import main
+from cmkit.criteria import check_statement_a
 from cmkit.surface import _cycle_type
 from conftest import (
     _coset_permutation,
@@ -42,6 +43,7 @@ from conftest import (
     reference_table,
     run_optimized,
     small_permutation_groups,
+    statement_a_reference,
     symmetric_3,
     symmetric_4,
     symmetric_5,
@@ -333,14 +335,23 @@ def test_every_dropped_subgroup_fails_the_lattice_checks_under_optimize():
 @given(small_permutation_groups())
 def test_class_weights_and_normality_match_permutation_counts(G):
     """|H cap C| counted on `Permutation`s (members of each class that lie in
-    H) is `class_weights()`; normality by class weights agrees with the
-    normalizer, which tests each coset of H; and the cycle type of each class
-    on H's cosets is that of its representative's `Permutation` action."""
+    H) is `class_weights()`; the normalizer, which tests each coset of H on
+    H's generators, is {x : xHx^-1 = H} on `Permutation`s, and normality by
+    class weights agrees with it; statement A on a proper non-trivial normal
+    H, read off H's elements, agrees with the quotient group's reference;
+    and the cycle type of each class on H's cosets is that of its
+    representative's `Permutation` action."""
     classes = G.conjugacy_classes()
+    conjugation = {x: {g: x * g * x.inverse() for g in G.elements} for x in G.elements}
     for H in G.all_subgroups():
         assert H.class_weights() == tuple(
             sum(g in H.element_set for g in cls.members) for cls in classes)
+        assert G.normalizer(H).element_set == {
+            x for x, image in conjugation.items()
+            if {image[h] for h in H.elements} == H.element_set}
         assert G.is_normal(H) == (G.normalizer(H).order == G.order)
+        if G.is_normal(H) and H.is_proper_nontrivial():
+            assert check_statement_a(G, H) == statement_a_reference(G, H)
         cosets = _permutation_cosets(G, H)
         actions = [_coset_permutation(cls.representative, cosets) for cls in classes]
         assert [_cycle_type(H, c) for c in range(len(classes))] == [
@@ -528,20 +539,17 @@ def test_abelian_invariants():
 
 def test_quotient_invariants_are_counted_on_the_parent_classes():
     """For K normal, whether G/K is abelian and its invariant factors, read off
-    K's coset ids and G's classes, agree with the quotient group; a count not
-    divisible by |K|, as for a non-normal K, raises."""
+    K's element indices and G's classes, agree with the quotient group; a
+    count not divisible by the stated |K| raises."""
     for G in (build_gm(8).group, symmetric_4(), cyclic_product(4, 6)):
         for K in G.all_subgroups():
             if G.is_normal(K):
-                coset, Q = K.coset_ids()[0], G.quotient_with_map(K)[0]
-                assert G._commute_modulo(G._gens, coset) == Q.is_abelian()
+                members, Q = frozenset(K.indices), G.quotient_with_map(K)[0]
+                assert G._commute_modulo(G._gens, members) == Q.is_abelian()
                 if Q.is_abelian():
-                    assert G._invariants_modulo(coset, K.order) == abelian_invariants_reference(Q)
-    S3 = symmetric_3()
-    transposition = S3.class_representatives()[1]
-    K = next(K for K in S3.all_subgroups() if K.order == 2 and transposition not in K.indices)
-    with pytest.raises(InternalCheckFailed, match="3 elements x have x"):
-        S3._invariants_modulo(K.coset_ids()[0], K.order)
+                    assert G._invariants_modulo(members, K.order) == abelian_invariants_reference(Q)
+    with pytest.raises(InternalCheckFailed, match="3 elements x have x\\^3 in K"):
+        symmetric_3()._invariants_modulo({0}, 2)
 
 
 @pytest.mark.parametrize("orders", [(1,), (7,), (2, 2), (4, 6), (2, 2, 2, 2), (3, 9, 27),

@@ -151,6 +151,8 @@ def test_galois_quotient_requires_normality():
     Hb = inst.subgroup_b()
     with pytest.raises(NotNormalInN):
         galois_quotient_signature(X, Hb, X.group.full_subgroup())
+    with pytest.raises(SubgroupMismatch, match="H is not contained in N"):
+        galois_quotient_signature(X, Hb, X.group.trivial_subgroup())
 
 
 def test_chevalley_weil_basic_identities():
