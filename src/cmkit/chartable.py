@@ -51,7 +51,6 @@ oracle API (`irreducibles`, `inner_product`, `fixed_space_dimension`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import gcd, isqrt
 from operator import itemgetter, mul
 from typing import Dict, List, Optional, Tuple
@@ -63,6 +62,7 @@ from .errors import (
     GroupTooLarge,
     InvalidCharacterTable,
     NonIntegralResult,
+    Record,
     SubgroupMismatch,
 )
 from .group import FiniteGroup, Subgroup
@@ -71,12 +71,10 @@ from .modp import Slots, distinct_roots, divide_linear, minimal_polynomial
 DEFAULT_CHARTABLE_BOUND = 2000
 
 
-@dataclass(frozen=True, eq=False)
-class Character:
+class Character(Record):
     """A class function given by one exact value per conjugacy class."""
 
-    group: FiniteGroup
-    values: Tuple[Cyclotomic, ...]
+    __slots__ = ("group", "values")
 
     @property
     def degree(self) -> int:
@@ -101,17 +99,24 @@ class Character:
         return f"Character(deg {self.values[0].to_string()}, {len(self.values)} classes)"
 
 
-@dataclass(frozen=True, eq=False)
-class CharacterTable:
+class CharacterTable(Record):
     """The irreducible characters as eigenvalue spectra.
 
     `spectra[i][c][t]` is the multiplicity of exp(2 pi i t / o) as an
     eigenvalue of rho_i at class c, where o is the element order of class c.
+    Tables compare and hash as objects; `repr` omits `_cache`.
     """
 
-    group: FiniteGroup
-    spectra: Tuple[Tuple[Tuple[int, ...], ...], ...]
-    _cache: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("group", "spectra", "_cache")
+    _fields = ("group", "spectra")
+
+    def __init__(self, group: FiniteGroup, spectra: Tuple[Tuple[Tuple[int, ...], ...], ...],
+                 _cache: Optional[dict] = None):
+        super().__init__(group, spectra)
+        object.__setattr__(self, "_cache", {} if _cache is None else _cache)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def conductor(self) -> int:

@@ -37,7 +37,6 @@ relation search and `verify_isogeny_relation` read dim V_rho^H
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -49,11 +48,11 @@ from .errors import (
     GroupMismatch,
     InternalCheckFailed,
     NotProperNontrivial,
+    Record,
 )
 from .group import FiniteGroup, Subgroup
 from .surface import (
     QuasiplatonicSurface,
-    Signature,
     chevalley_weil_multiplicities,
     galois_quotient_signature,
     genus_from_branch_data,
@@ -69,86 +68,54 @@ ROUTE_B = "statement_B"
 EXCEPTION_PERIODS = (2, 2, 3, 3)
 
 
-@dataclass(frozen=True)
-class IsogenyRelation:
+class IsogenyRelation(Record):
     """JX^n compared against the product of JY_i^{n_i} for Y_i = X/H_i."""
 
-    n: int
-    factors: Tuple[Tuple[Subgroup, int], ...]
+    __slots__ = ("n", "factors")
 
-    def __post_init__(self):
-        if self.n < 1 or not self.factors:
+    def __init__(self, n: int, factors: Tuple[Tuple[Subgroup, int], ...]):
+        if n < 1 or not factors:
             raise ValueError("relation needs n >= 1 and at least one factor")
-        for H, mult in self.factors:
+        for H, mult in factors:
             if mult < 1:
                 raise ValueError("factor multiplicities must be positive")
             if not H.is_proper_nontrivial():
                 raise NotProperNontrivial(
                     "relation factors must be proper non-trivial subgroups")
+        super().__init__(n, factors)
 
 
-@dataclass(frozen=True)
-class StatementAResult:
-    holds: bool
-    is_normal: bool
-    quotient_order: Optional[int]
-    quotient_abelian: Optional[bool]
-    abelian_invariants: Optional[Tuple[int, ...]]
+class StatementAResult(Record):
+    __slots__ = ("holds", "is_normal", "quotient_order", "quotient_abelian",
+                 "abelian_invariants")
 
 
-@dataclass(frozen=True)
-class StatementBResult:
-    holds: bool
-    genus: int
-    bound: int
-    group_order: Optional[int]
-    group_generators: Tuple[str, ...]
-    group_is_cyclic6: bool
-    bound_satisfied: bool
-    exception_matched: bool
-    quotient_signature: Optional[Signature]
-    searched: int
+class StatementBResult(Record):
+    __slots__ = ("holds", "genus", "bound", "group_order", "group_generators",
+                 "group_is_cyclic6", "bound_satisfied", "exception_matched",
+                 "quotient_signature", "searched")
 
 
-@dataclass(frozen=True)
-class FactorCertificate:
-    subgroup: Subgroup
-    route: str
-    evidence: object  # StatementAResult | StatementBResult | dict
+class FactorCertificate(Record):
+    __slots__ = ("subgroup", "route", "evidence")  # evidence: statement A or B result, or dict
 
 
-@dataclass(frozen=True)
-class IrreducibleRow:
-    index: int
-    degree: int
-    h1_multiplicity: int
-    lhs: int
-    rhs: int
-    factor_dimensions: Tuple[int, ...]
+class IrreducibleRow(Record):
+    __slots__ = ("index", "degree", "h1_multiplicity", "lhs", "rhs", "factor_dimensions")
 
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    holds: bool
-    n: int
-    multiplicities: Tuple[int, ...]
-    rows: Tuple[IrreducibleRow, ...]
-    genus_lhs: int
-    genus_rhs: int
+class RelationReport(Record):
+    __slots__ = ("holds", "n", "multiplicities", "rows", "genus_lhs", "genus_rhs")
 
 
-@dataclass(frozen=True)
-class CMVerdict:
-    status: str
-    streit_value: int
-    relation: Optional[IsogenyRelation]
-    certificates: Tuple[FactorCertificate, ...]
-    relation_report: Optional[RelationReport]
-    search_log: Tuple[dict, ...] = field(default=())
+class CMVerdict(Record):
+    __slots__ = ("status", "streit_value", "relation", "certificates", "relation_report",
+                 "search_log")
+    _defaults = {"search_log": ()}
 
     @property
     def certified(self) -> bool:
@@ -447,6 +414,12 @@ def _search_certified_relation(X, T, search_limit, log):
                          if H.is_proper_nontrivial() and genus(H) >= 1),
                         key=lambda H: (H.index, H.indices))
     weights = [H.index for H in candidates]
+    labels = {}  # candidate position -> its first generator's cycles, for the log
+
+    def label(i: int) -> str:
+        if i not in labels:
+            labels[i] = candidates[i].generators()[0].cycle_string()
+        return labels[i]
 
     h1 = h1_multiplicities(X, T)
     active = [i for i, m in enumerate(h1) if m > 0]
@@ -476,9 +449,7 @@ def _search_certified_relation(X, T, search_limit, log):
                 break
             tried += 1
             collection = [candidates[i] for i in combo]
-            entry = {"stage": "collection",
-                     "subgroups": [H.generators()[0].cycle_string() if H.generators()
-                                   else "()" for H in collection]}
+            entry = {"stage": "collection", "subgroups": list(map(label, combo))}
             log.append(entry)
             key = tuple(H.class_weights() for H in collection)
             if key not in checked:

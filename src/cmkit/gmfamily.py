@@ -8,10 +8,9 @@ two, which is why odd m collapses the presentation and is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
-from .errors import InternalCheckFailed, InvalidParameter, VectorNotFound
+from .errors import InternalCheckFailed, InvalidParameter, Record, VectorNotFound
 from .group import DEFAULT_MAX_ORDER, FiniteGroup, Subgroup
 from .perm import Permutation
 from .surface import (
@@ -21,16 +20,11 @@ from .surface import (
 )
 
 
-@dataclass(frozen=True)
-class GmExpected:
+class GmExpected(Record):
     """Reference values carried for regression checks and reports."""
 
-    genus: int
-    periods: Tuple[int, ...]
-    quotient_genus_a: int
-    quotient_genus_b: Optional[int]
-    curve_a: str
-    curve_b: Optional[str]
+    __slots__ = ("genus", "periods", "quotient_genus_a", "quotient_genus_b", "curve_a",
+                 "curve_b")
 
 
 class GmInstance:

@@ -47,7 +47,6 @@ element indices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from typing import Container, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -59,6 +58,7 @@ from .errors import (
     InternalCheckFailed,
     InvalidPermutation,
     NotNormal,
+    Record,
     SubgroupMismatch,
 )
 from .perm import Permutation
@@ -254,7 +254,7 @@ class FiniteGroup:
         class_of = [0] * n
         for ci, (order, _, _, members) in enumerate(keyed):
             perms = tuple(self.elements[i] for i in members)
-            classes.append(ConjugacyClass(representative=perms[0], members=perms, order=order))
+            classes.append(ConjugacyClass(perms[0], perms, order))
             for i in members:
                 class_of[i] = ci
         self._classes = tuple(classes)
@@ -434,11 +434,8 @@ class FiniteGroup:
         return tuple(factors)
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
-    representative: Permutation
-    members: Tuple[Permutation, ...]
-    order: int
+class ConjugacyClass(Record):
+    __slots__ = ("representative", "members", "order")
 
     @property
     def size(self) -> int:

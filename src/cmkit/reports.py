@@ -7,8 +7,6 @@ values are only printed; quotient genera come from the Eichler values.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 from .chartable import CharacterTable
 from .criteria import (
     CMVerdict,
@@ -83,9 +81,11 @@ def signature_json(sig) -> dict:
 
 def _evidence_json(evidence) -> dict:
     """A factor certificate's evidence: the fields of statement A or B, with
-    `is_normal` under "normal", or a plain dict."""
+    `is_normal` under "normal" and a signature as its dict, or a plain dict."""
     if isinstance(evidence, (StatementAResult, StatementBResult)):
-        fields = asdict(evidence)
+        fields = {name: getattr(evidence, name) for name in evidence._fields}
+        if fields.get("quotient_signature") is not None:
+            fields["quotient_signature"] = signature_json(fields["quotient_signature"])
         if "is_normal" in fields:
             fields["normal"] = fields.pop("is_normal")
         return fields

@@ -17,7 +17,6 @@ dim V_i^H summed from the table's spectra (`CharacterTable.fixed_dimensions`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -34,44 +33,40 @@ from .errors import (
     NonIntegerGenus,
     NonIntegralMultiplicity,
     NotNormalInN,
+    Record,
     SubgroupMismatch,
 )
 from .group import FiniteGroup, Subgroup
 from .perm import Permutation, cycles_of
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Orbit genus of the base together with the sorted branch orders."""
 
-    orbit_genus: int
-    periods: Tuple[int, ...]
+    __slots__ = ("orbit_genus", "periods")
 
-    def __post_init__(self):
-        if self.orbit_genus < 0:
+    def __init__(self, orbit_genus: int, periods: Tuple[int, ...]):
+        if orbit_genus < 0:
             raise ValueError("orbit genus must be non-negative")
-        if any(m < 2 for m in self.periods):
+        if any(m < 2 for m in periods):
             raise ValueError("periods must be at least 2")
-        object.__setattr__(self, "periods", tuple(sorted(self.periods)))
+        super().__init__(orbit_genus, tuple(sorted(periods)))
 
 
-@dataclass(frozen=True)
-class GeneratingVector:
+class GeneratingVector(Record):
     """Tuple of group elements with product one that generates the group;
-    `indices` and `periods` are the entries' element indices and orders."""
+    `indices` and `periods` are the entries' element indices and orders,
+    which equality, hashing and `repr` do not read."""
 
-    group: FiniteGroup
-    entries: Tuple[Permutation, ...]
-    indices: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    periods: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("group", "entries", "indices", "periods")
+    _fields = ("group", "entries")
 
-    def __post_init__(self):
-        G = self.group
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if len(self.entries) < 2:
+    def __init__(self, group: FiniteGroup, entries: Tuple[Permutation, ...]):
+        G, entries = group, tuple(entries)
+        if len(entries) < 2:
             raise ValueError("a generating vector needs at least two entries")
         indices, prod = [], 0
-        for g in self.entries:
+        for g in entries:
             i = G.index_of(g)  # membership, raises ElementNotInGroup
             if i == 0:  # the identity
                 raise ValueError("identity entries are not allowed")
@@ -82,6 +77,7 @@ class GeneratingVector:
         if len(G.index_closure(indices)) != G.order:
             raise ValueError("entries do not generate the group")
         classes, class_of = G.conjugacy_classes(), G.class_ids()
+        super().__init__(G, entries)
         object.__setattr__(self, "indices", tuple(indices))
         object.__setattr__(self, "periods", tuple(classes[class_of[i]].order for i in indices))
 
@@ -93,11 +89,8 @@ class GeneratingVector:
         return GeneratingVector(self.group, tuple(h * g * hi for g in self.entries))
 
 
-@dataclass(frozen=True)
-class QuasiplatonicSurface:
-    vector: GeneratingVector
-    genus: int
-    signature: Signature
+class QuasiplatonicSurface(Record):
+    __slots__ = ("vector", "genus", "signature")
 
     @classmethod
     def from_vector(cls, v: GeneratingVector) -> "QuasiplatonicSurface":
@@ -108,14 +101,11 @@ class QuasiplatonicSurface:
         return self.vector.group
 
 
-@dataclass(frozen=True)
-class QuotientSurface:
-    """The quotient X/H of a surface with its branch data over the sphere."""
+class QuotientSurface(Record):
+    """The quotient X/H of a surface with its branch data over the sphere:
+    one (period, cycle lengths on H's cosets) pair per vector entry."""
 
-    surface: QuasiplatonicSurface
-    subgroup: Subgroup
-    genus: int
-    branch_data: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    __slots__ = ("surface", "subgroup", "genus", "branch_data")
 
     @property
     def degree(self) -> int:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -529,3 +532,18 @@ def test_verdicts_and_payloads_build_no_cyclotomic_value(capsys, monkeypatch):
         code, out = run(capsys, *argv)
         assert code == 0
         assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+def test_cold_import_loads_no_dataclasses_or_inspect():
+    """Every command line call imports `cmkit.cli` afresh, and the value
+    types are slotted records: the import must not load `dataclasses` or the
+    modules it pulls in, whose import is about a third of a cold start."""
+    code = ("import sys; before = set(sys.modules); import cmkit.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cmkit.cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "cmkit.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
