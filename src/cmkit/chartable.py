@@ -14,8 +14,11 @@ distinct roots in F_p, and (mu / (x - lambda))(A) v, read off the same
 Krylov vectors, is the projection onto the lambda-eigenspace.  Parts whose
 irreducibles share an eigenvalue (p is small, so eigenvalues can repeat) are
 split the same way by further seeded combinations and then by each class
-matrix alone, until there are as many parts as classes.  Degrees are
-recovered from the orthogonality relation.
+matrix alone.  A part v with Av a multiple of v, tested by one packed
+product, lies in one eigenspace and is kept without Krylov; each part holds
+at least one irreducible, so the splitting ends, within a pass too, as soon
+as there are as many parts as classes.  Degrees are recovered from the
+orthogonality relation.
 
 For each irreducible chi and class C of element order o, a discrete Fourier
 transform over the powers of a representative g, taken mod p with a fixed
@@ -411,7 +414,8 @@ def _joint_eigenvectors(G: FiniteGroup, p: int) -> List[List[int]]:
     combination A of class matrices, seeded ones first and then each class
     matrix alone, splits every part by the eigenvalues of A on its w_chi
     (`_split`).  Every part holds at least one irreducible, so once there are
-    k parts each holds exactly one.
+    k parts each holds exactly one, and the splitting stops there, within a
+    pass too.
     """
     k = len(G.conjugacy_classes())
     rng = random.Random(_SPLIT_SEED)
@@ -424,7 +428,13 @@ def _joint_eigenvectors(G: FiniteGroup, p: int) -> List[List[int]]:
         if len(parts) >= k:
             break
         columns = _class_combination(G, coeffs, slots)
-        parts = [part for v in parts for part in _split(columns, v, slots)]
+        split = []
+        for i, v in enumerate(parts):
+            if len(split) + len(parts) - i >= k:  # every part left holds one irreducible
+                split += parts[i:]
+                break
+            split += _split(columns, v, slots)
+        parts = split
     if len(parts) != k:
         raise InvalidCharacterTable(f"class matrices split class space into {len(parts)} "
                                     f"parts for {k} classes")
@@ -435,16 +445,22 @@ def _split(columns: List[int], start: List[int], slots: Slots) -> List[List[int]
     """The projections of start onto the eigenspaces of the matrix A with
     packed columns, one per distinct eigenvalue that start meets.
 
-    With mu the exact minimal polynomial of start under A, which must have
-    deg mu distinct roots, (mu / (x - lambda))(A) start is a nonzero multiple
-    of the projection onto the lambda-eigenspace, read off the Krylov vectors
-    that gave mu.
+    When A start is a multiple of start, found by one packed product, start
+    lies in one eigenspace and is returned as it is.  Otherwise, with mu the
+    exact minimal polynomial of start under A, which must have deg mu
+    distinct roots, (mu / (x - lambda))(A) start is a nonzero multiple of the
+    projection onto the lambda-eigenspace, read off the Krylov vectors that
+    gave mu.
     """
+    p, k = slots.p, len(start)
+    image = slots.unpack(sum(map(mul, start, columns)), k)
+    i = next(filter(start.__getitem__, range(k)), None)
+    if i is not None:
+        lam = image[i] * pow(start[i], p - 2, p) % p
+        if [lam * x % p for x in start] == image:
+            return [start]
     mu, krylov = minimal_polynomial(columns, start, slots)
-    if len(mu) == 2:
-        return [start]
-    p = slots.p
-    return [slots.unpack(sum(map(mul, divide_linear(mu, lam, p)[0], krylov)), len(start))
+    return [slots.unpack(sum(map(mul, divide_linear(mu, lam, p)[0], krylov)), k)
             for lam in distinct_roots(mu, p)]
 
 

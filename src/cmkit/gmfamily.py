@@ -10,14 +10,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import InternalCheckFailed, InvalidParameter, Record, VectorNotFound
+from .errors import InternalCheckFailed, InvalidParameter, Record
 from .group import DEFAULT_MAX_ORDER, FiniteGroup, Subgroup
 from .perm import Permutation
-from .surface import (
-    GeneratingVector,
-    Signature,
-    find_generating_vectors,
-)
+from .surface import GeneratingVector
 
 
 class GmExpected(Record):
@@ -110,14 +106,26 @@ def build_gm(m: int, max_order: int = DEFAULT_MAX_ORDER) -> GmInstance:
 
 
 def canonical_vector(inst: GmInstance) -> GeneratingVector:
-    """A generating vector with the family's branch orders, found and cached."""
+    """The family's generating vector, built from a, b and t and cached:
+    (b, t, (bt)^-1) for m = 0 (mod 4), and (t^(m/2), b t^2, b t^(m/2-2)) for
+    m = 2 (mod 4), which is the first vector `find_generating_vectors` finds
+    for the family's periods.  `GeneratingVector` checks membership, a
+    product of one and generation; other periods raise `InternalCheckFailed`."""
     if inst._vector is None:
-        sig = Signature(0, inst.expected.periods)
-        found = find_generating_vectors(inst.group, sig, limit=1)
-        if not found:
-            raise VectorNotFound(
-                f"no generating vector with periods {inst.expected.periods} for m={inst.m}")
-        inst._vector = found[0]
+        G, m = inst.group, inst.m
+        b, t = G.index_of(inst.b), G.index_of(inst.t)
+        if m % 4 == 0:
+            indices = (b, t, G.inv(G.mul(b, t)))
+        else:
+            t_powers = [0]  # t^j at position j, read in the table
+            for _ in range(m // 2):
+                t_powers.append(G.mul(t, t_powers[-1]))
+            indices = (t_powers[m // 2], G.mul(b, t_powers[2]), G.mul(b, t_powers[m // 2 - 2]))
+        vector = GeneratingVector(G, tuple(map(G.elements.__getitem__, indices)))
+        if vector.periods != inst.expected.periods:
+            raise InternalCheckFailed(f"gm({m}) vector has periods {vector.periods}, "
+                                      f"expected {inst.expected.periods}")
+        inst._vector = vector
     return inst._vector
 
 

@@ -3,11 +3,15 @@
 A group comes only from its generators.  The constructor closes them over
 image tuples by left multiplication, breadth first, and records for every
 element x and generator s the element s*x and the tree edge by which each
-element was first reached.  Elements are then numbered by image tuple (the
-identity is 0) and the Cayley table is filled along that tree: row s*p is
-row p mapped through left multiplication by s, |G|^2 list lookups and no
-compositions.  Inverses are read from the table.  Every product is a table
-lookup, so the order bound also bounds the table (|G|^2 entries).
+element was first reached; s*x for all s is read with one gather at x's
+images (`perm.gather`, an `operator.itemgetter`: one C-level call that reads
+many positions of a sequence).  The elements found are products of the
+checked generators, so they become `Permutation`s unchecked: each is checked
+once.  Elements are then numbered by image tuple (the identity is 0) and the
+Cayley table is filled along that tree: row s*p is row p mapped through left
+multiplication by s, one gather per row and no compositions.  Inverses are
+read from the table.  Every product is a table lookup, so the order bound
+also bounds the table (|G|^2 entries).
 
 Classes, power classes, closure, normality, normalizers and the subgroup
 lattice work on indices; a class's element order is read by powering its
@@ -18,16 +22,16 @@ its invariant factors count classes by their power classes in K;
 `is_abelian` and `abelian_invariants` are the case K = 1.  There is one
 closure on indices, Dimino's algorithm (`_grow`): a known subgroup H grows
 to <H, g> one left coset eH at a time, each read whole from row e of the
-table, and stops once it holds more than half the group, which by Lagrange
-is then the whole group.  The subgroup lattice and one greedy loop from the
-trivial subgroup (`_grow_greedily`, for `index_closure` and the greedy
-`Subgroup.generators`) share it.  There is one normalizer,
-`lattice.normalizer`, one test per left coset of H on H's generators, for
-the lattice and `FiniteGroup.normalizer`.  The lattice (`all_subgroups`, in
-`cmkit.lattice`) takes two passes: one join by `_grow` per class
-representative and cyclic subgroup, up to the representative's left cosets
-and normalizer, with each new class added whole by conjugation; then a
-replay of the traversal that joins every subgroup with every cyclic
+table by one gather at H's indices, and stops once it holds more than half
+the group, which by Lagrange is then the whole group.  The subgroup lattice
+and one greedy loop from the trivial subgroup (`_grow_greedily`, for
+`index_closure` and the greedy `Subgroup.generators`) share it.  There is
+one normalizer, `lattice.normalizer`, one test per left coset of H on H's
+generators, for the lattice and `FiniteGroup.normalizer`.  The lattice
+(`all_subgroups`, in `cmkit.lattice`) takes two passes: one join by `_grow`
+per class representative and cyclic subgroup, up to the representative's
+left cosets and normalizer, with each new class added whole by conjugation;
+then a replay of the traversal that joins every subgroup with every cyclic
 subgroup, read off containment bitsets, which gives each subgroup the
 generators under which that traversal first finds it.  A `Subgroup` holds
 its sorted element indices and counts them once by class (`class_weights`,
@@ -36,8 +40,8 @@ quotient genera and branch data are read off the counts (`cmkit.surface`).
 It numbers its left cosets gH only when asked (coset id of each element
 index, cosets ordered by minimal member): Galois signatures read the action
 of an element as a list of coset ids, as does the one quotient builder,
-`Subgroup.normalizer_quotient` (N_G(H)/H, for statement B).  The
-generators' indices are read off the closure.
+`Subgroup.normalizer_quotient` (N_G(H)/H, for statement B).  The generators'
+indices are read off the closure.
 `Permutation`s appear only at I/O: elements, generators, class members,
 `Subgroup.elements`, `FiniteGroup.subgroup`, `coset_action`, and `index_of`,
 which turns one into an element index.  All orderings are deterministic:
@@ -61,7 +65,7 @@ from .errors import (
     Record,
     SubgroupMismatch,
 )
-from .perm import Permutation
+from .perm import Permutation, gather
 
 # Every group carries its Cayley table, so this also bounds the table.
 DEFAULT_MAX_ORDER = 2048
@@ -86,20 +90,18 @@ class FiniteGroup:
         rank = [0] * n
         for i, old in enumerate(order):
             rank[old] = i
-        self.elements: Tuple[Permutation, ...] = tuple(Permutation(found[old]) for old in order)
-        self._images: List[Tuple[int, ...]] = [g.images for g in self.elements]
+        in_order = gather(order)
+        self._images: List[Tuple[int, ...]] = list(in_order(found))
+        self.elements: Tuple[Permutation, ...] = tuple(map(Permutation._trusted, self._images))
         self.identity = self.elements[0]
-        self._index: Dict[Tuple[int, ...], int] = {a: i for i, a in enumerate(self._images)}
-        left = [[0] * n for _ in gens]
-        for old, row in enumerate(steps):
-            for s, y in enumerate(row):
-                left[s][rank[old]] = rank[y]
-        table = [list(range(n))] + [None] * (n - 1)
+        self._index: Dict[Tuple[int, ...], int] = dict(zip(self._images, range(n)))
+        # left[s][i]: the index of s*x for the element x of index i.
+        left = [gather(in_order(column))(rank) for column in zip(*steps)]
+        table = [tuple(range(n))] + [None] * (n - 1)
         for old in range(1, n):
             p, s = tree[old]
-            ls = left[s]
-            table[rank[old]] = [ls[v] for v in table[rank[p]]]
-        self._table: List[List[int]] = table
+            table[rank[old]] = gather(table[rank[p]])(left[s])
+        self._table: List[Tuple[int, ...]] = table
         self._inv: List[int] = [row.index(0) for row in table]
         self._gens: Tuple[int, ...] = tuple(rank[y] for y in steps[0])  # s*identity = s
         self._classes: Optional[Tuple[ConjugacyClass, ...]] = None
@@ -154,8 +156,8 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return self._inv[i]
 
-    def cayley_row(self, i: int) -> List[int]:
-        """The products i*j for every element index j, in index order; read only."""
+    def cayley_row(self, i: int) -> Tuple[int, ...]:
+        """The products i*j for every element index j, in index order."""
         return self._table[i]
 
     def index_closure(self, seed: Iterable[int]) -> FrozenSet[int]:
@@ -193,19 +195,17 @@ class FiniteGroup:
         more than half the group: by Lagrange, K is then the whole group.
         """
         table = self._table
-        n, sub, steps = len(table), tuple(elements), [table[s] for s in gens]
-        add = elements.append
+        n, coset_of, steps = len(table), gather(elements), [table[s] for s in gens]
         reps = [0]
         for r in reps:
             for step in steps:
                 e = step[r]
                 if member[e]:
                     continue
-                row = table[e]
-                for h in sub:
-                    x = row[h]
+                coset = coset_of(table[e])
+                elements += coset
+                for x in coset:
                     member[x] = 1
-                    add(x)
                 if 2 * len(elements) > n:
                     return False
                 reps.append(e)
@@ -580,12 +580,15 @@ def _close(degree: int, gens: Tuple[Permutation, ...], max_order: int):
     where = {found[0]: 0}
     steps: List[List[int]] = []
     tree: List[Tuple[int, int]] = [(0, 0)]
+    images = [g.images for g in gens]
     i = 0
     while i < len(found):
-        x = found[i]
         row = []
-        for s, g in enumerate(gens):
-            y = tuple(map(g.images.__getitem__, x))
+        # s*x for every generator s reads s's images at x; with no generators
+        # no getter is made, so a huge degree keeps one image tuple.
+        compose = gather(found[i]) if images else None
+        for s, g in enumerate(images):
+            y = compose(g)
             j = where.get(y)
             if j is None:
                 if len(found) >= max_order:

@@ -44,6 +44,7 @@ from math import gcd
 from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import GroupTooLarge, InternalCheckFailed
+from .perm import gather
 
 Grow = Callable[[List[int], bytearray, Sequence[int]], bool]
 Rows = Sequence[Sequence[int]]  # a Cayley table, or one index list per element or generator
@@ -151,11 +152,12 @@ def normalizer(table: Rows, inv: Sequence[int],
     member, seen, found = bytearray(n), bytearray(n), []
     for h in h_list:
         member[h] = 1
+    coset_of = gather(h_list)
     for x in range(n):
         if seen[x]:
             continue
         row, x_inv = table[x], inv[x]
-        coset = [row[h] for h in h_list]
+        coset = coset_of(row)
         for y in coset:
             seen[y] = 1
         if all(member[table[row[g]][x_inv]] for g in h_gens):
@@ -170,8 +172,9 @@ def _conjugates(k: FrozenSet[int], k_gens: Sequence[int], conj: Rows) -> List[Fr
         return [k]
     orbit, seen = [k], {k}
     for h in orbit:
+        image_of = gather(h)
         for c in conj:
-            x = frozenset(map(c.__getitem__, h))
+            x = frozenset(image_of(c))
             if x not in seen:
                 seen.add(x)
                 orbit.append(x)

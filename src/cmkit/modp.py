@@ -34,9 +34,13 @@ class Slots:
         self.p = p
         self.width, self.code = (32, "I") if bound >> 32 == 0 else (64, "Q")
         self.mask = (1 << self.width) - 1
+        self._packers = {}  # one compiled struct per vector length
 
     def pack(self, values: List[int]) -> int:
-        return int.from_bytes(struct.pack(f"<{len(values)}{self.code}", *values), "little")
+        packer = self._packers.get(len(values))
+        if packer is None:
+            packer = self._packers[len(values)] = struct.Struct(f"<{len(values)}{self.code}").pack
+        return int.from_bytes(packer(*values), "little")
 
     def unpack(self, x: int, size: int) -> List[int]:
         """The first `size` slots of x, reduced mod p."""

@@ -1,12 +1,14 @@
 """Permutations of {0, ..., n-1} stored as image tuples.
 
-Composition is function composition: ``(p * q)(x) = p(q(x))``.
+Composition is function composition: ``(p * q)(x) = p(q(x))``, read by one
+`gather` of p's images at q's.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidPermutation
 
@@ -27,6 +29,14 @@ class Permutation:
         if min(imgs) < 0 or max(imgs) >= n or len(set(imgs)) != n:
             raise InvalidPermutation(f"image array {imgs!r} is not a bijection")
         object.__setattr__(self, "images", imgs)
+
+    @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        """A permutation on an image tuple of ints already known to be a
+        bijection, such as a product of checked permutations: no checks."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
 
     # Permutations are immutable.
     def __setattr__(self, name, value):
@@ -60,8 +70,7 @@ class Permutation:
             return NotImplemented
         if len(self.images) != len(other.images):
             raise InvalidPermutation("degree mismatch in composition")
-        mine = self.images
-        return Permutation(tuple(mine[x] for x in other.images))
+        return Permutation(gather(other.images)(self.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -116,6 +125,15 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
+
+
+def gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The reader of a sequence at one or more `indices`, into a tuple, in one
+    C-level call: `operator.itemgetter`, but one index also gives a tuple."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
 
 def cycles_of(images: Sequence[int]) -> list[tuple[int, ...]]:

@@ -24,6 +24,7 @@ from cmkit import (
     GeneratingVector,
     GenusZeroQuotient,
     GroupMismatch,
+    GroupTooLarge,
     InvalidCharacterTable,
     NotNormal,
     NotProperNontrivial,
@@ -168,6 +169,48 @@ def index_table(G):
     """The package's Cayley table and inverses, read through `mul` and `inv`."""
     n = G.order
     return [[G.mul(i, j) for j in range(n)] for i in range(n)], [G.inv(i) for i in range(n)]
+
+
+def reference_closure(degree, gens, max_order):
+    """(image tuples in index order, Cayley table, inverses) of the group the
+    `Permutation`s `gens` generate, composed and filled entry by entry: the
+    oracle for `FiniteGroup`'s closure and table, which read by gathers.
+    Raises `GroupTooLarge` as the constructor does."""
+    found = [tuple(range(degree))]
+    where = {found[0]: 0}
+    steps = []
+    tree = [(0, 0)]
+    i = 0
+    while i < len(found):
+        x = found[i]
+        row = []
+        for s, g in enumerate(gens):
+            y = tuple(map(g.images.__getitem__, x))
+            j = where.get(y)
+            if j is None:
+                if len(found) >= max_order:
+                    raise GroupTooLarge(f"order bound {max_order} exceeded")
+                j = where[y] = len(found)
+                found.append(y)
+                tree.append((i, s))
+            row.append(j)
+        steps.append(row)
+        i += 1
+    n = len(found)
+    order = sorted(range(n), key=found.__getitem__)
+    rank = [0] * n
+    for i, old in enumerate(order):
+        rank[old] = i
+    left = [[0] * n for _ in gens]
+    for old, row in enumerate(steps):
+        for s, y in enumerate(row):
+            left[s][rank[old]] = rank[y]
+    table = [list(range(n))] + [None] * (n - 1)
+    for old in range(1, n):
+        p, s = tree[old]
+        ls = left[s]
+        table[rank[old]] = [ls[v] for v in table[rank[p]]]
+    return [found[old] for old in order], table, [row.index(0) for row in table]
 
 
 def bfs_closure(G, seed):

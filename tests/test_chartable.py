@@ -452,6 +452,52 @@ def test_split_leaves_a_repeated_eigenvalue_to_a_later_combination():
     assert _split(_packed_columns(later, slots), parts[1], slots) == [parts[1]]
 
 
+@pytest.mark.parametrize("m,passes,degrees", [
+    (12, 3, [24, 2, 2, 3, 2, 2]),
+    (16, 2, [39, 2]),
+])
+def test_split_passes_stop_at_k_parts(m, passes, degrees, monkeypatch):
+    """Counted on gm:12 and gm:16: after the first pass, Krylov runs only on
+    parts that the one-product test rejects (without the test and the stop,
+    the split ran 55 and 40 minimal polynomials here, most of degree 1), and
+    no part is split and no pass begins once there are k parts."""
+    G = build_gm(m).group
+    k = len(G.conjugacy_classes())
+    p = chartable._find_prime(G.exponent(), 2 * G.order + 1)
+    events = []
+    real_split, real_minpoly = chartable._split, chartable.minimal_polynomial
+    real_combination = chartable._class_combination
+
+    def combination(*args):
+        events.append(("pass", None))
+        return real_combination(*args)
+
+    def split(*args):
+        events.append(("split", None))
+        return real_split(*args)
+
+    def minimal_polynomial(*args):
+        mu, krylov = real_minpoly(*args)
+        events.append(("krylov", len(mu) - 1))
+        return mu, krylov
+
+    monkeypatch.setattr(chartable, "_class_combination", combination)
+    monkeypatch.setattr(chartable, "_split", split)
+    monkeypatch.setattr(chartable, "minimal_polynomial", minimal_polynomial)
+    vectors = chartable._joint_eigenvectors(G, p)
+    parts, seen_passes, found = 1, 0, []
+    for kind, degree in events:
+        if kind == "krylov":
+            assert seen_passes == 1 or degree >= 2
+            found.append(degree)
+            parts += degree - 1
+        else:
+            assert parts < k, f"a {kind} after {k} parts"
+            seen_passes += kind == "pass"
+    assert parts == len(vectors) == k
+    assert (seen_passes, found) == (passes, degrees)
+
+
 def _table_groups():
     groups = [
         pytest.param(FiniteGroup.trivial, id="C1"),

@@ -1,13 +1,17 @@
 import pytest
 
 from cmkit import (
+    InternalCheckFailed,
     InvalidParameter,
+    Signature,
     build_gm,
     canonical_vector,
+    find_generating_vectors,
     genus_from_vector,
     known_subgroup_collection,
     quotient_surface,
 )
+from cmkit.gmfamily import GmExpected
 from conftest import gm_bundle
 
 
@@ -44,6 +48,23 @@ def test_canonical_vector_periods(m, periods):
     v = canonical_vector(inst)
     assert v.periods == periods
     assert canonical_vector(inst) is v  # cached
+
+
+def test_canonical_vector_is_the_first_vector_the_search_finds():
+    """The vector built from a, b and t is the one the generic search finds
+    first, for every even m from 6 to 64; payloads and goldens print it."""
+    for m in range(6, 66, 2):
+        inst = build_gm(m)
+        searched = find_generating_vectors(inst.group, Signature(0, inst.expected.periods))
+        assert canonical_vector(inst).entries == searched[0].entries, m
+
+
+def test_canonical_vector_checks_its_periods():
+    inst = build_gm(6)
+    inst.expected = GmExpected(**{**{f: getattr(inst.expected, f) for f in GmExpected.__slots__},
+                                  "periods": (2, 6, 6)})
+    with pytest.raises(InternalCheckFailed):
+        canonical_vector(inst)
 
 
 @pytest.mark.parametrize("m", list(range(6, 22, 2)))

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -38,6 +39,7 @@ from conftest import (
     klein_4,
     psl_2_7,
     psl_2_8,
+    reference_closure,
     reference_generators,
     reference_subgroups,
     reference_table,
@@ -78,6 +80,66 @@ def test_cayley_table_matches_permutation_products(maker):
     read from it, equal the products and inverses of the `Permutation`s."""
     G = maker()
     assert index_table(G) == reference_table(G)
+
+
+@pytest.mark.parametrize("maker", [
+    pytest.param(lambda: FiniteGroup(1, [Permutation([0])]), id="one-point"),
+    pytest.param(FiniteGroup.trivial, id="C1"),
+    pytest.param(lambda: FiniteGroup.cyclic(2), id="C2"),
+    pytest.param(symmetric_3, id="S3"),
+])
+def test_single_index_gathers(maker):
+    """On one point and on groups of order 1 and 2 each gather may read one
+    index, where `itemgetter` alone returns the bare item: the closure, the
+    table, `_grow` and `lattice.normalizer` from the trivial subgroup must
+    still give tuples of indices."""
+    G = maker()
+    images, table, inv = reference_closure(G.degree, G.generators, G.order)
+    assert [g.images for g in G.elements] == images
+    assert [list(row) for row in G._table] == table and G._inv == inv
+    n = G.order
+    for g in range(n):
+        elements, member = [0], bytearray(n)
+        member[0] = 1
+        if G._grow(elements, member, (g,)):
+            assert sorted(elements) == sorted(bfs_closure(G, (g,)))
+        else:  # more than half the group: by Lagrange, all of it
+            assert 2 * len(elements) > n
+        assert [x for x in range(n) if member[x]] == sorted(elements)
+    assert sorted(lattice.normalizer(G._table, G._inv, [0], ())) == list(range(n))
+    assert G.normalizer(G.trivial_subgroup()).order == n
+
+
+def test_closure_builds_elements_without_the_public_checks():
+    """Closure elements are products of checked generators, so the group
+    makes them without calling `Permutation.__init__` again."""
+    gens = [Permutation([1, 2, 3, 0]), Permutation([1, 0, 2, 3])]
+    with mock.patch.object(Permutation, "__init__", autospec=True,
+                           side_effect=Permutation.__init__) as init:
+        G = FiniteGroup(4, gens)
+    assert G.order == 24 and init.call_count == 0
+    assert all(type(g.images) is tuple and type(g) is Permutation for g in G.elements)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(min_value=2, max_value=7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=3))))
+def test_closure_matches_the_reference_closure(case):
+    """Random groups of degree 2-7 on one to three generators: elements,
+    Cayley table and inverses equal the per-entry reference closure, and
+    both stop at the same order bound."""
+    degree, gens = case
+    gens = [Permutation(g) for g in gens]
+    try:
+        images, table, inv = reference_closure(degree, gens, 120)
+    except GroupTooLarge:
+        with pytest.raises(GroupTooLarge):
+            FiniteGroup(degree, gens, max_order=120)
+        return
+    G = FiniteGroup(degree, gens, max_order=120)
+    assert [g.images for g in G.elements] == images
+    assert [list(row) for row in G._table] == table
+    assert G._inv == inv
 
 
 # S7 (order 5040) is past the default order bound of 2048; its table would

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmkit import InvalidPermutation, Permutation
+from cmkit.perm import gather
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(list(range(n))).map(Permutation))
@@ -41,6 +42,14 @@ def test_keeps_a_tuple_of_ints_and_copies_anything_else():
 def test_degree_mismatch_in_composition():
     with pytest.raises(InvalidPermutation):
         Permutation([1, 0]) * Permutation([1, 0, 2])
+
+
+def test_gather_gives_a_tuple_for_one_index_too():
+    assert gather([2])("abc") == ("c",)
+    assert gather(frozenset({1}))("abc") == ("b",)
+    assert gather([2, 0, 2])("abc") == ("c", "a", "c")
+    one = Permutation([0])
+    assert one * one == one and (one * one).images == (0,)
 
 
 def test_composition_is_function_composition():
