@@ -53,7 +53,6 @@ from .errors import (
     NotNormalInN,
     NotProperNontrivial,
     SubgroupMismatch,
-    VectorNotFound,
 )
 from .gmfamily import GmInstance, build_gm, canonical_vector, known_subgroup_collection
 from .group import ConjugacyClass, FiniteGroup, Subgroup

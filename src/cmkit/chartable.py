@@ -33,10 +33,11 @@ once per rational class, for all irreducibles at once: the values mod p of
 every irreducible at a class are packed into one int, a slot per
 irreducible, and with 1/o folded into the transform's rows each n_t is o
 packed multiply-adds.  The class of g^u, u a unit mod o, has the spectrum
-n_(t u^-1), read by reindexing.  At every class, sum_t n_t z^(t e/o) must
-give back the class's value mod p, one packed sum per class: in exact
-arithmetic an identity of the inverse transform, it guards the slot width
-and the reindexing.  The spectra are the table: `CharacterTable` stores
+n_(t u^-1), read by reindexing; the rational classes and their reindexing
+are the group's `rational_sources`, built with its classes.  At every
+class, sum_t n_t z^(t e/o) must give back the class's value mod p, one
+packed sum per class: in exact arithmetic an identity of the inverse
+transform, it guards the slot width and the reindexing.  The spectra are the table: `CharacterTable` stores
 nothing else, one tuple per distinct spectrum shared by every cell that
 holds it, and degrees, Chevalley-Weil counts, class sums
 (`fixed_dimensions`) and `conjugate_index` read them.  Each distinct
@@ -54,7 +55,7 @@ oracle API (`irreducibles`, `inner_product`, `fixed_space_dimension`).
 from __future__ import annotations
 
 import random
-from math import gcd, isqrt
+from math import isqrt
 from operator import itemgetter, mul
 from typing import Dict, List, Optional, Tuple
 
@@ -268,7 +269,7 @@ def _dixon_rows(G: FiniteGroup) -> Tuple[tuple, Dict[Tuple[int, ...], List[int]]
     orders = [cls.order for cls in classes]
     inv_class = power_class_map(G, -1)
     power = G.power_classes()
-    source = _rational_sources(classes, power)
+    source = G.rational_sources()
 
     p = _find_prime(e, 2 * n + 1)
     z = _find_root_of_unity(e, p)
@@ -325,25 +326,6 @@ def _dixon_rows(G: FiniteGroup) -> Tuple[tuple, Dict[Tuple[int, ...], List[int]]
     values = _value_vectors(e, rows_out)
     rows_out.sort(key=lambda spectra: tuple(map(values.__getitem__, spectra)))
     return tuple(rows_out), values
-
-
-def _rational_sources(classes, power) -> List[Tuple[int, List[int]]]:
-    """(first, [t u^-1 mod o for t < o]) for each class.
-
-    A class is the class of g^u for a unit u mod o, where g represents
-    `first`, the first class of its rational class, and o is the element
-    order.  rho(g^u) has the eigenvalues of rho(g) raised to the u-th power,
-    so the class's spectrum is the spectrum of `first` read at t u^-1.
-    """
-    source: List[Optional[Tuple[int, List[int]]]] = [None] * len(classes)
-    for c, (cls, row) in enumerate(zip(classes, power)):
-        if source[c] is None:
-            o = cls.order
-            for u in range(o):
-                if gcd(u, o) == 1 and source[row[u]] is None:
-                    u_inv = pow(u, -1, o)
-                    source[row[u]] = (c, [(t * u_inv) % o for t in range(o)])
-    return source
 
 
 def _value_vectors(e: int, rows) -> Dict[Tuple[int, ...], List[int]]:

@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .chartable import CharacterTable, _rational_sources, character_table
+from .chartable import CharacterTable, character_table
 from .cyclotomic import accumulate, class_sums, cyclic_product, exact_quotient
 from .errors import (
     GenusZeroQuotient,
@@ -333,7 +333,7 @@ def _streit_value(X: QuasiplatonicSurface, scale: int, values: Sequence[Sequence
             f"<chi_a, 1> = {orbit_genus} is not the orbit genus {X.signature.orbit_genus}")
     quadratic = [0] * G.exponent()
     squares: Dict[int, List[int]] = {}
-    sources = _rational_sources(classes, G.power_classes())
+    sources = G.rational_sources()
     for c, (cls, (first, reindex)) in enumerate(zip(classes, sources)):
         if first not in squares:
             squares[first] = cyclic_product(values[first], values[first])

@@ -64,10 +64,6 @@ class NonIntegralMultiplicity(CmkitError):
     """Eigenvalue bookkeeping produced a non-integral multiplicity."""
 
 
-class VectorNotFound(CmkitError):
-    """No generating vector exists for the requested signature."""
-
-
 class InvalidParameter(CmkitError):
     """Parameter outside the supported range."""
 

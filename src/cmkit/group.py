@@ -13,10 +13,18 @@ multiplication by s, one gather per row and no compositions.  Inverses are
 read from the table.  Every product is a table lookup, so the order bound
 also bounds the table (|G|^2 entries).
 
-Classes, power classes, closure, normality, normalizers and the subgroup
-lattice work on indices; a class's element order is read by powering its
-first member in the table, and each class keeps its sorted indices, from
-which the lattice reads every element's class.  For K normal, given by its
+Every class fact is built with the group, in one pass right after the
+table (`_build_classes`).  The conjugation map x -> s*x*s^-1 of each
+generator s is read with one gather per generator, and the classes are the
+orbits of these maps.  One walk over the powers of each class's first member
+(`perm.powers`, the one powers routine, which `lattice.cyclic_generators`
+shares) gives its element order and its power-class row; the exponent and
+the rational sources (each class as g^u, u a unit, for g in the first class
+of its rational class) follow from the rows.  `conjugacy_classes`,
+`class_ids`, `class_representatives`, `power_classes`, `exponent` and
+`rational_sources` return the stored facts; each class keeps its sorted
+indices, from which the lattice reads every element's class, and the
+lattice takes the conjugation maps.  For K normal, given by its
 element indices, G/K is abelian when G's generators commute modulo K, and
 its invariant factors count classes by their power classes in K;
 `is_abelian` and `abelian_invariants` are the case K = 1.  There is one
@@ -26,8 +34,10 @@ table by one gather at H's indices, and stops once it holds more than half
 the group, which by Lagrange is then the whole group.  The subgroup lattice
 and one greedy loop from the trivial subgroup (`_grow_greedily`, for
 `index_closure` and the greedy `Subgroup.generators`) share it.  There is
-one normalizer, `lattice.normalizer`, one test per left coset of H on H's
-generators, for the lattice and `FiniteGroup.normalizer`.  The lattice
+one left-coset walk, `perm.left_cosets` (each coset xH, x its minimal
+member, read whole from row x of the table by one gather at H's indices),
+and one normalizer on it, `lattice.normalizer`, one test per left coset of H
+on H's generators, for the lattice and `FiniteGroup.normalizer`.  The lattice
 (`all_subgroups`, in `cmkit.lattice`) takes two passes: one join by `_grow`
 per class representative and cyclic subgroup, up to the representative's
 left cosets and normalizer, with each new class added whole by conjugation;
@@ -37,11 +47,11 @@ generators under which that traversal first finds it.  A `Subgroup` holds
 its sorted element indices and counts them once by class (`class_weights`,
 |H cap C| for every class C): H is normal when each count is 0 or |C|, and
 quotient genera and branch data are read off the counts (`cmkit.surface`).
-It numbers its left cosets gH only when asked (coset id of each element
-index, cosets ordered by minimal member): Galois signatures read the action
-of an element as a list of coset ids, as does the one quotient builder,
-`Subgroup.normalizer_quotient` (N_G(H)/H, for statement B).  The generators'
-indices are read off the closure.
+It numbers its left cosets gH by the same walk, only when asked (coset id
+of each element index, cosets ordered by minimal member): Galois signatures
+read the action of an element as a list of coset ids, as does the one
+quotient builder, `Subgroup.normalizer_quotient` (N_G(H)/H, for statement
+B).  The generators' indices are read off the closure.
 `Permutation`s appear only at I/O: elements, generators, class members,
 `Subgroup.elements`, `FiniteGroup.subgroup`, `coset_action`, and `index_of`,
 which turns one into an element index.  All orderings are deterministic:
@@ -52,7 +62,8 @@ element indices).
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Container, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import prime_factors
@@ -65,7 +76,7 @@ from .errors import (
     Record,
     SubgroupMismatch,
 )
-from .perm import Permutation, gather
+from .perm import Permutation, gather, left_cosets, powers
 
 # Every group carries its Cayley table, so this also bounds the table.
 DEFAULT_MAX_ORDER = 2048
@@ -78,6 +89,8 @@ class FiniteGroup:
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  max_order: int = DEFAULT_MAX_ORDER):
         self.degree = int(degree)
+        if self.degree < 1:
+            raise InvalidPermutation(f"group degree {self.degree} is below 1")
         gens = tuple(generators)
         for g in gens:
             if g.degree != self.degree:
@@ -91,10 +104,10 @@ class FiniteGroup:
         for i, old in enumerate(order):
             rank[old] = i
         in_order = gather(order)
-        self._images: List[Tuple[int, ...]] = list(in_order(found))
-        self.elements: Tuple[Permutation, ...] = tuple(map(Permutation._trusted, self._images))
+        images = in_order(found)
+        self.elements: Tuple[Permutation, ...] = tuple(map(Permutation._trusted, images))
         self.identity = self.elements[0]
-        self._index: Dict[Tuple[int, ...], int] = dict(zip(self._images, range(n)))
+        self._index: Dict[Tuple[int, ...], int] = dict(zip(images, range(n)))
         # left[s][i]: the index of s*x for the element x of index i.
         left = [gather(in_order(column))(rank) for column in zip(*steps)]
         table = [tuple(range(n))] + [None] * (n - 1)
@@ -104,14 +117,58 @@ class FiniteGroup:
         self._table: List[Tuple[int, ...]] = table
         self._inv: List[int] = [row.index(0) for row in table]
         self._gens: Tuple[int, ...] = tuple(rank[y] for y in steps[0])  # s*identity = s
-        self._classes: Optional[Tuple[ConjugacyClass, ...]] = None
-        self._class_of: Optional[List[int]] = None
-        self._class_members: Optional[List[List[int]]] = None  # sorted indices per class
-        self._class_reps: Optional[List[int]] = None
-        self._power_classes: Optional[Tuple[Tuple[int, ...], ...]] = None
+        # _conj[k][x]: the index of s*x*s^-1 for the k-th generator s, read
+        # at the column of s^-1 through s's row.
+        self._conj = [
+            gather(table[s])(tuple(map(itemgetter(self._inv[s]), table))) for s in self._gens]
+        self._build_classes()
         self._subgroups: Optional[Tuple["Subgroup", ...]] = None
-        self._exponent: Optional[int] = None
         self._chartable = None  # populated by cmkit.chartable.character_table
+
+    def _build_classes(self) -> None:
+        """Every class fact, once: the classes are the orbits of the
+        generators' conjugation maps, and the powers of each class's first
+        member give its element order and its power-class row, from which
+        the exponent and the rational sources follow."""
+        n, table, conj = self.order, self._table, self._conj
+        seen, orbits = bytearray(n), []
+        for start in range(n):
+            if seen[start]:
+                continue
+            seen[start] = 1
+            orbit = [start]
+            for x in orbit:  # classes are disjoint: a seen conjugate is in this orbit
+                for c in conj:
+                    y = c[x]
+                    if not seen[y]:
+                        seen[y] = 1
+                        orbit.append(y)
+            orbit.sort()  # start, the least index not in an earlier orbit, comes first
+            orbits.append((powers(table[start]), orbit))
+        # Indices are numbered in image order, so the first member's index
+        # orders classes of one element order and size as its images would.
+        orbits.sort(key=lambda pair: (len(pair[0]), len(pair[1]), pair[1][0]))
+        class_of = [0] * n
+        for ci, (_, members) in enumerate(orbits):
+            for i in members:
+                class_of[i] = ci
+        self._class_of = class_of
+        self._class_members = [members for _, members in orbits]
+        self._class_reps = [members[0] for members in self._class_members]
+        self._classes = tuple(
+            ConjugacyClass(self.elements[members[0]], gather(members)(self.elements), len(pw))
+            for pw, members in orbits)
+        self._power_classes = tuple(gather(pw)(class_of) for pw, _ in orbits)
+        self._exponent = lcm(*(len(pw) for pw, _ in orbits))
+        sources = [None] * len(orbits)  # see `rational_sources`
+        for c, row in enumerate(self._power_classes):
+            if sources[c] is None:
+                o = len(row)
+                for u in range(o):
+                    if gcd(u, o) == 1 and sources[row[u]] is None:
+                        u_inv = pow(u, -1, o)
+                        sources[row[u]] = (c, tuple((t * u_inv) % o for t in range(o)))
+        self._sources = sources
 
     @classmethod
     def from_generators(cls, degree: int, gens: Sequence[Permutation],
@@ -224,79 +281,40 @@ class FiniteGroup:
                    for k, a in enumerate(gens) for b in gens[k + 1:])
 
     def exponent(self) -> int:
-        if self._exponent is None:
-            self._exponent = lcm(*(cls.order for cls in self.conjugacy_classes()))
         return self._exponent
 
     # -- conjugacy classes -------------------------------------------------
 
     def conjugacy_classes(self) -> Tuple["ConjugacyClass", ...]:
-        if self._classes is not None:
-            return self._classes
-        n, table, inv, gen_idx = self.order, self._table, self._inv, self._gens
-        seen = [False] * n
-        raw: List[List[int]] = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            orbit = [start]
-            for x in orbit:  # classes are disjoint: a seen conjugate is in this orbit
-                for gi in gen_idx:
-                    y = table[table[gi][x]][inv[gi]]
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.append(y)
-            raw.append(sorted(orbit))
-        keyed = sorted((self._index_order(members[0]), len(members),
-                        self._images[members[0]], members) for members in raw)
-        classes = []
-        class_of = [0] * n
-        for ci, (order, _, _, members) in enumerate(keyed):
-            perms = tuple(self.elements[i] for i in members)
-            classes.append(ConjugacyClass(perms[0], perms, order))
-            for i in members:
-                class_of[i] = ci
-        self._classes = tuple(classes)
-        self._class_of = class_of
-        self._class_members = [members for _, _, _, members in keyed]
-        self._class_reps = [members[0] for members in self._class_members]
+        """The classes, ordered by (element order, size, minimal member)."""
         return self._classes
-
-    def _index_order(self, x: int) -> int:
-        """Order of the element with index x, by powering it in the table."""
-        row, y, order = self._table[x], x, 1
-        while y:
-            y, order = row[y], order + 1
-        return order
 
     def class_ids(self) -> List[int]:
         """The class index of every element index."""
-        self.conjugacy_classes()
         return self._class_of
 
     def class_index(self, g: Permutation) -> int:
-        return self.class_ids()[self.index_of(g)]
+        return self._class_of[self.index_of(g)]
 
     def class_representatives(self) -> List[int]:
         """The element index of every class's representative."""
-        self.conjugacy_classes()
         return self._class_reps
 
     def power_classes(self) -> Tuple[Tuple[int, ...], ...]:
         """For each class, the classes of rep^s for s = 0, ..., o - 1, where
         rep is its representative and o its element order."""
-        if self._power_classes is None:
-            class_of = self.class_ids()
-            rows = []
-            for cls, rep in zip(self._classes, self._class_reps):
-                cur, row = 0, []
-                for _ in range(cls.order):
-                    row.append(class_of[cur])
-                    cur = self.mul(cur, rep)
-                rows.append(tuple(row))
-            self._power_classes = tuple(rows)
         return self._power_classes
+
+    def rational_sources(self) -> List[Tuple[int, Tuple[int, ...]]]:
+        """(first, (t u^-1 mod o for t < o)) for each class.
+
+        A class is the class of g^u for a unit u mod o, where g represents
+        `first`, the first class of its rational class, and o is the element
+        order.  rho(g^u) has the eigenvalues of rho(g) raised to the u-th
+        power, so the class's spectrum is the spectrum of `first` read at
+        t u^-1.
+        """
+        return self._sources
 
     # -- subgroups ---------------------------------------------------------
 
@@ -323,7 +341,7 @@ class FiniteGroup:
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, range(self.order), self._gens)
 
-    def all_subgroups(self, bound: int = DEFAULT_SUBGROUP_BOUND) -> Tuple["Subgroup", ...]:
+    def all_subgroups(self) -> Tuple["Subgroup", ...]:
         """Every subgroup, ordered by (order, element indices), each with the
         generators that the LIFO traversal of joins records first.
 
@@ -342,22 +360,19 @@ class FiniteGroup:
         `InternalCheckFailed`.  Each subgroup keeps the number of its class
         of subgroups, in the first pass's order, as `_class`.
 
-        Raises `GroupTooLarge` as soon as more than `bound` subgroups are
-        known.
+        Raises `GroupTooLarge` as soon as more than `DEFAULT_SUBGROUP_BOUND`
+        subgroups are known; the bound is read when the lattice is built.
         """
-        if self._subgroups is not None:
-            if len(self._subgroups) > bound:
-                raise GroupTooLarge(f"subgroup enumeration bound {bound} exceeded")
-            return self._subgroups
-
-        from .lattice import subgroup_lattice
-        conjugates = [self._class_members[c] for c in self.class_ids()]
-        subs = []
-        for indices, gens, number in subgroup_lattice(self._table, self._inv, self._gens,
-                                                      conjugates, self._grow, bound):
-            subs.append(Subgroup(self, indices, gens))
-            subs[-1]._class = number
-        self._subgroups = tuple(subs)
+        if self._subgroups is None:
+            from .lattice import subgroup_lattice
+            conjugates = [self._class_members[c] for c in self._class_of]
+            subs = []
+            for indices, gens, number in subgroup_lattice(self._table, self._inv, self._conj,
+                                                          conjugates, self._grow,
+                                                          DEFAULT_SUBGROUP_BOUND):
+                subs.append(Subgroup(self, indices, gens))
+                subs[-1]._class = number
+            self._subgroups = tuple(subs)
         return self._subgroups
 
     def _check_subgroup(self, H: "Subgroup") -> None:
@@ -367,8 +382,7 @@ class FiniteGroup:
     def is_normal(self, H: "Subgroup") -> bool:
         """H is normal when it is a union of classes: |H cap C| is 0 or |C| for every C."""
         self._check_subgroup(H)
-        classes = self.conjugacy_classes()
-        return all(w in (0, cls.size) for w, cls in zip(H.class_weights(), classes))
+        return all(w in (0, cls.size) for w, cls in zip(H.class_weights(), self._classes))
 
     def normalizer(self, H: "Subgroup") -> "Subgroup":
         """N_G(H), by `lattice.normalizer`: one test per left coset of H."""
@@ -409,7 +423,7 @@ class FiniteGroup:
         classes whose power class at q lies in K: |K| times the coset count.  A
         class lies in K when its representative does.
         """
-        classes, power = self.conjugacy_classes(), self.power_classes()
+        classes, power = self._classes, self._power_classes
         in_k = [r in K for r in self._class_reps]
         factors: List[int] = []  # ascending
         for p in prime_factors(self.order // size):
@@ -511,14 +525,14 @@ class Subgroup:
         return self.parent._commute_modulo(self._generator_indices(), {0})
 
     def is_cyclic(self) -> bool:
-        classes, class_of = self.parent.conjugacy_classes(), self.parent.class_ids()
+        classes, class_of = self.parent._classes, self.parent._class_of
         return any(classes[class_of[i]].order == self.order for i in self.indices)
 
     def class_weights(self) -> Tuple[int, ...]:
         """|H cap C| for every class C of the parent, in class order."""
         if self._weights is None:
-            class_of = self.parent.class_ids()
-            weights = [0] * len(self.parent.conjugacy_classes())
+            class_of = self.parent._class_of
+            weights = [0] * len(self.parent._classes)
             for i in self.indices:
                 weights[class_of[i]] += 1
             self._weights = tuple(weights)
@@ -533,14 +547,11 @@ class Subgroup:
         minimal member of every coset; H itself is coset 0.
         """
         if self._cosets is None:
-            G = self.parent
-            coset = [-1] * G.order
-            reps: List[int] = []
-            for i in range(G.order):
-                if coset[i] < 0:
-                    for h in self.indices:
-                        coset[G.mul(i, h)] = len(reps)
-                    reps.append(i)
+            coset, reps = [0] * self.parent.order, []
+            for x, members in left_cosets(self.parent._table, self.indices):
+                for y in members:
+                    coset[y] = len(reps)
+                reps.append(x)
             self._cosets = (coset, reps)
         return self._cosets
 

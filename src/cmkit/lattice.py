@@ -1,8 +1,9 @@
 """The subgroup lattice of a finite group, computed on element indices.
 
 The group is given by its Cayley table (`table[a][b]` is the index of a*b,
-the identity is 0), its inverses, its generators' indices, the conjugacy
-class of every element index and its one closure routine, `grow`
+the identity is 0), its inverses, the conjugation map x -> s*x*s^-1 of each
+of its generators s (built once, with the group), the conjugacy class of
+every element index and its one closure routine, `grow`
 (`FiniteGroup._grow`: Dimino's extension of a known subgroup H to the
 subgroup generated by H's generators and one more element).
 The lattice is found in two passes.
@@ -18,7 +19,8 @@ The lattice is found in two passes.
    K = <H0, i>, also <H0, x> = K for every x in the left coset iH0, and
    <H0, g*x*g^-1> = g*K*g^-1 for every g in N_G(H0).  N_G(H0) comes from
    `normalizer`, the one normalizer routine, which `FiniteGroup.normalizer`
-   also calls; for H0 normal it is G, and the conjugates of i are its
+   also calls and which tests one element per left coset of H0, walked by
+   `perm.left_cosets`; for H0 normal it is G, and the conjugates of i are its
    conjugacy class, which the caller passes in for every element.
 2. Replay (`replay_lattice`).  Each subgroup takes the generator tuple that
    the plain traversal finds first: the trivial subgroup and the cyclic
@@ -44,22 +46,22 @@ from math import gcd
 from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import GroupTooLarge, InternalCheckFailed
-from .perm import gather
+from .perm import gather, left_cosets, powers
 
 Grow = Callable[[List[int], bytearray, Sequence[int]], bool]
 Rows = Sequence[Sequence[int]]  # a Cayley table, or one index list per element or generator
 
 
-def subgroup_lattice(table: Rows, inv: Sequence[int], gens: Sequence[int], conjugates: Rows,
+def subgroup_lattice(table: Rows, inv: Sequence[int], conj: Rows, conjugates: Rows,
                      grow: Grow, bound: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
     """(sorted element indices, generator indices, class number) of every
     subgroup, ordered by (order, indices); the class number is the position
-    of its class of subgroups in `subgroup_classes`.  `conjugates[x]` is the
+    of its class of subgroups in `subgroup_classes`.  `conj[s][x]` is the
+    index of s*x*s^-1 for each generator s of G, and `conjugates[x]` the
     conjugacy class of element index x.  Raises `GroupTooLarge` as soon as
     more than `bound` subgroups are known."""
     n = len(table)
     canon = cyclic_generators(table)
-    conj = [[table[table[s][x]][inv[s]] for x in range(n)] for s in gens]
     classes = subgroup_classes(table, inv, conj, canon, conjugates, grow, bound)
     lattice = replay_lattice(canon, conj, classes)
     if lattice[0][0] != (0,) or len(lattice[-1][0]) != n:
@@ -78,18 +80,15 @@ def cyclic_generators(table: Rows) -> List[int]:
     """For every element index x, the least index that generates <x>.
 
     Walking the indices upward, the first member of a cyclic subgroup met is
-    its least generator i; the other generators are its powers i^k with k
-    prime to the order of i."""
+    its least generator i; the other generators are its powers i^k, walked
+    by `perm.powers`, with k prime to the order of i."""
     canon = [-1] * len(table)
     for i, row in enumerate(table):
         if canon[i] >= 0:
             continue
-        powers, y = [i], i
-        while y:
-            y = row[y]
-            powers.append(y)
-        o = len(powers)
-        for k, y in enumerate(powers, 1):
+        found = powers(row)
+        o = len(found)
+        for k, y in enumerate(found):
             if gcd(k, o) == 1:
                 canon[y] = i
     return canon
@@ -148,18 +147,11 @@ def normalizer(table: Rows, inv: Sequence[int],
     """Element indices of N_G(H), H given by its element indices and its
     generators' indices: the union of the left cosets xH, one test per coset,
     whose x conjugates every generator g of H into H (x*g*x^-1 in H)."""
-    n = len(table)
-    member, seen, found = bytearray(n), bytearray(n), []
+    member, found = bytearray(len(table)), []
     for h in h_list:
         member[h] = 1
-    coset_of = gather(h_list)
-    for x in range(n):
-        if seen[x]:
-            continue
+    for x, coset in left_cosets(table, h_list):
         row, x_inv = table[x], inv[x]
-        coset = coset_of(row)
-        for y in coset:
-            seen[y] = 1
         if all(member[table[row[g]][x_inv]] for g in h_gens):
             found += coset
     return found

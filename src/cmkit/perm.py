@@ -1,14 +1,18 @@
-"""Permutations of {0, ..., n-1} stored as image tuples.
+"""Permutations of {0, ..., n-1} stored as image tuples, and the index
+kernels that the group and its subgroup lattice share.
 
 Composition is function composition: ``(p * q)(x) = p(q(x))``, read by one
-`gather` of p's images at q's.
+`gather` of p's images at q's.  On a Cayley table (`table[a][b]` the index
+of a*b, the identity 0) there is one walk over the powers of an element,
+`powers`, and one walk over the left cosets of a subgroup, `left_cosets`.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
 from math import lcm
-from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter, ne
+from typing import Callable, Iterable, Iterator, Sequence, Tuple
 
 from .errors import InvalidPermutation
 
@@ -102,8 +106,20 @@ class Permutation:
         return cycles_of(self.images)
 
     def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles only."""
-        return [c for c in self.all_cycles() if len(c) > 1]
+        """Nontrivial cycles only, as in `all_cycles`; only the points that
+        move are walked, so a large identity builds no cycle at all."""
+        images, seen, cycles = self.images, bytearray(len(self.images)), []
+        for start in compress(count(), map(ne, images, count())):
+            if seen[start]:
+                continue
+            cycle = [start]
+            x = images[start]
+            while x != start:
+                cycle.append(x)
+                seen[x] = 1
+                x = images[x]
+            cycles.append(tuple(cycle))
+        return cycles
 
     def cycle_string(self) -> str:
         cyc = self.cycles()
@@ -134,6 +150,30 @@ def gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
         (i,) = indices
         return lambda seq: (seq[i],)
     return itemgetter(*indices)
+
+
+def powers(row: Sequence[int]) -> list[int]:
+    """x^0, x^1, ..., x^(o-1), o the order of x, given x's Cayley-table row:
+    the cycle of the identity, index 0, under left multiplication by x."""
+    found, y = [0], row[0]
+    while y:
+        found.append(y)
+        y = row[y]
+    return found
+
+
+def left_cosets(table: Sequence[Sequence[int]],
+                h_list: Sequence[int]) -> Iterator[Tuple[int, tuple]]:
+    """(minimal member x, the coset xH) for every left coset of the subgroup H
+    given by its element indices, in order of x; each coset is read whole
+    from row x of the Cayley table by one gather at H's indices."""
+    seen, coset_of = bytearray(len(table)), gather(h_list)
+    for x in range(len(table)):
+        if not seen[x]:
+            coset = coset_of(table[x])
+            for y in coset:
+                seen[y] = 1
+            yield x, coset
 
 
 def cycles_of(images: Sequence[int]) -> list[tuple[int, ...]]:

@@ -231,6 +231,109 @@ def bfs_closure(G, seed):
     return frozenset(els)
 
 
+# The random groups of degree 2-7 on one to three generators that the
+# closure and the class pass are checked on: (degree, image lists).
+closure_cases = st.integers(min_value=2, max_value=7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
+
+
+# -- the class loops before the single class pass ---------------------------------
+# The oracles for `FiniteGroup._build_classes`, `perm.powers` and
+# `perm.left_cosets`: the orbit loop of `conjugacy_classes`, `_index_order`,
+# the `power_classes` walk by `G.mul`, `chartable._rational_sources`, the
+# `G.mul` loop of `Subgroup.coset_ids` and the powers walk of
+# `lattice.cyclic_generators` as they were before the facts were built with
+# the group, reading only its table, inverses and generator indices.
+
+
+def reference_classes(G):
+    """(sorted member indices of every class, class id of every index, power
+    rows, exponent, rational sources), classes ordered by (element order,
+    size, images of the minimal member)."""
+    n, table, inv, gen_idx = G.order, G._table, G._inv, G._gens
+    seen = [False] * n
+    raw = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for x in orbit:
+            for gi in gen_idx:
+                y = table[table[gi][x]][inv[gi]]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        raw.append(sorted(orbit))
+    keyed = sorted((_index_order(G, members[0]), len(members),
+                    G.elements[members[0]].images, members) for members in raw)
+    class_of = [0] * n
+    for ci, (_, _, _, members) in enumerate(keyed):
+        for i in members:
+            class_of[i] = ci
+    rows = []
+    for order, _, _, members in keyed:
+        cur, row = 0, []
+        for _ in range(order):
+            row.append(class_of[cur])
+            cur = G.mul(cur, members[0])
+        rows.append(tuple(row))
+    orders = [order for order, _, _, _ in keyed]
+    return ([members for _, _, _, members in keyed], class_of, rows, math.lcm(*orders),
+            _rational_sources(orders, rows))
+
+
+def _index_order(G, x):
+    """Order of the element with index x, by powering it in the table."""
+    row, y, order = G._table[x], x, 1
+    while y:
+        y, order = row[y], order + 1
+    return order
+
+
+def _rational_sources(orders, power):
+    """(first, [t u^-1 mod o for t < o]) for each class of element order o."""
+    source = [None] * len(orders)
+    for c, (o, row) in enumerate(zip(orders, power)):
+        if source[c] is None:
+            for u in range(o):
+                if math.gcd(u, o) == 1 and source[row[u]] is None:
+                    u_inv = pow(u, -1, o)
+                    source[row[u]] = (c, [(t * u_inv) % o for t in range(o)])
+    return source
+
+
+def reference_coset_ids(H):
+    """(coset id of every element index, minimal member of every coset) of
+    H's left cosets, numbered by minimal member, through `G.mul`."""
+    G = H.parent
+    coset = [-1] * G.order
+    reps = []
+    for i in range(G.order):
+        if coset[i] < 0:
+            for h in H.indices:
+                coset[G.mul(i, h)] = len(reps)
+            reps.append(i)
+    return coset, reps
+
+
+def reference_cyclic_generators(G):
+    """The least index generating <x>, for every element index x."""
+    canon = [-1] * G.order
+    for i, row in enumerate(G._table):
+        if canon[i] >= 0:
+            continue
+        powers, y = [i], i
+        while y:
+            y = row[y]
+            powers.append(y)
+        o = len(powers)
+        for k, y in enumerate(powers, 1):
+            if math.gcd(k, o) == 1:
+                canon[y] = i
+    return canon
+
+
 def reference_subgroups(G):
     """[(indices, generators)] of every subgroup, as `all_subgroups` lists them.
 
@@ -754,7 +857,7 @@ def dense_dft_rows(G):
     sizes = [cls.size for cls in classes]
     inv_class = chartable.power_class_map(G, -1)
     power = G.power_classes()
-    source = chartable._rational_sources(classes, power)
+    source = G.rational_sources()
 
     p = chartable._find_prime(e, 2 * n + 1)
     z = chartable._find_root_of_unity(e, p)

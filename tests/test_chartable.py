@@ -595,17 +595,15 @@ def test_primes_above_2_16_pack_64_bit_slots(monkeypatch, make, prime):
 
 ROTATED_REINDEX = """
 from cmkit import InvalidCharacterTable, build_gm, chartable
-sources = chartable._rational_sources
-def rotated(classes, power):
-    source = sources(classes, power)
-    c = next(c for c, (first, _) in enumerate(source) if first != c)
-    first, reindex = source[c]
-    source[c] = first, reindex[1:] + reindex[:1]
-    return source
-for patched in (sources, rotated):
-    chartable._rational_sources = patched
+for rotate in (False, True):
+    G = build_gm(12).group
+    source = G.rational_sources()
+    if rotate:
+        c = next(c for c, (first, _) in enumerate(source) if first != c)
+        first, reindex = source[c]
+        source[c] = first, reindex[1:] + reindex[:1]
     try:
-        chartable.character_table(build_gm(12).group)
+        chartable.character_table(G)
     except InvalidCharacterTable as ex:
         print("rejected:", ex)
     else:
@@ -617,8 +615,8 @@ def test_class_value_check_catches_a_misread_galois_reindex():
     """In exact arithmetic mod p the class-value check is an identity of the
     inverse transform; it guards the packed arithmetic.  Rotating the Galois
     reindex of the first class that is not its rational class's first by one
-    place makes `character_table(gm:12)`, built unpatched first, raise, also
-    under `python -O`."""
+    place in the group's stored sources makes `character_table(gm:12)`, built
+    unpatched first, raise, also under `python -O`."""
     assert run_optimized("-c", ROTATED_REINDEX).splitlines() == [
         "accepted", "rejected: eigenvalue spectrum does not give the class value"]
 

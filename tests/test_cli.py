@@ -188,6 +188,40 @@ def test_group_file_degree_is_bounded(capsys, tmp_path):
         group_from_json({"degree": 10 ** 12, "generators": []}, 2048)
 
 
+@pytest.mark.parametrize("degree", [0, -5])
+def test_group_file_degree_below_one_is_a_group_file_error(capsys, tmp_path, degree):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"degree": degree, "generators": []}))
+    code, payload = run_json(capsys, "table", str(path))
+    assert (code, payload) == (1, {"error": "bad_group_file",
+                                   "detail": f"group degree {degree} is below 1"})
+
+
+# Runs argv as a grandchild and prints its exit code and peak RSS (KiB).  A
+# child's ru_maxrss starts at its parent's peak when the parent forks or
+# vforks it, so the grandchild of a small Python reads its own peak, not the
+# test runner's.
+PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(child.returncode, usage.ru_maxrss)
+"""
+
+
+def test_huge_identity_table_stays_within_its_memory_budget(tmp_path):
+    """The 38-byte file of the identity on 3,000,000 points: its cycle string
+    walks only the points that move, so `cmkit table` peaks under 200 MB,
+    where building a 1-tuple per fixed point took it to about 406 MB."""
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps({"degree": 3000000, "generators": []}))
+    code, peak_kib = map(int, run_optimized(
+        "-c", PEAK_RSS, sys.executable, "-m", "cmkit.cli", "table", str(path)).split())
+    assert code == 0
+    assert peak_kib < 200 * 1024
+
+
 def test_file_group_with_vector(capsys, tmp_path):
     path = tmp_path / "c6.json"
     path.write_text(json.dumps(C6_FILE))

@@ -14,6 +14,7 @@ from cmkit import (
     FiniteGroup,
     GroupTooLarge,
     InternalCheckFailed,
+    InvalidPermutation,
     NotNormal,
     Permutation,
     Subgroup,
@@ -30,6 +31,7 @@ from conftest import (
     abelian_invariants_reference,
     alternating_5,
     bfs_closure,
+    closure_cases,
     cyclic_product,
     cyclic_7_squared,
     dimino_lattice_reference,
@@ -39,7 +41,10 @@ from conftest import (
     klein_4,
     psl_2_7,
     psl_2_8,
+    reference_classes,
     reference_closure,
+    reference_coset_ids,
+    reference_cyclic_generators,
     reference_generators,
     reference_subgroups,
     reference_table,
@@ -56,6 +61,12 @@ def test_from_generators_examples(v4):
     assert v4.order == 4
     assert build_gm(6).group.order == 24
     assert FiniteGroup.from_generators(3, []).order == 1
+
+
+@pytest.mark.parametrize("degree", [0, -5])
+def test_degree_below_one_is_rejected(degree):
+    with pytest.raises(InvalidPermutation, match=f"group degree {degree} is below 1"):
+        FiniteGroup(degree, ())
 
 
 def test_order_bound():
@@ -122,8 +133,7 @@ def test_closure_builds_elements_without_the_public_checks():
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(st.integers(min_value=2, max_value=7).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=3))))
+@given(closure_cases)
 def test_closure_matches_the_reference_closure(case):
     """Random groups of degree 2-7 on one to three generators: elements,
     Cayley table and inverses equal the per-entry reference closure, and
@@ -140,6 +150,48 @@ def test_closure_matches_the_reference_closure(case):
     assert [g.images for g in G.elements] == images
     assert [list(row) for row in G._table] == table
     assert G._inv == inv
+
+
+def assert_class_facts_match_the_loops(G):
+    """The class pass, its powers walk and the left-coset walk against the
+    loops they replaced (`conftest.reference_classes`): class members,
+    representatives, class ids, element orders, power rows, exponent,
+    rational sources, the least generator of every cyclic subgroup and every
+    subgroup's coset numbering."""
+    members, class_of, rows, exponent, sources = reference_classes(G)
+    classes = G.conjugacy_classes()
+    assert [[G.index_of(g) for g in cls.members] for cls in classes] == members
+    assert [G.index_of(cls.representative) for cls in classes] == [m[0] for m in members]
+    assert G.class_representatives() == [m[0] for m in members]
+    assert G.class_ids() == class_of
+    assert [cls.order for cls in classes] == [len(row) for row in rows]
+    assert list(G.power_classes()) == rows
+    assert G.exponent() == exponent
+    assert [(first, list(reindex)) for first, reindex in G.rational_sources()] == sources
+    assert lattice.cyclic_generators(G._table) == reference_cyclic_generators(G)
+    for H in G.all_subgroups():
+        assert H.coset_ids() == reference_coset_ids(H)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(closure_cases)
+def test_class_pass_matches_the_loops_on_random_groups(case):
+    degree, gens = case
+    try:
+        G = FiniteGroup(degree, [Permutation(g) for g in gens], max_order=120)
+    except GroupTooLarge:
+        return
+    assert_class_facts_match_the_loops(G)
+
+
+@pytest.mark.parametrize("maker", [
+    pytest.param(symmetric_5, id="S5"),
+    pytest.param(psl_2_7, id="PSL(2,7)"),
+    pytest.param(lambda: build_gm(16).group, id="gm:16"),
+    pytest.param(lambda: elementary_abelian_2(6), id="C2^6"),
+])
+def test_class_pass_matches_the_loops(maker):
+    assert_class_facts_match_the_loops(maker())
 
 
 # S7 (order 5040) is past the default order bound of 2048; its table would
@@ -229,10 +281,12 @@ def test_all_subgroups_oracle_up_to_order_64():
             assert G.subgroup_generated(seed).element_set in listed
 
 
-def test_subgroup_enumeration_bound():
+def test_subgroup_enumeration_bound(monkeypatch):
+    """`all_subgroups` reads `DEFAULT_SUBGROUP_BOUND` when it builds the lattice."""
+    monkeypatch.setattr(cmkit.group, "DEFAULT_SUBGROUP_BOUND", 10)
     G = build_gm(6).group
     with pytest.raises(GroupTooLarge):
-        G.all_subgroups(bound=10)
+        G.all_subgroups()
 
 
 LATTICE_GROUPS = [
@@ -475,19 +529,22 @@ def test_all_subgroups_skips_known_joins(monkeypatch, maker, most):
     assert calls == joins + len(subgroups)
 
 
-def test_subgroup_count_bound():
+def test_subgroup_count_bound(monkeypatch):
     """The bound counts subgroups, not the group order: C13 has 2."""
-    C13 = FiniteGroup.cyclic(13)
-    assert [H.order for H in C13.all_subgroups(bound=10)] == [1, 13]
+    monkeypatch.setattr(cmkit.group, "DEFAULT_SUBGROUP_BOUND", 10)
+    assert [H.order for H in FiniteGroup.cyclic(13).all_subgroups()] == [1, 13]
+    monkeypatch.setattr(cmkit.group, "DEFAULT_SUBGROUP_BOUND", 1)
     with pytest.raises(GroupTooLarge):
-        C13.all_subgroups(bound=1)
+        FiniteGroup.cyclic(13).all_subgroups()
 
 
 SUBGROUP_BOUND_C2_6 = """
+import cmkit.group
 from cmkit import FiniteGroup, GroupTooLarge, Permutation
+cmkit.group.DEFAULT_SUBGROUP_BOUND = 1000
 G = FiniteGroup(12, [Permutation.from_cycles(12, [(2 * j, 2 * j + 1)]) for j in range(6)])
 try:
-    G.all_subgroups(bound=1000)
+    G.all_subgroups()
 except GroupTooLarge as ex:
     print("rejected:", ex)
 else:

@@ -90,3 +90,11 @@ def test_inverse_involutive(p):
 def test_product_inverse_antihomomorphism(pair):
     p, q = Permutation(pair[0]), Permutation(pair[1])
     assert (p * q).inverse() == q.inverse() * p.inverse()
+
+
+@given(perms)
+@settings(max_examples=60, deadline=None)
+def test_cycles_are_the_nontrivial_cycles_of_all_cycles(p):
+    """`cycles` walks only the points that move; it lists what `all_cycles`
+    lists without the fixed points, in the same order."""
+    assert p.cycles() == [c for c in p.all_cycles() if len(c) > 1]
