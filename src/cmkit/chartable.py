@@ -55,15 +55,16 @@ oracle API (`irreducibles`, `inner_product`, `fixed_space_dimension`).
 from __future__ import annotations
 
 import random
+from itertools import chain
 from math import isqrt
 from operator import itemgetter, mul
 from typing import Dict, List, Optional, Tuple
 
-from .cyclotomic import (Cyclotomic, accumulate, class_sums, cyclic_product, power_basis,
-                         prime_factors, reduced_integer)
+from .cyclotomic import Cyclotomic, class_sums, packed_spectra, power_basis, prime_factors
 from .errors import (
     GroupMismatch,
     GroupTooLarge,
+    InternalCheckFailed,
     InvalidCharacterTable,
     NonIntegralResult,
     Record,
@@ -71,6 +72,7 @@ from .errors import (
 )
 from .group import FiniteGroup, Subgroup
 from .modp import Slots, distinct_roots, divide_linear, minimal_polynomial
+from .perm import gather, powers
 
 DEFAULT_CHARTABLE_BOUND = 2000
 
@@ -255,7 +257,7 @@ def trivial_character(G: FiniteGroup) -> Character:
 # Dixon's method over F_p
 
 
-def _dixon_rows(G: FiniteGroup) -> Tuple[tuple, Dict[Tuple[int, ...], List[int]]]:
+def _dixon_rows(G):
     """The spectra of the irreducibles in table order, and `_value_vectors`.
 
     The rows are sorted by their values' coefficient vectors, class by class;
@@ -267,26 +269,13 @@ def _dixon_rows(G: FiniteGroup) -> Tuple[tuple, Dict[Tuple[int, ...], List[int]]
     e = G.exponent()
     sizes = [cls.size for cls in classes]
     orders = [cls.order for cls in classes]
-    inv_class = power_class_map(G, -1)
     power = G.power_classes()
     source = G.rational_sources()
 
     p = _find_prime(e, 2 * n + 1)
     z = _find_root_of_unity(e, p)
 
-    inv_sizes = [pow(s, p - 2, p) for s in sizes]
-    values_mod_p = []
-    for v in _joint_eigenvectors(G, p):
-        if v[0] % p == 0:
-            raise InvalidCharacterTable("joint eigenvector vanishes at the identity class")
-        norm = pow(v[0], p - 2, p)
-        omega = [(x * norm) % p for x in v]
-        s = sum(omega[j] * omega[inv_class[j]] * inv_sizes[j] for j in range(k)) % p
-        d2 = (n * pow(s, p - 2, p)) % p
-        degree = next((d for d in range(1, isqrt(n) + 1) if (d * d) % p == d2), None)
-        if degree is None:
-            raise InvalidCharacterTable("degree recovery failed")
-        values_mod_p.append([(degree * omega[j] * inv_sizes[j]) % p for j in range(k)])
+    values_mod_p = _class_values(G, p, sizes)
     # Column c holds chi(C_c) mod p for every irreducible chi, one slot each.
     slots = Slots(p, max(orders))
     columns = [slots.pack(column) for column in zip(*values_mod_p)]
@@ -300,13 +289,13 @@ def _dixon_rows(G: FiniteGroup) -> Tuple[tuple, Dict[Tuple[int, ...], List[int]]
         inv_o = pow(o, p - 2, p)
         per_order[o] = ztab, [[(ztab[(-t * s) % o] * inv_o) % p for s in range(o)]
                               for t in range(o)]
-    rational: Dict[int, List[int]] = {}
+    rational = {}
     for c, (first, _) in enumerate(source):
         rational.setdefault(first, []).append(c)
     # Rows share most spectra (61 distinct among gm:16's 1,600 cells), so the
     # table holds one tuple per distinct spectrum.
-    shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    by_class: List[Optional[list]] = [None] * k
+    shared = {}
+    by_class = [None] * k
     for first, members in rational.items():
         ztab, dft = per_order[orders[first]]
         seq = [columns[j] for j in power[first]]
@@ -328,7 +317,32 @@ def _dixon_rows(G: FiniteGroup) -> Tuple[tuple, Dict[Tuple[int, ...], List[int]]
     return tuple(rows_out), values
 
 
-def _value_vectors(e: int, rows) -> Dict[Tuple[int, ...], List[int]]:
+def _class_values(G, p, sizes):
+    """chi(z_l) mod p at every class for each irreducible chi, in the order of
+    `_joint_eigenvectors`.  A joint eigenvector v is a multiple of
+    w[l] = |C_l| chi(z_l) / chi(1), so with u[l] = v[l] / |C_l|,
+    chi(1)^2 = |G| v[0]^2 / sum_l u[l] v[l*] (l* the class of inverses) and
+    chi(z_l) = chi(1) u[l] / v[0]: one gathered dot product per vector.
+    Degrees are below p / 2, so their squares differ mod p."""
+    n = G.order
+    inv_sizes = [pow(s, p - 2, p) for s in sizes]
+    inverse_of = gather(power_class_map(G, -1))
+    root = {d * d % p: d for d in range(1, isqrt(n) + 1)}
+    values = []
+    for v in _joint_eigenvectors(G, p):
+        v0 = v[0] % p
+        if not v0:
+            raise InvalidCharacterTable("joint eigenvector vanishes at the identity class")
+        u = list(map(mul, v, inv_sizes))
+        degree = root.get(n * v0 * v0 * pow(sum(map(mul, u, inverse_of(v))), p - 2, p) % p)
+        if degree is None:
+            raise InvalidCharacterTable("degree recovery failed")
+        scale = degree * pow(v0, p - 2, p)
+        values.append([x * scale % p for x in u])
+    return values
+
+
+def _value_vectors(e, rows):
     """`cyclotomic.power_basis` of each distinct spectrum over zeta_o, o | e."""
     values = {}
     for s in {s for spectra in rows for s in spectra}:
@@ -338,7 +352,7 @@ def _value_vectors(e: int, rows) -> Dict[Tuple[int, ...], List[int]]:
     return values
 
 
-def _find_prime(e: int, minimum: int) -> int:
+def _find_prime(e, minimum):
     """The least prime p = 1 (mod e) with p >= minimum > 2."""
     p = minimum + ((1 - minimum) % e)
     while prime_factors(p) != [p]:
@@ -346,7 +360,7 @@ def _find_prime(e: int, minimum: int) -> int:
     return p
 
 
-def _find_root_of_unity(e: int, p: int) -> int:
+def _find_root_of_unity(e, p):
     if e == 1:
         return 1
     prime_divs = prime_factors(e)
@@ -364,7 +378,7 @@ _SPLIT_SEED = 1990
 _SEEDED_COMBINATIONS = 4
 
 
-def _class_combination(G: FiniteGroup, coeffs: List[int], slots: Slots) -> List[int]:
+def _class_combination(G, coeffs, slots):
     """The packed columns of sum_i coeffs[i] M_i mod p, with
     M_i[j][l] = #{x in C_i : x^-1 z_l in C_j} for the representative z_l of class l.
 
@@ -385,45 +399,124 @@ def _class_combination(G: FiniteGroup, coeffs: List[int], slots: Slots) -> List[
     return columns
 
 
-def _joint_eigenvectors(G: FiniteGroup, p: int) -> List[List[int]]:
-    """One common eigenvector of the class matrices for each irreducible.
+def _derived_subgroup(G):
+    """G' as (element indices, membership marks): the normal closure of the
+    commutators of G's generators.  Each element taken as a generator of the
+    closure brings its conjugates by G's generators (`_conj`), and `_grow`
+    adds them; once the closure holds more than half of G it is all of G."""
+    table, inv, gens = G._table, G._inv, G._gens
+    elements, member, taken = [0], bytearray(G.order), []
+    member[0] = 1
+    queue = [table[inv[table[b][a]]][table[a][b]] for i, a in enumerate(gens) for b in gens[i + 1:]]
+    for x in queue:
+        if not member[x]:
+            taken.append(x)
+            if not G._grow(elements, member, taken):
+                return list(range(G.order)), bytearray(b"\x01") * G.order
+            queue += [c[x] for c in G._conj]
+    return elements, member
+
+
+def _linear_characters(G, p):
+    """(w_chi mod p for every linear character chi, v' = e_0 - e_G' mod p).
+
+    Along G' = H_0 < H_1 < ... < H_r = G, H_j = <H_(j-1), s_j> for the
+    generators s_j of G outside H_(j-1), each element is s_1^(i_1) ...
+    s_r^(i_r) modulo G' with 0 <= i_j < m_j = [H_j : H_(j-1)]; H_j is read
+    one coset s_j^i H_(j-1) at a time, each element's coordinates kept as
+    one mixed-radix code.  The linear characters are the exponent vectors u
+    in (Z/e)^r with m_j u_j = <c_j, u> (mod e), c_j the coordinates of
+    s_j^(m_j): prod_j m_j = [G : G'] of them, found one coordinate at a
+    time.  chi_u takes prod_j z^(u_j i_j) at coordinates i, z the table's
+    root of unity mod p, so each coordinate multiplies the values at the
+    class representatives by one gather of the powers of z^(u_j).
+    e_G' = (1/|G'|) sum_(g in G') g is 1/|G| times the sum of their w_chi,
+    so v'[l] is delta_(l,0) - |C_l|/|G'| for a class inside G' and
+    delta_(l,0) outside.
+    """
+    classes = G.conjugacy_classes()
+    e, table = G.exponent(), G._table
+    sizes = [cls.size for cls in classes]
+    elements, member = _derived_subgroup(G)
+    inv_derived = pow(len(elements), p - 2, p)
+    code, radix, steps = [0] * G.order, 1, []
+    for s in G._gens:
+        if member[s]:
+            continue
+        pw = powers(table[s])
+        m = 1
+        while m < len(pw) and not member[pw[m]]:
+            m += 1
+        coset_of = gather(elements)
+        base = coset_of(code)
+        for i in range(1, m):
+            coset = coset_of(table[pw[i]])
+            for x, c in zip(coset, base):
+                code[x] = c + i * radix
+                member[x] = 1
+            elements += coset
+        steps.append((m, radix, code[pw[m % len(pw)]]))
+        radix *= m
+    at_reps = gather(G.class_representatives())(code)
+    start = [0 if c else -size * inv_derived % p for size, c in zip(sizes, at_reps)]
+    start[0] = (start[0] + 1) % p
+    z = _find_root_of_unity(e, p)
+    ztab = [pow(z, t, p) for t in range(e)]
+    chars = [((), sizes)]  # (u, |C_l| chi_u(z_l) so far)
+    for m, radix, relation in steps:
+        at = gather([c // radix % m for c in at_reps])
+        c = [relation // r % mr for mr, r, _ in steps]
+        grown = []
+        for u, values in chars:
+            for t in range(sum(map(mul, c, u)) % e // m, e, e // m):
+                row = [ztab[t * i % e] for i in range(m)]
+                grown.append((u + (t,), [x % p for x in map(mul, values, at(row))]))
+        chars = grown
+    return [values for _, values in chars], start
+
+
+def _joint_eigenvectors(G, p):
+    """One common eigenvector of the class matrices for each irreducible: the
+    linear characters' first (`_linear_characters`), then the non-linear ones'.
 
     The matrices act on class space with eigenvectors w_chi, where
     w_chi[l] = |C_l| chi(z_l) / chi(1), and the identity-class indicator is
     e_0 = sum_chi (chi(1)^2 / |G|) w_chi, every coefficient nonzero mod
-    p > 2|G|.  Each part of class space is carried by the projection of e_0
-    onto it, sum_(chi in S) c_chi w_chi with every c_chi nonzero.  A
-    combination A of class matrices, seeded ones first and then each class
-    matrix alone, splits every part by the eigenvalues of A on its w_chi
-    (`_split`).  Every part holds at least one irreducible, so once there are
-    k parts each holds exactly one, and the splitting stops there, within a
-    pass too.
+    p > 2|G|.  The linear characters' terms sum to e_G', so the non-linear
+    part of class space is carried by v' = e_0 - e_G'.  Each part of it is
+    carried by the projection of v' onto it, sum_(chi in S) c_chi w_chi with
+    every c_chi nonzero.  A combination A of class matrices, seeded ones
+    first and then each class matrix alone, splits every part by the
+    eigenvalues of A on its w_chi (`_split`).  Every part holds at least one
+    irreducible, so once there are as many parts as non-linear irreducibles
+    each holds exactly one, and the splitting stops there, within a pass too.
     """
     k = len(G.conjugacy_classes())
-    rng = random.Random(_SPLIT_SEED)
-    combinations = [[0] + [rng.randrange(p) for _ in range(k - 1)]
-                    for _ in range(_SEEDED_COMBINATIONS)]
-    combinations += [[int(i == j) for j in range(k)] for i in range(1, k)]
+    linear, start = _linear_characters(G, p)
+    target = k - len(linear)
+    parts = [start] if target else []
     slots = Slots(p, k + 1)
-    parts = [[int(i == 0) for i in range(k)]]
-    for coeffs in combinations:
-        if len(parts) >= k:
+    rng = random.Random(_SPLIT_SEED)  # combinations are drawn as they are needed
+    for coeffs in chain(([0] + [rng.randrange(p) for _ in range(k - 1)]
+                         for _ in range(_SEEDED_COMBINATIONS)),
+                        ([int(i == j) for j in range(k)] for i in range(1, k))):
+        if len(parts) >= target:
             break
         columns = _class_combination(G, coeffs, slots)
         split = []
         for i, v in enumerate(parts):
-            if len(split) + len(parts) - i >= k:  # every part left holds one irreducible
+            if len(split) + len(parts) - i >= target:  # every part left holds one irreducible
                 split += parts[i:]
                 break
             split += _split(columns, v, slots)
         parts = split
-    if len(parts) != k:
+    if len(parts) != target:
         raise InvalidCharacterTable(f"class matrices split class space into {len(parts)} "
-                                    f"parts for {k} classes")
-    return parts
+                                    f"parts for {target} non-linear irreducibles")
+    return linear + parts
 
 
-def _split(columns: List[int], start: List[int], slots: Slots) -> List[List[int]]:
+def _split(columns, start, slots):
     """The projections of start onto the eigenspaces of the matrix A with
     packed columns, one per distinct eigenvalue that start meets.
 
@@ -446,74 +539,78 @@ def _split(columns: List[int], start: List[int], slots: Slots) -> List[List[int]
             for lam in distinct_roots(mu, p)]
 
 
-def _verify_table(table: CharacterTable) -> None:
+def _verify_table(table):
     """Shape, norm one and the regular-representation identity of the stored spectra.
 
     The table has k rows of k spectra; the spectrum at class c has length
     o_c and non-negative entries summing to the row's degree.  Each distinct
-    spectrum is numbered at its first cell, and both identities below sum
-    over distinct spectra, not cells.
+    spectrum is numbered once, when a row first holds it, and packed once as
+    sum_t n_t X^(t e/o), X = 2^64: a value in Z[x]/(x^e - 1) at x = X.  Both
+    identities below are then one dot product per row or per class, and
+    products of packed values mod X^e - 1 multiply in Z[x]/(x^e - 1).
 
     <chi, chi> is summed from the spectra in integers: at a class of element
-    order o, chi conj(chi) is the product of the spectrum n_t and its
-    conjugate n_(-t) in Z[x]/(x^o - 1).  Each distinct spectrum's product,
-    weighted by the total size of the classes it fills in the row, is
-    accumulated in Z[x]/(x^e - 1) and reduced once mod Phi_e
-    (`cyclotomic.reduced_integer`); the result must be |G|.
+    order o, chi conj(chi) is the product of the packed spectrum n_t and its
+    conjugate n_(-t), and the row's class sizes weigh the products into
+    A = sum_c |C_c| chi conj(chi).  A degree d with d^2 > |G| fails at once,
+    since the identity class alone adds d^2.  Otherwise A's coefficients are
+    non-negative and sum to |G| d^2 <= |G|^2, and A(zeta_e) = |G| exactly when
+    (A - |G|) Psi_e = 0 in Z[x]/(x^e - 1) (`inverse_cyclotomic_polynomial`):
+    the packed A Psi_e and |G| Psi_e agree mod X^e - 1.  Each coefficient of
+    their difference is below (|G|^2 + |G|) max|Psi_e| < 2^63 in absolute
+    value, which is checked, so agreeing mod X^e - 1 is being equal.
 
     The regular representation restricted to <g>, g of order o, is |G|/o
     copies of the regular representation of C_o, so at every class
     sum_i chi_i(1) n_t(chi_i) = |G|/o for each t < o: at the identity class
     this is the degree sum, and a repeated row breaks it at some class.  At
-    each class, every distinct spectrum enters once, weighted by the summed
-    degrees of the rows that hold it there.
+    each class it is one dot product of the degrees with the packed spectra.
+    The identity class comes first, with one slot, so its sum is exact; at
+    the others each slot is at most the degree sum, then |G|.
     """
     G = table.group
     classes = G.conjugacy_classes()
     k = len(classes)
     if len(table.spectra) != k:
         raise InvalidCharacterTable(f"{len(table.spectra)} irreducibles for {k} classes")
-    e = G.exponent()
+    n, e = G.order, G.exponent()
     sizes = [cls.size for cls in classes]
     orders = [cls.order for cls in classes]
-    # The number of each distinct spectrum, and by number its entry sum (None
-    # if an entry is negative) and its autocorrelation.
-    number: Dict[Tuple[int, ...], int] = {}
-    checked: List[Tuple[Optional[int], List[int]]] = []
-    cells: List[List[int]] = []  # the number of every cell, row by row
+    packers, psi, width = packed_spectra(e, set(orders), n * n + n)
+    modulus = (1 << width) - 1  # X^e - 1, so x & modulus plus x >> width is x mod it
+    number = {}
+    totals = []  # by number: the entry sum, None if an entry is negative
+    packed, squares = [], []  # by number: n_t and chi conj(chi), packed
+    cells = []  # the number of every cell, row by row
     for i, spectra in enumerate(table.spectra):
         if len(spectra) != k:
             raise InvalidCharacterTable(f"row {i} has {len(spectra)} spectra for {k} classes")
         if list(map(len, spectra)) != orders:
             raise InvalidCharacterTable(f"row {i} has a malformed spectrum")
-        row = []
-        for spectrum in spectra:
-            s = number.get(spectrum)
-            if s is None:
-                s = number[spectrum] = len(number)
-                total = sum(spectrum) if min(spectrum) >= 0 else None
-                conjugate = spectrum[:1] + spectrum[:0:-1]
-                checked.append((total, cyclic_product(spectrum, conjugate)))
-            row.append(s)
+        fresh = list(set(spectra).difference(number))
+        for s in fresh:
+            number[s] = len(totals)
+            totals.append(sum(s) if min(s) >= 0 else None)
+        row = list(map(number.__getitem__, spectra))
         cells.append(row)
-        weights: Dict[int, int] = {}
-        for size, s in zip(sizes, row):
-            weights[s] = weights.get(s, 0) + size
-        acc = [0] * e
-        for s, w in weights.items():
-            total, autocorrelation = checked[s]
-            if total != spectra[0][0]:
-                raise InvalidCharacterTable(
-                    f"row {i}: eigenvalue multiplicities are not a partition of the degree")
-            accumulate(acc, autocorrelation, w)
-        if reduced_integer(acc) != G.order:
+        degree = spectra[0][0]
+        if gather(row)(totals).count(degree) != k:
+            raise InvalidCharacterTable(
+                f"row {i}: eigenvalue multiplicities are not a partition of the degree")
+        if degree * degree > n:
             raise InvalidCharacterTable(f"row {i} is not norm one")
-    degrees, distinct = table.degrees(), list(number)
-    for c, o in enumerate(orders):
-        weights = {}
-        for degree, row in zip(degrees, cells):
-            s = row[c]
-            weights[s] = weights.get(s, 0) + degree
-        column = zip(*map(distinct.__getitem__, weights))
-        if any(sum(map(mul, weights.values(), counts)) * o != G.order for counts in column):
+        for s in fresh:
+            pack = packers[len(s)]
+            x = int.from_bytes(pack(*s), "little")
+            packed.append(x)
+            x *= int.from_bytes(pack(s[0], *s[:0:-1]), "little")
+            squares.append((x & modulus) + (x >> width))
+        x = (sum(map(mul, sizes, gather(row)(squares))) - n) * psi
+        if ((x & modulus) + (x >> width)) % modulus:
+            raise InvalidCharacterTable(f"row {i} is not norm one")
+    degrees = table.degrees()
+    ones = {o: int.from_bytes(pack(*[1] * o), "little") for o, pack in packers.items()}
+    for c, column in enumerate(zip(*cells)):
+        o = orders[c]
+        if sum(map(mul, degrees, gather(column)(packed))) != n // o * ones[o]:
             raise InvalidCharacterTable(f"regular-representation identity fails at class {c}")

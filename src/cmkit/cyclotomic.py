@@ -17,6 +17,7 @@ to the lcm.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -25,6 +26,7 @@ from .errors import InternalCheckFailed, NonIntegralResult
 
 _POLY_CACHE: Dict[int, list] = {}
 _ROW_CACHE: Dict[int, list] = {}
+_PSI_CACHE: Dict[int, Tuple[list, int]] = {}
 
 
 def prime_factors(n: int) -> List[int]:
@@ -81,6 +83,31 @@ def cyclotomic_polynomial(e: int) -> list:
             poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
     _POLY_CACHE[e] = poly
     return poly
+
+
+def packed_spectra(e: int, orders: Iterable[int], bound: int):
+    """Kronecker packing of Z[x]/(x^e - 1) at x = X, X = 2^16, 2^32 or 2^64,
+    the least with every |coefficient| up to `bound` max|Psi_e| below X/2.
+
+    Returns a packer for each element order o in `orders`, which packs a
+    spectrum (n_t) of length o as the bytes of sum_t n_t X^(t e/o); Psi_e =
+    (x^e - 1) / Phi_e packed; and the bit width of e slots.  Phi_e and Psi_e
+    are coprime, so sum_i a_i zeta_e^i is 0 exactly when (sum_i a_i x^i)
+    Psi_e is 0 in Z[x]/(x^e - 1): packed, when it is 0 mod X^e - 1, as long
+    as its coefficients stay below X/2 in absolute value.  Psi_e is computed
+    once per e.
+    """
+    if e not in _PSI_CACHE:
+        psi = _poly_div_exact([-1] + [0] * (e - 1) + [1], cyclotomic_polynomial(e))
+        _PSI_CACHE[e] = psi, max(map(abs, psi))
+    psi, height = _PSI_CACHE[e]
+    for code, size in (("H", 2), ("I", 4), ("Q", 8)):
+        if bound * height >> 8 * size - 1 == 0:
+            break
+    else:
+        raise InternalCheckFailed(f"coefficients up to {bound * height} overflow a 64-bit slot")
+    packers = {o: struct.Struct("<" + f"{code}{size * (e // o - 1)}x" * o).pack for o in orders}
+    return packers, sum(c << 8 * size * j for j, c in enumerate(psi)), 8 * size * e
 
 
 def _reduction_rows(e: int) -> list:

@@ -453,16 +453,20 @@ def test_split_leaves_a_repeated_eigenvalue_to_a_later_combination():
 
 
 @pytest.mark.parametrize("m,passes,degrees", [
-    (12, 3, [24, 2, 2, 3, 2, 2]),
-    (16, 2, [39, 2]),
+    (12, 1, [6]),
+    (16, 1, [8]),
 ])
 def test_split_passes_stop_at_k_parts(m, passes, degrees, monkeypatch):
-    """Counted on gm:12 and gm:16: after the first pass, Krylov runs only on
-    parts that the one-product test rejects (without the test and the stop,
-    the split ran 55 and 40 minimal polynomials here, most of degree 1), and
-    no part is split and no pass begins once there are k parts."""
+    """Counted on gm:12 and gm:16: the linear characters are read off G/G',
+    so the split runs only from e_0 - e_G' and stops at the k - [G:G']
+    non-linear irreducibles (6 of 30 and 8 of 40 here; before the linear
+    route it ran 3 passes with Krylov degrees 24, 2, 2, 3, 2, 2 and 2 passes
+    with 39, 2).  After the first pass, Krylov runs only on parts that the
+    one-product test rejects, and no part is split and no pass begins once
+    there are k - [G:G'] parts."""
     G = build_gm(m).group
     k = len(G.conjugacy_classes())
+    index = G.order // len(chartable._derived_subgroup(G)[0])
     p = chartable._find_prime(G.exponent(), 2 * G.order + 1)
     events = []
     real_split, real_minpoly = chartable._split, chartable.minimal_polynomial
@@ -492,9 +496,9 @@ def test_split_passes_stop_at_k_parts(m, passes, degrees, monkeypatch):
             found.append(degree)
             parts += degree - 1
         else:
-            assert parts < k, f"a {kind} after {k} parts"
+            assert parts < k - index, f"a {kind} after {k - index} parts"
             seen_passes += kind == "pass"
-    assert parts == len(vectors) == k
+    assert parts == k - index and len(vectors) == k
     assert (seen_passes, found) == (passes, degrees)
 
 
