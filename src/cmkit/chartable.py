@@ -55,6 +55,7 @@ oracle API (`irreducibles`, `inner_product`, `fixed_space_dimension`).
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import chain
 from math import isqrt
 from operator import itemgetter, mul
@@ -72,7 +73,7 @@ from .errors import (
 )
 from .group import FiniteGroup, Subgroup
 from .modp import Slots, distinct_roots, divide_linear, minimal_polynomial
-from .perm import gather, powers
+from .perm import commutator_quotient, gather
 
 DEFAULT_CHARTABLE_BOUND = 2000
 
@@ -360,6 +361,7 @@ def _find_prime(e, minimum):
     return p
 
 
+@lru_cache(maxsize=None)
 def _find_root_of_unity(e, p):
     if e == 1:
         return 1
@@ -399,69 +401,30 @@ def _class_combination(G, coeffs, slots):
     return columns
 
 
-def _derived_subgroup(G):
-    """G' as (element indices, membership marks): the normal closure of the
-    commutators of G's generators.  Each element taken as a generator of the
-    closure brings its conjugates by G's generators (`_conj`), and `_grow`
-    adds them; once the closure holds more than half of G it is all of G."""
-    table, inv, gens = G._table, G._inv, G._gens
-    elements, member, taken = [0], bytearray(G.order), []
-    member[0] = 1
-    queue = [table[inv[table[b][a]]][table[a][b]] for i, a in enumerate(gens) for b in gens[i + 1:]]
-    for x in queue:
-        if not member[x]:
-            taken.append(x)
-            if not G._grow(elements, member, taken):
-                return list(range(G.order)), bytearray(b"\x01") * G.order
-            queue += [c[x] for c in G._conj]
-    return elements, member
-
-
 def _linear_characters(G, p):
     """(w_chi mod p for every linear character chi, v' = e_0 - e_G' mod p).
 
-    Along G' = H_0 < H_1 < ... < H_r = G, H_j = <H_(j-1), s_j> for the
-    generators s_j of G outside H_(j-1), each element is s_1^(i_1) ...
-    s_r^(i_r) modulo G' with 0 <= i_j < m_j = [H_j : H_(j-1)]; H_j is read
-    one coset s_j^i H_(j-1) at a time, each element's coordinates kept as
-    one mixed-radix code.  The linear characters are the exponent vectors u
-    in (Z/e)^r with m_j u_j = <c_j, u> (mod e), c_j the coordinates of
-    s_j^(m_j): prod_j m_j = [G : G'] of them, found one coordinate at a
-    time.  chi_u takes prod_j z^(u_j i_j) at coordinates i, z the table's
-    root of unity mod p, so each coordinate multiplies the values at the
-    class representatives by one gather of the powers of z^(u_j).
-    e_G' = (1/|G'|) sum_(g in G') g is 1/|G| times the sum of their w_chi,
-    so v'[l] is delta_(l,0) - |C_l|/|G'| for a class inside G' and
-    delta_(l,0) outside.
+    With G' and the coordinates i_j < m_j of each element modulo G' read by
+    `perm.commutator_quotient`, the linear characters are the exponent
+    vectors u in (Z/e)^r with m_j u_j = <c_j, u> (mod e), c_j the
+    coordinates of s_j^(m_j): prod_j m_j = [G : G'] of them, found one
+    coordinate at a time.  chi_u takes prod_j z^(u_j i_j) at coordinates i,
+    z the table's root of unity mod p, so each coordinate multiplies the
+    values at the class representatives by one gather of the powers of
+    z^(u_j).  e_G' = (1/|G'|) sum_(g in G') g is 1/|G| times the sum of
+    their w_chi, so v'[l] is delta_(l,0) - |C_l|/|G'| for a class inside G'
+    and delta_(l,0) outside.
     """
-    classes = G.conjugacy_classes()
-    e, table = G.exponent(), G._table
-    sizes = [cls.size for cls in classes]
-    elements, member = _derived_subgroup(G)
-    inv_derived = pow(len(elements), p - 2, p)
-    code, radix, steps = [0] * G.order, 1, []
-    for s in G._gens:
-        if member[s]:
-            continue
-        pw = powers(table[s])
-        m = 1
-        while m < len(pw) and not member[pw[m]]:
-            m += 1
-        coset_of = gather(elements)
-        base = coset_of(code)
-        for i in range(1, m):
-            coset = coset_of(table[pw[i]])
-            for x, c in zip(coset, base):
-                code[x] = c + i * radix
-                member[x] = 1
-            elements += coset
-        steps.append((m, radix, code[pw[m % len(pw)]]))
-        radix *= m
+    e = G.exponent()
+    sizes = [cls.size for cls in G.conjugacy_classes()]
+    derived, code, steps = commutator_quotient(G._table, G._inv, G._gens, G._conj, G._grow)
+    inv_derived = pow(derived, p - 2, p)
     at_reps = gather(G.class_representatives())(code)
     start = [0 if c else -size * inv_derived % p for size, c in zip(sizes, at_reps)]
     start[0] = (start[0] + 1) % p
-    z = _find_root_of_unity(e, p)
-    ztab = [pow(z, t, p) for t in range(e)]
+    if steps:
+        z = _find_root_of_unity(e, p)
+        ztab = [pow(z, t, p) for t in range(e)]
     chars = [((), sizes)]  # (u, |C_l| chi_u(z_l) so far)
     for m, radix, relation in steps:
         at = gather([c // radix % m for c in at_reps])

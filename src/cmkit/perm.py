@@ -193,3 +193,50 @@ def cycles_of(images: Sequence[int]) -> list[tuple[int, ...]]:
             x = images[x]
         cycles.append(tuple(cycle))
     return cycles
+
+
+def commutator_quotient(table: Sequence[Sequence[int]], inv: Sequence[int], gens: Sequence[int],
+                        conj: Sequence[Sequence[int]], grow) -> Tuple[int, list, list]:
+    """G' and coordinates modulo it, for the group with Cayley table `table`,
+    inverses `inv`, generator indices `gens`, their conjugation maps `conj`
+    and Dimino's closure `grow` (`FiniteGroup._grow`).
+
+    G' is the normal closure of the commutators of the generators: each
+    element taken as a generator of the closure brings its conjugates by the
+    generators, and `grow` adds them; once the closure holds more than half
+    of G it is all of G.  Along G' = H_0 < H_1 < ... < H_r = G,
+    H_j = <H_(j-1), s_j> for the generators s_j outside H_(j-1), each
+    element is s_1^(i_1) ... s_r^(i_r) modulo G' with 0 <= i_j < m_j =
+    [H_j : H_(j-1)], read one coset s_j^i H_(j-1) at a time.  Returns |G'|;
+    the code sum_j i_j R_j of every element, R_j = m_1 ... m_(j-1), which
+    is 0 exactly on G'; and (m_j, R_j, the code of s_j^(m_j)) for each j.
+    """
+    n = len(table)
+    elements, member, taken = [0], bytearray(n), []
+    member[0] = 1
+    queue = [table[inv[table[b][a]]][table[a][b]] for i, a in enumerate(gens) for b in gens[i + 1:]]
+    for x in queue:
+        if not member[x]:
+            taken.append(x)
+            if not grow(elements, member, taken):
+                return n, [0] * n, []
+            queue += [c[x] for c in conj]
+    derived, code, radix, steps = len(elements), [0] * n, 1, []
+    for s in gens:
+        if member[s]:
+            continue
+        pw = powers(table[s])
+        m = 1
+        while m < len(pw) and not member[pw[m]]:
+            m += 1
+        coset_of = gather(elements)
+        base = coset_of(code)
+        for i in range(1, m):
+            coset = coset_of(table[pw[i]])
+            for x, c in zip(coset, base):
+                code[x] = c + i * radix
+                member[x] = 1
+            elements += coset
+        steps.append((m, radix, code[pw[m % len(pw)]]))
+        radix *= m
+    return derived, code, steps

@@ -30,6 +30,7 @@ from cmkit import (
 from cmkit import chartable, cyclotomic
 from cmkit.chartable import CharacterTable, _split
 from cmkit.modp import Slots
+from cmkit.perm import commutator_quotient
 from conftest import (
     alternating_5,
     cyclic_7_squared,
@@ -466,7 +467,7 @@ def test_split_passes_stop_at_k_parts(m, passes, degrees, monkeypatch):
     there are k - [G:G'] parts."""
     G = build_gm(m).group
     k = len(G.conjugacy_classes())
-    index = G.order // len(chartable._derived_subgroup(G)[0])
+    index = G.order // commutator_quotient(G._table, G._inv, G._gens, G._conj, G._grow)[0]
     p = chartable._find_prime(G.exponent(), 2 * G.order + 1)
     events = []
     real_split, real_minpoly = chartable._split, chartable.minimal_polynomial
