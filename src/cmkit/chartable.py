@@ -4,9 +4,15 @@ The table is computed by Dixon's method as revisited by Schneider: the
 class matrices M_i, M_i[j][l] = #{x in C_i : x^-1 z_l in C_j} for the
 representative z_l of class l, commute, and their common eigenvectors over
 F_p, for a prime p = 1 (mod e) above 2|G| with e the group exponent, are
-the irreducibles.  Each part of class space still shared by several
-irreducibles is carried only by the projection v of e_0, the
-identity-class indicator, onto it.  Under a combination A = sum_i c_i M_i
+the irreducibles.  The linear characters are the characters of G/G' and
+are read off it: G' and each element's coordinates along
+G' < H_1 < ... < G, one generator adjoined at a time, come from
+`perm.commutator_quotient`, and each linear character is an exponent
+vector on those coordinates (`_linear_characters`).  Their idempotents sum
+to e_G', so the rest of class space is carried by e_0 - e_G', e_0 the
+identity-class indicator, and only it is split.  Each part of it still
+shared by several irreducibles is carried only by the projection v of
+e_0 - e_G' onto it.  Under a combination A = sum_i c_i M_i
 with seeded random c_i, whose column l is read off the Cayley-table row of
 z_l as one Kronecker-packed int (`cmkit.modp`), v has an exact minimal
 polynomial mu, the first linear dependency among v, Av, A^2 v, ...; mu has
@@ -17,8 +23,9 @@ split the same way by further seeded combinations and then by each class
 matrix alone.  A part v with Av a multiple of v, tested by one packed
 product, lies in one eigenspace and is kept without Krylov; each part holds
 at least one irreducible, so the splitting ends, within a pass too, as soon
-as there are as many parts as classes.  Degrees are recovered from the
-orthogonality relation.
+as there are as many parts as non-linear irreducibles.  Degrees are
+recovered from the orthogonality relation, one gathered dot product per
+eigenvector.
 
 For each irreducible chi and class C of element order o, a discrete Fourier
 transform over the powers of a representative g, taken mod p with a fixed
@@ -44,10 +51,12 @@ holds it, and degrees, Chevalley-Weil counts, class sums
 spectrum's value chi(C) = sum_t n_t zeta_o^t is reduced once per table to
 integer coefficients on the power basis of Q(zeta_e) (`value_vectors`);
 they order the rows and are what the `table` payload prints.  The table is verified in
-integer arithmetic: shape (each spectrum of length o_c, non-negative,
-summing to the degree), norm one (<chi, chi> from the spectra in
-Z[x]/(x^e - 1), reduced mod Phi_e), and the regular representation's
-eigenvalue counts; a failed identity raises `InvalidCharacterTable`.
+integer arithmetic, each distinct spectrum numbered and packed once: shape
+(each spectrum of length o_c, non-negative, summing to the degree), norm
+one (<chi, chi> from the packed spectra in Z[x]/(x^e - 1), one dot product
+per row, tested against |G| with Psi_e = (x^e - 1)/Phi_e), and the regular
+representation's eigenvalue counts (one dot product per class); a failed
+identity raises `InvalidCharacterTable`.
 `Cyclotomic` values are built from the vectors only for the demos and the
 oracle API (`irreducibles`, `inner_product`, `fixed_space_dimension`).
 """

@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from conftest import (
     index_table,
     klein_4,
     psl_2_7,
+    reference_derived_subgroup,
     reference_table,
     run_optimized,
     small_permutation_groups,
@@ -677,3 +679,83 @@ def test_random_small_groups_have_checked_tables(G):
 def test_random_small_groups_have_reference_cayley_tables(G):
     """The same inputs: the table and inverses equal `Permutation` products."""
     assert index_table(G) == reference_table(G)
+
+
+def _linear_route_groups():
+    groups = [
+        pytest.param(FiniteGroup.trivial, id="C1"),
+        pytest.param(lambda: FiniteGroup.cyclic(2), id="C2"),
+        pytest.param(klein_4, id="V4"),
+        pytest.param(lambda: elementary_abelian_2(6), id="C2^6"),
+        pytest.param(lambda: cyclic_product(3, 6, 12), id="C3xC6xC12"),
+        pytest.param(alternating_5, id="A5"),
+        pytest.param(psl_2_7, id="PSL(2,7)"),
+        pytest.param(symmetric_4, id="S4"),
+        pytest.param(symmetric_5, id="S5"),
+    ]
+    return groups + [pytest.param(lambda m=m: gm_bundle(m)[0].group, id=f"gm:{m}")
+                     for m in range(6, 34, 2)]
+
+
+def _check_linear_route(G):
+    """G' and the coordinates modulo it match the brute-force closure of all
+    commutators, and [G:G'] is the number of degree-1 rows of the table."""
+    derived, code, steps = commutator_quotient(G._table, G._inv, G._gens, G._conj, G._grow)
+    expected = reference_derived_subgroup(G)
+    assert derived == len(expected)
+    assert {x for x in range(G.order) if code[x] == 0} == expected
+    index = G.order // derived
+    assert math.prod(m for m, _, _ in steps) == index
+    assert sorted(set(code)) == list(range(index))  # one code per coset of G'
+    degrees = character_table(G).degrees()
+    assert degrees.count(1) == index
+    return index, len(degrees)
+
+
+@pytest.mark.parametrize("maker", _linear_route_groups())
+def test_linear_characters_are_read_off_the_commutator_quotient(maker):
+    """Abelian groups have only linear characters, so no split runs; perfect
+    ones (A5, PSL(2,7)) only the trivial one; the gm family [G:G'] = 2m."""
+    G = maker()
+    index, k = _check_linear_route(G)
+    if G.is_abelian():
+        assert index == k
+    if G.order in (60, 168):
+        assert index == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_permutation_groups())
+def test_linear_characters_are_read_off_the_commutator_quotient_on_random_groups(G):
+    _check_linear_route(G)
+
+
+MUTATED_LINEAR = """
+from cmkit import InvalidCharacterTable, build_gm, chartable
+real = chartable._linear_characters
+def dropped(G, p):
+    linear, start = real(G, p)
+    return linear[1:], start
+def rotated(G, p):
+    linear, start = real(G, p)
+    z = chartable._find_root_of_unity(G.exponent(), p)
+    vector = list(linear[-1])
+    vector[-1] = vector[-1] * z % p
+    return linear[:-1] + [vector], start
+for name, mutant in (("unchanged", real), ("dropped", dropped), ("rotated", rotated)):
+    chartable._linear_characters = mutant
+    try:
+        chartable.character_table(build_gm(12).group)
+    except InvalidCharacterTable as ex:
+        print(name, "rejected")
+    else:
+        print(name, "accepted")
+"""
+
+
+def test_mutated_linear_characters_are_rejected_under_optimize():
+    """With one linear vector dropped, or one linear character's value at one
+    class rotated by a root of unity, the table of gm:12 raises, also under
+    `python -O`."""
+    assert run_optimized("-c", MUTATED_LINEAR).splitlines() == [
+        "unchanged accepted", "dropped rejected", "rotated rejected"]
