@@ -74,7 +74,6 @@ from .cyclotomic import Cyclotomic, class_sums, packed_spectra, power_basis, pri
 from .errors import (
     GroupMismatch,
     GroupTooLarge,
-    InternalCheckFailed,
     InvalidCharacterTable,
     NonIntegralResult,
     Record,
@@ -517,9 +516,10 @@ def _verify_table(table):
     The table has k rows of k spectra; the spectrum at class c has length
     o_c and non-negative entries summing to the row's degree.  Each distinct
     spectrum is numbered once, when a row first holds it, and packed once as
-    sum_t n_t X^(t e/o), X = 2^64: a value in Z[x]/(x^e - 1) at x = X.  Both
-    identities below are then one dot product per row or per class, and
-    products of packed values mod X^e - 1 multiply in Z[x]/(x^e - 1).
+    sum_t n_t X^(t e/o), a value in Z[x]/(x^e - 1) at x = X
+    (`cyclotomic.packed_spectra`, X = 2^16, 2^32 or 2^64).  Both identities
+    below are then one dot product per row or per class, and products of
+    packed values mod X^e - 1 multiply in Z[x]/(x^e - 1).
 
     <chi, chi> is summed from the spectra in integers: at a class of element
     order o, chi conj(chi) is the product of the packed spectrum n_t and its
@@ -527,10 +527,10 @@ def _verify_table(table):
     A = sum_c |C_c| chi conj(chi).  A degree d with d^2 > |G| fails at once,
     since the identity class alone adds d^2.  Otherwise A's coefficients are
     non-negative and sum to |G| d^2 <= |G|^2, and A(zeta_e) = |G| exactly when
-    (A - |G|) Psi_e = 0 in Z[x]/(x^e - 1) (`inverse_cyclotomic_polynomial`):
-    the packed A Psi_e and |G| Psi_e agree mod X^e - 1.  Each coefficient of
-    their difference is below (|G|^2 + |G|) max|Psi_e| < 2^63 in absolute
-    value, which is checked, so agreeing mod X^e - 1 is being equal.
+    (A - |G|) Psi_e = 0 in Z[x]/(x^e - 1), Psi_e = (x^e - 1) / Phi_e: when
+    the packed (A - |G|) Psi_e is 0 mod X^e - 1.  Each of its coefficients
+    is at most (|G|^2 + |G|) max|Psi_e| < X/2 in absolute value, which
+    `packed_spectra` ensures, so being 0 mod X^e - 1 is being 0.
 
     The regular representation restricted to <g>, g of order o, is |G|/o
     copies of the regular representation of C_o, so at every class

@@ -3,7 +3,10 @@
 The package keeps a value of Q(zeta_e) as a list in Z[x]/(x^e - 1), x for
 zeta_e, and `power_basis`, its one reduction mod Phi_e, gives the integer
 coefficients on the power basis {1, zeta, ..., zeta^(phi(e)-1)}: tested for
-an integer by `reduced_integer`, printed by `value_string`.
+an integer by `reduced_integer`, printed by `value_string`.  Character
+tables test their norms without it: `packed_spectra` packs values of
+Z[x]/(x^e - 1) into one int each and supplies Psi_e = (x^e - 1) / Phi_e, by
+which a value is zero exactly when its product with Psi_e is.
 
 `Cyclotomic`, the independent oracle, holds integer numerators on the same
 basis, an integral basis of Z[zeta_e], over one positive denominator in lowest
