@@ -5,6 +5,8 @@ Composition is function composition: ``(p * q)(x) = p(q(x))``, read by one
 `gather` of p's images at q's.  On a Cayley table (`table[a][b]` the index
 of a*b, the identity 0) there is one walk over the powers of an element,
 `powers`, and one walk over the left cosets of a subgroup, `left_cosets`.
+`commutator_quotient` reads G' and coordinates on G/G' off the table for
+the character table's linear characters.
 """
 
 from __future__ import annotations
