@@ -462,11 +462,9 @@ def test_split_leaves_a_repeated_eigenvalue_to_a_later_combination():
 def test_split_passes_stop_at_k_parts(m, passes, degrees, monkeypatch):
     """Counted on gm:12 and gm:16: the linear characters are read off G/G',
     so the split runs only from e_0 - e_G' and stops at the k - [G:G']
-    non-linear irreducibles (6 of 30 and 8 of 40 here; before the linear
-    route it ran 3 passes with Krylov degrees 24, 2, 2, 3, 2, 2 and 2 passes
-    with 39, 2).  After the first pass, Krylov runs only on parts that the
-    one-product test rejects, and no part is split and no pass begins once
-    there are k - [G:G'] parts."""
+    non-linear irreducibles (6 of 30 and 8 of 40 here).  After the first
+    pass, Krylov runs only on parts that the one-product test rejects, and
+    no part is split and no pass begins once there are k - [G:G'] parts."""
     G = build_gm(m).group
     k = len(G.conjugacy_classes())
     index = G.order // commutator_quotient(G._table, G._inv, G._gens, G._conj, G._grow)[0]
