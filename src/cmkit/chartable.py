@@ -5,60 +5,52 @@ class matrices M_i, M_i[j][l] = #{x in C_i : x^-1 z_l in C_j} for the
 representative z_l of class l, commute, and their common eigenvectors over
 F_p, for a prime p = 1 (mod e) above 2|G| with e the group exponent, are
 the irreducibles.  The linear characters are the characters of G/G' and
-are read off it: G' and each element's coordinates along
+are written exactly: G' and each element's coordinates along
 G' < H_1 < ... < G, one generator adjoined at a time, come from
-`perm.commutator_quotient`, and each linear character is an exponent
-vector on those coordinates (`_linear_characters`).  Their idempotents sum
-to e_G', so the rest of class space is carried by e_0 - e_G', e_0 the
-identity-class indicator, and only it is split.  Each part of it still
-shared by several irreducibles is carried only by the projection v of
-e_0 - e_G' onto it.  Under a combination A = sum_i c_i M_i
-with seeded random c_i, whose column l is read off the Cayley-table row of
-z_l as one Kronecker-packed int (`cmkit.modp`), v has an exact minimal
-polynomial mu, the first linear dependency among v, Av, A^2 v, ...; mu has
-distinct roots in F_p, and (mu / (x - lambda))(A) v, read off the same
-Krylov vectors, is the projection onto the lambda-eigenspace.  Parts whose
-irreducibles share an eigenvalue (p is small, so eigenvalues can repeat) are
-split the same way by further seeded combinations and then by each class
-matrix alone.  A part v with Av a multiple of v, tested by one packed
-product, lies in one eigenspace and is kept without Krylov; each part holds
-at least one irreducible, so the splitting ends, within a pass too, as soon
-as there are as many parts as non-linear irreducibles.  Degrees are
-recovered from the orthogonality relation, one gathered dot product per
-eigenvector.
+`perm.commutator_quotient`, each linear character is an exponent vector on
+those coordinates, and chi(z_l) = zeta_e^(s_l) for one integer s_l per
+class (`_linear_characters`).  Their idempotents sum to e_G', so the rest of
+class space is carried by e_0 - e_G', e_0 the identity-class indicator, and
+only its irreducibles go through F_p.  It is split by seeded combinations
+A = sum_i c_i M_i, whose column l is read off the Cayley-table row of z_l
+as one Kronecker-packed int (`cmkit.modp`), and then by each class matrix
+alone, each part by the exact minimal polynomial of its vector under A
+(`_split`), until there are as many parts as non-linear irreducibles.
+Degrees are recovered from the orthogonality relation, one gathered dot
+product per eigenvector.
 
-For each irreducible chi and class C of element order o, a discrete Fourier
-transform over the powers of a representative g, taken mod p with a fixed
-primitive e-th root z,
+For an irreducible chi and a class of element order o, the spectrum n_t,
+t < o, is the multiplicity of zeta_o^t = exp(2 pi i t / o) as an eigenvalue
+of rho(g), g a representative.  A linear character's is the unit vector at
+t = s_l o / e.  For the others a discrete Fourier transform over the powers
+of g, taken mod p with a fixed primitive e-th root z standing for zeta_e,
 
-    n_t = (1/o) sum_{s < o} chi(g^s) z^(-t s e/o),    t < o,
+    n_t = (1/o) sum_{s < o} chi(g^s) z^(-t s e/o),
 
-gives the multiplicity n_t of zeta_o^t = exp(2 pi i t / o) as an
-eigenvalue of rho(g), where z stands for zeta_e.  The n_t are integers in
-[0, chi(1)], so their mod-p representatives are exact.  The transform runs
-once per rational class, for all irreducibles at once: the values mod p of
-every irreducible at a class are packed into one int, a slot per
-irreducible, and with 1/o folded into the transform's rows each n_t is o
-packed multiply-adds.  The class of g^u, u a unit mod o, has the spectrum
-n_(t u^-1), read by reindexing; the rational classes and their reindexing
-are the group's `rational_sources`, built with its classes.  At every
-class, sum_t n_t z^(t e/o) must give back the class's value mod p, one
-packed sum per class: in exact arithmetic an identity of the inverse
-transform, it guards the slot width and the reindexing.  The spectra are the table: `CharacterTable` stores
-nothing else, one tuple per distinct spectrum shared by every cell that
-holds it, and degrees, Chevalley-Weil counts, class sums
-(`fixed_dimensions`) and `conjugate_index` read them.  Each distinct
-spectrum's value chi(C) = sum_t n_t zeta_o^t is reduced once per table to
-integer coefficients on the power basis of Q(zeta_e) (`value_vectors`);
-they order the rows and are what the `table` payload prints.  The table is verified in
-integer arithmetic, each distinct spectrum numbered and packed once: shape
-(each spectrum of length o_c, non-negative, summing to the degree), norm
-one (<chi, chi> from the packed spectra in Z[x]/(x^e - 1), one dot product
-per row, tested against |G| with Psi_e = (x^e - 1)/Phi_e), and the regular
-representation's eigenvalue counts (one dot product per class); a failed
-identity raises `InvalidCharacterTable`.
-`Cyclotomic` values are built from the vectors only for the demos and the
-oracle API (`irreducibles`, `inner_product`, `fixed_space_dimension`).
+gives integers in [0, chi(1)], so their mod-p representatives are exact.
+It runs once per rational class for all of them at once: their values mod p
+at a class are packed into one int, a slot each, and with 1/o folded into
+the transform's rows each n_t is o packed multiply-adds.  The class of g^u,
+u a unit mod o, has the spectrum n_(t u^-1), read by reindexing (the
+group's `rational_sources`).  At every class, sum_t n_t z^(t e/o) must give
+back the class's value mod p, one packed sum per class: in exact arithmetic
+an identity of the inverse transform, it guards the slot width and the
+reindexing.  The spectra are the table: `CharacterTable` stores nothing
+else, one tuple per distinct spectrum shared by every cell that holds it,
+and degrees, Chevalley-Weil counts, class sums (`fixed_dimensions`) and
+`conjugate_index` read them.  Each distinct spectrum's value
+chi(C) = sum_t n_t zeta_o^t is reduced once per table to integer
+coefficients on the power basis of Q(zeta_e) (`value_vectors`); they order
+the rows and are what the `table` payload prints.  Every row, linear or
+not, is verified in integer arithmetic, each distinct spectrum numbered and
+packed once: shape (each spectrum of length o_c, non-negative, summing to
+the degree), norm one (<chi, chi> from the packed spectra in
+Z[x]/(x^e - 1), one dot product per row, tested against |G| with
+Psi_e = (x^e - 1)/Phi_e), and the regular representation's eigenvalue
+counts (one dot product per class); a failed identity raises
+`InvalidCharacterTable`.  `Cyclotomic` values are built from the vectors
+only for the demos and the oracle API (`irreducibles`, `inner_product`,
+`fixed_space_dimension`).
 """
 
 from __future__ import annotations
@@ -67,7 +59,7 @@ import random
 from functools import lru_cache
 from itertools import chain
 from math import isqrt
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import Dict, List, Optional, Tuple
 
 from .cyclotomic import Cyclotomic, class_sums, packed_spectra, power_basis, prime_factors
@@ -269,76 +261,57 @@ def trivial_character(G: FiniteGroup) -> Character:
 def _dixon_rows(G):
     """The spectra of the irreducibles in table order, and `_value_vectors`.
 
-    The rows are sorted by their values' coefficient vectors, class by class;
-    the identity class comes first, so the degree leads.
+    A linear character with exponent s at a class of element order o has
+    the unit vector at s o / e there, read from a list of e entries per o,
+    None where e/o does not divide s.  The other rows are lifted from the
+    split of e_0 - e_G' (`_lifted_rows`).  Rows are sorted by their values'
+    coefficient vectors, class by class; the identity class comes first, so
+    the degree leads.
     """
-    classes = G.conjugacy_classes()
-    k = len(classes)
-    n = G.order
     e = G.exponent()
-    sizes = [cls.size for cls in classes]
-    orders = [cls.order for cls in classes]
-    power = G.power_classes()
-    source = G.rational_sources()
-
-    p = _find_prime(e, 2 * n + 1)
-    z = _find_root_of_unity(e, p)
-
-    values_mod_p = _class_values(G, p, sizes)
-    # Column c holds chi(C_c) mod p for every irreducible chi, one slot each.
-    slots = Slots(p, max(orders))
-    columns = [slots.pack(column) for column in zip(*values_mod_p)]
-    del values_mod_p
-
-    # Per element order o: z^((e/o) t) for t < o, and the rows
-    # (z^(-(e/o) t s) / o)_(s < o) of the discrete Fourier transform.
-    per_order = {}
-    for o in set(orders):
-        ztab = [pow(z, (e // o) * t, p) for t in range(o)]
-        inv_o = pow(o, p - 2, p)
-        per_order[o] = ztab, [[(ztab[(-t * s) % o] * inv_o) % p for s in range(o)]
-                              for t in range(o)]
-    rational = {}
-    for c, (first, _) in enumerate(source):
-        rational.setdefault(first, []).append(c)
+    orders = [cls.order for cls in G.conjugacy_classes()]
+    p = _find_prime(e, 2 * G.order + 1)
+    exponents, start = _linear_characters(G, p)
     # Rows share most spectra (61 distinct among gm:16's 1,600 cells), so the
     # table holds one tuple per distinct spectrum.
     shared = {}
-    by_class = [None] * k
-    for first, members in rational.items():
-        ztab, dft = per_order[orders[first]]
-        seq = [columns[j] for j in power[first]]
-        lifted = [slots.unpack(sum(map(mul, row, seq)), k) for row in dft]
-        packed = [slots.pack(counts) for counts in lifted]
-        spectra = [shared.setdefault(s, s) for s in zip(*lifted)]
-        for c in members:
-            class_spectra, class_packed = spectra, packed
-            if c != first:
-                reindex = itemgetter(*source[c][1])
-                class_spectra = [shared.setdefault(s, s) for s in map(reindex, spectra)]
-                class_packed = reindex(packed)
-            by_class[c] = class_spectra
-            if slots.unpack(sum(map(mul, ztab, class_packed)), k) != slots.unpack(columns[c], k):
-                raise InvalidCharacterTable("eigenvalue spectrum does not give the class value")
-    rows_out = list(zip(*by_class))
+    units = {}
+    for o in set(orders):
+        units[o] = row = [None] * e
+        for t in range(o):
+            s = (0,) * t + (1,) + (0,) * (o - 1 - t)
+            row[t * e // o] = shared.setdefault(s, s)
+    at = gather(orders)(units)
+    rows_out = [tuple(map(list.__getitem__, at, exps)) for exps in exponents]
+    if any(None in row for row in rows_out):
+        raise InvalidCharacterTable("a linear character's exponent is not a multiple of e/o")
+    target = len(orders) - len(rows_out)
+    if target:
+        rows_out += _lifted_rows(G, p, _joint_eigenvectors(G, p, start, target), shared)
     values = _value_vectors(e, rows_out)
     rows_out.sort(key=lambda spectra: tuple(map(values.__getitem__, spectra)))
     return tuple(rows_out), values
 
 
-def _class_values(G, p, sizes):
-    """chi(z_l) mod p at every class for each irreducible chi, in the order of
-    `_joint_eigenvectors`.  A joint eigenvector v is a multiple of
-    w[l] = |C_l| chi(z_l) / chi(1), so with u[l] = v[l] / |C_l|,
-    chi(1)^2 = |G| v[0]^2 / sum_l u[l] v[l*] (l* the class of inverses) and
-    chi(z_l) = chi(1) u[l] / v[0]: one gathered dot product per vector.
-    Degrees are below p / 2, so their squares differ mod p."""
-    n = G.order
-    inv_sizes = [pow(s, p - 2, p) for s in sizes]
+def _lifted_rows(G, p, vectors, shared):
+    """The spectra of the irreducibles of the joint eigenvectors.
+
+    A joint eigenvector v is a multiple of w[l] = |C_l| chi(z_l) / chi(1), so
+    with u[l] = v[l] / |C_l|, chi(1)^2 = |G| v[0]^2 / sum_l u[l] v[l*] (l* the
+    class of inverses) and chi(z_l) = chi(1) u[l] / v[0]: one gathered dot
+    product per vector.  Degrees are below p / 2, so their squares differ mod
+    p.  The values mod p of every irreducible at a class are then packed into
+    one int, a slot each, and lifted by one packed transform per rational
+    class and checked at every class.
+    """
+    n, e = G.order, G.exponent()
+    classes = G.conjugacy_classes()
+    orders = [cls.order for cls in classes]
+    inv_sizes = [pow(cls.size, p - 2, p) for cls in classes]
     inverse_of = gather(power_class_map(G, -1))
     root = {d * d % p: d for d in range(1, isqrt(n) + 1)}
     values = []
-    for v in _joint_eigenvectors(G, p):
+    for v in vectors:
         v0 = v[0] % p
         if not v0:
             raise InvalidCharacterTable("joint eigenvector vanishes at the identity class")
@@ -348,7 +321,38 @@ def _class_values(G, p, sizes):
             raise InvalidCharacterTable("degree recovery failed")
         scale = degree * pow(v0, p - 2, p)
         values.append([x * scale % p for x in u])
-    return values
+    # Column c holds chi(C_c) mod p for every irreducible chi, one slot each.
+    k = len(values)
+    slots = Slots(p, max(orders))
+    columns = [slots.pack(column) for column in zip(*values)]
+
+    # Per element order o: z^((e/o) t) for t < o, and the rows
+    # (z^(-(e/o) t s) / o)_(s < o) of the discrete Fourier transform.
+    z = _find_root_of_unity(e, p)
+    per_order = {}
+    for o in set(orders):
+        ztab = [pow(z, (e // o) * t, p) for t in range(o)]
+        inv_o = pow(o, p - 2, p)
+        per_order[o] = ztab, [[(ztab[(-t * s) % o] * inv_o) % p for s in range(o)]
+                              for t in range(o)]
+    source = G.rational_sources()
+    rational = {}
+    for c, (first, _) in enumerate(source):
+        rational.setdefault(first, []).append(c)
+    by_class = [None] * len(orders)
+    for first, members in rational.items():
+        ztab, dft = per_order[orders[first]]
+        seq = gather(G.power_classes()[first])(columns)
+        lifted = [slots.unpack(sum(map(mul, row, seq)), k) for row in dft]
+        packed = [slots.pack(counts) for counts in lifted]
+        spectra = list(zip(*lifted))
+        for c in members:  # tuple() returns a tuple itself, so the first one reads as it is
+            reindex = tuple if c == first else itemgetter(*source[c][1])
+            by_class[c] = [shared.setdefault(s, s) for s in map(reindex, spectra)]
+            if (slots.unpack(sum(map(mul, ztab, reindex(packed))), k)
+                    != slots.unpack(columns[c], k)):
+                raise InvalidCharacterTable("eigenvalue spectrum does not give the class value")
+    return list(zip(*by_class))
 
 
 def _value_vectors(e, rows):
@@ -371,8 +375,6 @@ def _find_prime(e, minimum):
 
 @lru_cache(maxsize=None)
 def _find_root_of_unity(e, p):
-    if e == 1:
-        return 1
     prime_divs = prime_factors(e)
     for c in range(2, p):
         z = pow(c, (p - 1) // e, p)
@@ -398,8 +400,8 @@ def _class_combination(G, coeffs, slots):
     """
     class_of = G.class_ids()
     k, p = len(coeffs), slots.p
-    weight = [coeffs[c] for c in class_of]
-    class_of_inverse = [class_of[G.inv(u)] for u in range(G.order)]
+    weight = gather(class_of)(coeffs)
+    class_of_inverse = gather(G._inv)(class_of)
     columns = []
     for zl in G.class_representatives():
         col = [0] * k
@@ -410,45 +412,38 @@ def _class_combination(G, coeffs, slots):
 
 
 def _linear_characters(G, p):
-    """(w_chi mod p for every linear character chi, v' = e_0 - e_G' mod p).
+    """(the exponents of every linear character, v' = e_0 - e_G' mod p).
 
     With G' and the coordinates i_j < m_j of each element modulo G' read by
     `perm.commutator_quotient`, the linear characters are the exponent
     vectors u in (Z/e)^r with m_j u_j = <c_j, u> (mod e), c_j the
     coordinates of s_j^(m_j): prod_j m_j = [G : G'] of them, found one
-    coordinate at a time.  chi_u takes prod_j z^(u_j i_j) at coordinates i,
-    z the table's root of unity mod p, so each coordinate multiplies the
-    values at the class representatives by one gather of the powers of
-    z^(u_j).  e_G' = (1/|G'|) sum_(g in G') g is 1/|G| times the sum of
-    their w_chi, so v'[l] is delta_(l,0) - |C_l|/|G'| for a class inside G'
-    and delta_(l,0) outside.
+    coordinate at a time.  chi_u(z_l) = zeta_e^(s_l) at the representative z_l
+    of class l, with s_l = sum_j u_j i_j(z_l) mod e, so each coordinate adds
+    one gather of the multiples of u_j to the exponents.  e_G' =
+    (1/|G'|) sum_(g in G') g is 1/|G| times the sum of the linear characters'
+    joint eigenvectors, so v'[l] is delta_(l,0) - |C_l|/|G'| for a class
+    inside G' and delta_(l,0) outside.
     """
     e = G.exponent()
-    sizes = [cls.size for cls in G.conjugacy_classes()]
     derived, code, steps = commutator_quotient(G._table, G._inv, G._gens, G._conj, G._grow)
     inv_derived = pow(derived, p - 2, p)
     at_reps = gather(G.class_representatives())(code)
-    start = [0 if c else -size * inv_derived % p for size, c in zip(sizes, at_reps)]
+    start = [0 if c else -cls.size * inv_derived % p
+             for cls, c in zip(G.conjugacy_classes(), at_reps)]
     start[0] = (start[0] + 1) % p
-    if steps:
-        z = _find_root_of_unity(e, p)
-        ztab = [pow(z, t, p) for t in range(e)]
-    chars = [((), sizes)]  # (u, |C_l| chi_u(z_l) so far)
+    chars = [((), [0] * len(at_reps))]  # (u, the exponents s_l so far)
     for m, radix, relation in steps:
         at = gather([c // radix % m for c in at_reps])
         c = [relation // r % mr for mr, r, _ in steps]
-        grown = []
-        for u, values in chars:
-            for t in range(sum(map(mul, c, u)) % e // m, e, e // m):
-                row = [ztab[t * i % e] for i in range(m)]
-                grown.append((u + (t,), [x % p for x in map(mul, values, at(row))]))
-        chars = grown
-    return [values for _, values in chars], start
+        chars = [(u + (t,), [x % e for x in map(add, exps, at([t * i for i in range(m)]))])
+                 for u, exps in chars for t in range(sum(map(mul, c, u)) % e // m, e, e // m)]
+    return [exps for _, exps in chars], start
 
 
-def _joint_eigenvectors(G, p):
-    """One common eigenvector of the class matrices for each irreducible: the
-    linear characters' first (`_linear_characters`), then the non-linear ones'.
+def _joint_eigenvectors(G, p, start, target):
+    """One common eigenvector of the class matrices for each of the `target`
+    non-linear irreducibles, split from start = v' (`_linear_characters`).
 
     The matrices act on class space with eigenvectors w_chi, where
     w_chi[l] = |C_l| chi(z_l) / chi(1), and the identity-class indicator is
@@ -459,13 +454,11 @@ def _joint_eigenvectors(G, p):
     every c_chi nonzero.  A combination A of class matrices, seeded ones
     first and then each class matrix alone, splits every part by the
     eigenvalues of A on its w_chi (`_split`).  Every part holds at least one
-    irreducible, so once there are as many parts as non-linear irreducibles
-    each holds exactly one, and the splitting stops there, within a pass too.
+    irreducible, so once there are `target` parts each holds exactly one,
+    and the splitting stops there, within a pass too.
     """
-    k = len(G.conjugacy_classes())
-    linear, start = _linear_characters(G, p)
-    target = k - len(linear)
-    parts = [start] if target else []
+    k = len(start)
+    parts = [start]
     slots = Slots(p, k + 1)
     rng = random.Random(_SPLIT_SEED)  # combinations are drawn as they are needed
     for coeffs in chain(([0] + [rng.randrange(p) for _ in range(k - 1)]
@@ -484,7 +477,7 @@ def _joint_eigenvectors(G, p):
     if len(parts) != target:
         raise InvalidCharacterTable(f"class matrices split class space into {len(parts)} "
                                     f"parts for {target} non-linear irreducibles")
-    return linear + parts
+    return parts
 
 
 def _split(columns, start, slots):

@@ -160,14 +160,16 @@ class FiniteGroup:
             for pw, members in orbits)
         self._power_classes = tuple(gather(pw)(class_of) for pw, _ in orbits)
         self._exponent = lcm(*(len(pw) for pw, _ in orbits))
-        sources = [None] * len(orbits)  # see `rational_sources`
+        sources, reindex = [None] * len(orbits), {}  # see `rational_sources`
         for c, row in enumerate(self._power_classes):
             if sources[c] is None:
                 o = len(row)
                 for u in range(o):
                     if gcd(u, o) == 1 and sources[row[u]] is None:
-                        u_inv = pow(u, -1, o)
-                        sources[row[u]] = (c, tuple((t * u_inv) % o for t in range(o)))
+                        if (o, u) not in reindex:  # t -> t u^-1 mod o, one tuple per (o, u)
+                            v = pow(u, -1, o)
+                            reindex[o, u] = tuple(t * v % o for t in range(o))
+                        sources[row[u]] = c, reindex[o, u]
         self._sources = sources
 
     @classmethod

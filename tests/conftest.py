@@ -11,7 +11,6 @@ from functools import partial
 from operator import mul
 from pathlib import Path
 from typing import Dict, List, Tuple
-from unittest import mock
 
 import pytest
 from hypothesis import assume
@@ -843,22 +842,40 @@ def _split(mat, start, p: int, rng: random.Random) -> List[Tuple[List[int], List
 
 
 def hessenberg_rows(G):
-    """The spectra of G's irreducibles in table order, lifted from the
-    Hessenberg route's joint eigenvectors by `chartable._dixon_rows`."""
-    with mock.patch.object(chartable, "_joint_eigenvectors", _joint_eigenvectors):
-        return chartable._dixon_rows(G)[0]
+    """The spectra of G's irreducibles in table order: the Hessenberg route's
+    k joint eigenvectors, linear characters included, through the dense lift
+    (`dense_lift`).  Nothing of `chartable._dixon_rows`, its linear rows or its
+    packed lift is reached."""
+    p = chartable._find_prime(G.exponent(), 2 * G.order + 1)
+    return dense_lift(G, p, _joint_eigenvectors(G, p))[0]
 
 
 # -- the dense per-irreducible lift ------------------------------------------------
-# The oracle for the packed lift in `chartable._dixon_rows`: the lift the character
-# table took before it, copied verbatim.  Each irreducible's values mod p at the
-# powers of each rational class's first class go through a dense discrete Fourier
-# transform of their own, fed by the production `chartable._joint_eigenvectors`.
+# The oracle for the packed lift in `chartable._lifted_rows` and the linear rows
+# of `chartable._dixon_rows`: the lift the character table took before them,
+# copied verbatim.  Each irreducible's values mod p at the powers of each rational
+# class's first class go through a dense discrete Fourier transform of their own.
 
 
 def dense_dft_rows(G):
+    """(spectra in table order, `value_vectors`) by `dense_lift` from the
+    production's eigenvectors: w_chi = (|C_l| zeta^(s_l))_l for each linear
+    character's exponents s (`chartable._linear_characters`), then the split
+    parts (`chartable._joint_eigenvectors`)."""
+    k = len(G.conjugacy_classes())
+    p = chartable._find_prime(G.exponent(), 2 * G.order + 1)
+    z = chartable._find_root_of_unity(G.exponent(), p)
+    exponents, start = chartable._linear_characters(G, p)
+    vectors = [[cls.size * pow(z, s, p) % p for cls, s in zip(G.conjugacy_classes(), exps)]
+               for exps in exponents]
+    if len(vectors) < k:
+        vectors += chartable._joint_eigenvectors(G, p, start, k - len(vectors))
+    return dense_lift(G, p, vectors)
+
+
+def dense_lift(G, p, vectors):
     """(spectra in table order, `value_vectors`) by one dense transform per
-    irreducible and rational class."""
+    irreducible and rational class, from one joint eigenvector per irreducible."""
     classes = G.conjugacy_classes()
     k = len(classes)
     n = G.order
@@ -867,11 +884,7 @@ def dense_dft_rows(G):
     inv_class = chartable.power_class_map(G, -1)
     power = G.power_classes()
     source = G.rational_sources()
-
-    p = chartable._find_prime(e, 2 * n + 1)
     z = chartable._find_root_of_unity(e, p)
-
-    vectors = chartable._joint_eigenvectors(G, p)
 
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
     per_order = {}

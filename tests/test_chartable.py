@@ -344,6 +344,50 @@ for name, G, copied, replaced in (("C3", C3, (0, 1, 0), (0, 0, 1)),
 """
 
 
+# Two rows of one degree with their spectra swapped at one class where their
+# absolute values differ keep every row's shape and partition, and at every
+# class the same (degree, spectrum) pairs, so the regular-representation
+# identity holds too: only norm one sees the swap.  A5's two rows of degree 3
+# differ in absolute value at the 5-cycles.  A5 x C3 (order 180, e = 30) sits
+# at the width switch of `packed_spectra`: (180^2 + 180) max|Psi_30| = 32,580,
+# just under the 2^15 that 16-bit slots hold.  A row of degree 735 on C2, spectra (735) and (724, 11),
+# fails at once, as 735^2 > |G|: past that guard its packed norm would alias,
+# 735^2 + (724 - 11)^2 = 2 (mod 2^16 + 1), and pass the zero test.
+SWAPPED_SPECTRA = """
+from cmkit import FiniteGroup, InvalidCharacterTable, Permutation
+from cmkit.chartable import CharacterTable, _verify_table, character_table
+from cmkit.cyclotomic import packed_spectra
+def group(*cycles):
+    return FiniteGroup.from_generators(8, [Permutation.from_cycles(8, [c]) for c in cycles])
+def check(name, G, rows):
+    try:
+        _verify_table(CharacterTable(G, tuple(rows)))
+    except InvalidCharacterTable as ex:
+        print(name, "rejected:", ex)
+    else:
+        print(name, "accepted")
+for name, G in (("A5", group((0, 1, 2, 3, 4), (0, 1, 2))),
+                ("A5xC3", group((0, 1, 2, 3, 4), (0, 1, 2), (5, 6, 7)))):
+    T = character_table(G)
+    n, e = G.order, G.exponent()
+    orders = {cls.order for cls in G.conjugacy_classes()}
+    print(name, "slot bits", packed_spectra(e, orders, n * n + n)[2] // e)
+    irr, degrees = T.irreducibles, T.degrees()
+    i, j, c = next((i, j, c) for i in range(len(T)) for j in range(i + 1, len(T))
+                   if degrees[i] == degrees[j] > 1 for c in range(len(T))
+                   if irr[i].values[c] * irr[i].values[c].conjugate()
+                   != irr[j].values[c] * irr[j].values[c].conjugate())
+    rows = [list(row) for row in T.spectra]
+    rows[i][c], rows[j][c] = rows[j][c], rows[i][c]
+    rows = [tuple(row) for row in rows]
+    same = all(sorted(zip(degrees, a)) == sorted(zip(degrees, b))
+               for a, b in zip(zip(*T.spectra), zip(*rows)))
+    check(f"{name} rows {i}, {j} at class {c}, same pairs {same}:", G, rows)
+C2 = FiniteGroup.cyclic(2)
+check("C2 degree 735:", C2, (character_table(C2).spectra[0], ((735,), (724, 11))))
+"""
+
+
 NOT_SPLIT = """
 from cmkit import InvalidCharacterTable
 from cmkit.modp import distinct_roots
@@ -385,6 +429,18 @@ def test_verify_table_rejects_under_optimize():
     widths, overflow = run_optimized("-c", SLOT_OVERFLOW).splitlines()
     assert widths == "32 64"
     assert overflow.startswith("rejected: 5 products mod 2147483647 overflow")
+
+
+def test_norm_one_fires_when_only_norm_one_fails():
+    """Both norm-one raises fire under `python -O` on tables that every
+    other check accepts (`SWAPPED_SPECTRA`), one of them at the width
+    switch of `packed_spectra`."""
+    assert run_optimized("-c", SWAPPED_SPECTRA).splitlines() == [
+        "A5 slot bits 16",
+        "A5 rows 1, 2 at class 3, same pairs True: rejected: row 1 is not norm one",
+        "A5xC3 slot bits 16",
+        "A5xC3 rows 3, 4 at class 7, same pairs True: rejected: row 3 is not norm one",
+        "C2 degree 735: rejected: row 1 is not norm one"]
 
 
 DOCTORED_SPECTRA = """
@@ -489,7 +545,9 @@ def test_split_passes_stop_at_k_parts(m, passes, degrees, monkeypatch):
     monkeypatch.setattr(chartable, "_class_combination", combination)
     monkeypatch.setattr(chartable, "_split", split)
     monkeypatch.setattr(chartable, "minimal_polynomial", minimal_polynomial)
-    vectors = chartable._joint_eigenvectors(G, p)
+    exponents, start = chartable._linear_characters(G, p)
+    assert len(exponents) == index
+    vectors = chartable._joint_eigenvectors(G, p, start, k - index)
     parts, seen_passes, found = 1, 0, []
     for kind, degree in events:
         if kind == "krylov":
@@ -499,7 +557,7 @@ def test_split_passes_stop_at_k_parts(m, passes, degrees, monkeypatch):
         else:
             assert parts < k - index, f"a {kind} after {k - index} parts"
             seen_passes += kind == "pass"
-    assert parts == k - index and len(vectors) == k
+    assert parts == k - index and len(vectors) == k - index
     assert (seen_passes, found) == (passes, degrees)
 
 
@@ -524,10 +582,27 @@ def _table_groups():
 
 @pytest.mark.parametrize("maker", _table_groups())
 def test_krylov_route_matches_the_hessenberg_route(maker):
-    """The minimal-polynomial split gives the table that the Hessenberg
-    route (`conftest.hessenberg_rows`) gives: the same spectra."""
+    """The linear rows and the minimal-polynomial split give the table that
+    the Hessenberg route (`conftest.hessenberg_rows`) gives: the same spectra."""
     G = maker()
     assert character_table(G).spectra == hessenberg_rows(G)
+
+
+def _refuse_route(*args):
+    raise AssertionError("the oracle reached the production route")
+
+
+@pytest.mark.parametrize("maker", [pytest.param(lambda: build_gm(12).group, id="gm:12"),
+                                   pytest.param(symmetric_4.__wrapped__, id="S4"),
+                                   pytest.param(lambda: cyclic_product(2, 6), id="C2xC6")])
+def test_hessenberg_route_runs_without_the_production_route(maker, monkeypatch):
+    """Control for the oracle's independence: with the linear characters and
+    `_dixon_rows` refused, `conftest.hessenberg_rows` still returns the table
+    of a fresh group, linear rows included."""
+    expected = character_table(maker()).spectra
+    monkeypatch.setattr(chartable, "_linear_characters", _refuse_route)
+    monkeypatch.setattr(chartable, "_dixon_rows", _refuse_route)
+    assert hessenberg_rows(maker()) == expected
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -732,28 +807,39 @@ MUTATED_LINEAR = """
 from cmkit import InvalidCharacterTable, build_gm, chartable
 real = chartable._linear_characters
 def dropped(G, p):
-    linear, start = real(G, p)
-    return linear[1:], start
-def rotated(G, p):
-    linear, start = real(G, p)
-    z = chartable._find_root_of_unity(G.exponent(), p)
-    vector = list(linear[-1])
-    vector[-1] = vector[-1] * z % p
-    return linear[:-1] + [vector], start
-for name, mutant in (("unchanged", real), ("dropped", dropped), ("rotated", rotated)):
+    exponents, start = real(G, p)
+    return exponents[1:], start
+def moved(G, p, c, step):
+    exponents, start = real(G, p)
+    row = list(exponents[-1])
+    row[c] = (row[c] + step) % G.exponent()
+    return exponents[:-1] + [row], start
+def shifted(G, p):
+    return moved(G, p, -1, G.exponent() // G.conjugacy_classes()[-1].order)
+def indivisible(G, p):
+    return moved(G, p, 1, 1)
+for name, mutant in (("unchanged", real), ("dropped", dropped), ("shifted", shifted),
+                     ("indivisible", indivisible)):
     chartable._linear_characters = mutant
     try:
         chartable.character_table(build_gm(12).group)
     except InvalidCharacterTable as ex:
-        print(name, "rejected")
+        print(name, "rejected:", ex)
     else:
         print(name, "accepted")
 """
 
 
 def test_mutated_linear_characters_are_rejected_under_optimize():
-    """With one linear vector dropped, or one linear character's value at one
-    class rotated by a root of unity, the table of gm:12 raises, also under
-    `python -O`."""
+    """On gm:12 (e = 12, its last class of order 12, class 1 of order 2), the
+    table raises, also under `python -O`, with one exponent row dropped (the
+    split finds one part fewer than it is asked for), with one exponent moved
+    by e/o at one class (the spectrum moves to the next root of unity, which
+    only the regular-representation identity sees), and with one exponent
+    that e/o does not divide."""
     assert run_optimized("-c", MUTATED_LINEAR).splitlines() == [
-        "unchanged accepted", "dropped rejected", "rotated rejected"]
+        "unchanged accepted",
+        "dropped rejected: class matrices split class space into 6 parts for 7 "
+        "non-linear irreducibles",
+        "shifted rejected: regular-representation identity fails at class 29",
+        "indivisible rejected: a linear character's exponent is not a multiple of e/o"]
